@@ -76,18 +76,22 @@ class Tensor:
     def backward(self):
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar output")
+        # iterative post-order walk of the tape (parents first, in parent
+        # order); a recursive closure would form a reference cycle that
+        # keeps the whole tape alive until the cyclic GC runs
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(t)
         grads = {id(self): np.ones_like(self.values)}
         for t in reversed(order):
             g = grads.pop(id(t), None)

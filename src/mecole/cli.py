@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_overrides, parse_config_file
 from .errors import ConfigError, DataError, NumericError
-from .graphs import SBMConfig, generate_sbm, load_labels
+from .graphs import SBMConfig, generate_sbm, load_labels, read_lines
 from .metrics import clustering_accuracy, nmi
 from .training import run_ablation_grid, run_training, sparse_eval, \
     write_grid_csv, write_report
@@ -124,15 +124,15 @@ def _cmd_gen_sbm(args):
 
 def _cmd_eval(args):
     pred = []
-    with open(args.assignments, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("node_id"):
-            raise DataError(f"{args.assignments}: not an assignment export")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2:
-                raise DataError(f"{args.assignments}: malformed row")
+    lines = read_lines(args.assignments)
+    if not lines or not lines[0].startswith("node_id"):
+        raise DataError(f"{args.assignments}: not an assignment export")
+    for line in lines[1:]:
+        parts = line.strip().split(",")
+        try:
             pred.append(int(parts[1]))
+        except (IndexError, ValueError):
+            raise DataError(f"{args.assignments}: malformed row {line!r}")
     truth = load_labels(args.labels)
     pred = np.asarray(pred)
     if len(pred) != len(truth):

@@ -87,12 +87,14 @@ def modularity(graph, labels):
         raise DataError("labels must cover all nodes")
     if graph.num_edges == 0:
         raise DataError("modularity undefined on an empty edge set")
-    m = sum(w for _, _, w in graph.edges)
+    m = graph.w.sum()
     deg = graph.weighted_degrees
+    head = labels[graph.u]
+    intra_w = np.where(head == labels[graph.v], graph.w, 0.0)
     q = 0.0
     for c in np.unique(labels):
         mask = labels == c
-        intra = sum(w for u, v, w in graph.edges if mask[u] and mask[v])
+        intra = intra_w[head == c].sum()
         d_c = deg[mask].sum()
         q += intra / m - (d_c / (2 * m)) ** 2
     return float(q)
@@ -113,7 +115,7 @@ def init_objective(graph, C, collapse_weight):
     """Differentiable init loss on a soft assignment tensor C: negative
     soft modularity plus the cluster-collapse regularizer."""
     n, K = C.shape
-    m = sum(w for _, _, w in graph.edges)
+    m = graph.w.sum()
     deg_row = ad.constant(graph.weighted_degrees[None, :])
     ac = ad.spmm(graph.adjacency, C)
     trace = ad.tsum(ad.mul(C, ac))

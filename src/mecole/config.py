@@ -168,16 +168,21 @@ def _resolve_key(dotted):
 def parse_config_file(path):
     """Parse a flat key = value config file into a dict of field values."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            name = _resolve_key(key.strip())
-            values[name] = _coerce(name, raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = line.split("=", 1)
+        name = _resolve_key(key.strip())
+        values[name] = _coerce(name, raw)
     return values
 
 

@@ -29,6 +29,13 @@ __all__ = [
 
 EPS = 1e-8
 
+# sample_non_edges refuses a graph where fewer than this share of ordered
+# node pairs are non-edges, and gives up after drawing
+# (2 * count + NON_EDGE_DRAW_SLACK) / NON_EDGE_MIN_RATE pairs: at the
+# minimum rate, twice the expected number plus ample room for the tail
+NON_EDGE_MIN_RATE = 1 / 64
+NON_EDGE_DRAW_SLACK = 1024
+
 DISCREPANCY_METRICS = ("l1", "l2", "cosine", "l_inf")
 
 
@@ -216,30 +223,48 @@ def _hconcat(a, b):
 # losses -------------------------------------------------------------
 
 def sample_non_edges(graph, count, rng):
-    """Uniform sample of unordered non-adjacent pairs (with replacement)."""
+    """Uniform sample of unordered non-adjacent pairs (with replacement).
+
+    Draws node pairs `(u, v)` from `rng` and rejects self-pairs and edges.
+    Each round draws exactly two integers per pair still needed, so the
+    pairs, their order and the generator's end state are those of a loop
+    that draws one pair at a time.
+    """
     n = graph.n
-    max_pairs = n * (n - 1) // 2
-    if graph.num_edges >= max_pairs:
+    non_edges = n * (n - 1) - 2 * graph.num_edges  # ordered pairs
+    if non_edges <= 0:
         raise DataError("graph is complete: no non-edges to sample")
-    edge_set = {(u, v) for u, v, _ in graph.edges}
-    out = []
-    while len(out) < count:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edge_set:
-            continue
-        out.append(key)
-    return np.asarray(out)
+    if non_edges < NON_EDGE_MIN_RATE * n * n:
+        raise DataError(
+            f"graph too dense to sample non-edges: {non_edges} of {n * n} "
+            f"ordered node pairs are non-edges")
+    budget = (2 * count + NON_EDGE_DRAW_SLACK) / NON_EDGE_MIN_RATE
+    # pair ids u*n + v of the edges, sorted as the edges are, closed by a
+    # sentinel above every id so a lookup never runs off the end
+    edge_ids = np.append(graph.u * n + graph.v, n * n)
+    found = [np.empty((0, 2), dtype=np.int64)]
+    need, drawn = count, 0
+    while need > 0:
+        if drawn + need > budget:
+            raise DataError(f"found {count - need} of {count} non-edges "
+                            f"in {drawn} drawn pairs")
+        draws = rng.integers(n, size=2 * need)
+        drawn += need
+        a, b = draws[0::2], draws[1::2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ids = lo * n + hi
+        is_edge = edge_ids[np.searchsorted(edge_ids, ids)] == ids
+        ok = (lo != hi) & ~is_edge
+        found.append(np.column_stack([lo[ok], hi[ok]]))
+        need -= int(ok.sum())
+    return np.concatenate(found)
 
 
 def reconstruction_loss(graph, E, neg_ratio, rng, mlp=None):
     """Binary cross-entropy of Z over edges and sampled non-edges."""
     if neg_ratio < 1:
         raise ConfigError("neg_ratio must be >= 1")
-    pos = np.asarray([(u, v) for u, v, _ in graph.edges])
+    pos = np.column_stack([graph.u, graph.v])
     neg = sample_non_edges(graph, neg_ratio * len(pos), rng)
     pairs = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])[:, None]
@@ -308,8 +333,8 @@ def rewire(graph, E, eta):
         raise ConfigError("eta must be > 0")
     if E.ho.shape[1] == 0:
         return graph
-    weights = []
-    for u, v, w in graph.edges:
-        e_o = float(_sigmoid(E.ho[u] @ E.ho[v]))
-        weights.append(min(eta, w / max(e_o, EPS)))
-    return graph.with_weights(weights)
+    ho = E.ho
+    # stacked 1x1 products: bit-equal to the scalar ho[u] @ ho[v]
+    dots = np.matmul(ho[graph.u][:, None, :], ho[graph.v][:, :, None])
+    e_o = _sigmoid(dots.reshape(-1))
+    return graph.with_weights(np.minimum(eta, graph.w / np.maximum(e_o, EPS)))

@@ -27,6 +27,8 @@ __all__ = [
     "load_features",
     "load_labels",
     "load_attribute_bags",
+    "load_vocabulary",
+    "read_lines",
     "build_knn_similarity_graph",
     "tfidf_class_features",
     "generate_sbm",
@@ -34,54 +36,76 @@ __all__ = [
 
 
 class Graph:
-    """Immutable sparse undirected graph with optional edge weights."""
+    """Immutable sparse undirected graph with optional edge weights.
 
-    __slots__ = ("n", "edges", "adjacency", "node_kind")
+    Each edge is stored once: endpoint arrays `u < v`, sorted by `(u, v)`,
+    with weights `w`. `adjacency` is the symmetric CSR matrix built from
+    them. Graphs derived from a validated one (`with_weights`, `subgraph`,
+    `keep_edges`) reuse its arrays without re-sorting or re-validating.
+    """
 
-    def __init__(self, n, edges, node_kind=None):
-        edges = sorted(
-            (min(int(u), int(v)), max(int(u), int(v)), float(w))
-            for u, v, w in edges
-        )
-        seen = set()
-        for u, v, _ in edges:
-            if u == v:
-                raise DataError(f"self-loop ({u},{v}) in edge list")
-            if not 0 <= u < n or not 0 <= v < n:
-                raise DataError(f"edge ({u},{v}) out of range for n={n}")
-            if (u, v) in seen:
-                raise DataError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        self.n = int(n)
-        self.edges = tuple(edges)
-        if edges:
-            us = np.array([e[0] for e in edges])
-            vs = np.array([e[1] for e in edges])
-            ws = np.array([e[2] for e in edges])
-            rows = np.concatenate([us, vs])
-            cols = np.concatenate([vs, us])
-            data = np.concatenate([ws, ws])
+    __slots__ = ("n", "u", "v", "w", "adjacency")
+
+    def __init__(self, n, edges):
+        """`edges`: (u, v, w) triples in any order and orientation."""
+        edges = list(edges)
+        self._set(int(n), *_canonical_edges(
+            n, np.array([e[0] for e in edges], dtype=np.int64),
+            np.array([e[1] for e in edges], dtype=np.int64),
+            np.array([e[2] for e in edges], dtype=np.float64)))
+
+    @classmethod
+    def from_arrays(cls, n, u, v, w=None):
+        """Graph from endpoint arrays (any order and orientation) and
+        weights (default 1.0)."""
+        u = np.asarray(u, dtype=np.int64).reshape(-1)
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        w = np.ones(len(u)) if w is None else \
+            np.asarray(w, dtype=np.float64).reshape(-1)
+        if not len(u) == len(v) == len(w):
+            raise DataError("edge arrays differ in length")
+        return cls._trusted(int(n), *_canonical_edges(n, u, v, w))
+
+    @classmethod
+    def from_pairs(cls, n, pairs, weight=1.0):
+        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls.from_arrays(n, pairs[:, 0], pairs[:, 1],
+                               np.full(len(pairs), float(weight)))
+
+    @classmethod
+    def _trusted(cls, n, u, v, w):
+        """Graph on arrays that are already canonical and valid."""
+        g = cls.__new__(cls)
+        g._set(n, u, v, w)
+        return g
+
+    def _set(self, n, u, v, w):
+        for arr in (u, v, w):
+            arr.flags.writeable = False
+        self.n = n
+        self.u, self.v, self.w = u, v, w
+        if len(u):
+            rows = np.concatenate([u, v])
+            cols = np.concatenate([v, u])
+            data = np.concatenate([w, w])
             self.adjacency = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         else:
             self.adjacency = sp.csr_matrix((n, n), dtype=np.float64)
-        self.node_kind = tuple(node_kind) if node_kind is not None else None
 
-    @classmethod
-    def from_pairs(cls, n, pairs, weight=1.0, node_kind=None):
-        return cls(n, [(u, v, weight) for u, v in pairs], node_kind=node_kind)
+    @property
+    def edges(self):
+        """The edges as sorted `(u, v, w)` tuples, derived on demand."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.u)
 
     @property
     def degrees(self):
         """Number of stored neighbors per node."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.u, minlength=self.n) + \
+            np.bincount(self.v, minlength=self.n)
 
     @property
     def weighted_degrees(self):
@@ -92,24 +116,46 @@ class Graph:
             self.adjacency.indptr[u]:self.adjacency.indptr[u + 1]]
 
     def with_weights(self, weights):
-        """Same topology with new per-edge weights (in self.edges order)."""
-        if len(weights) != len(self.edges):
+        """Same topology with new per-edge weights (in edge order)."""
+        w = np.array(weights, dtype=np.float64)
+        if w.shape != self.w.shape:
             raise DataError("weight count does not match edge count")
-        return Graph(self.n, [(u, v, w) for (u, v, _), w
-                              in zip(self.edges, weights)],
-                     node_kind=self.node_kind)
+        return Graph._trusted(self.n, self.u, self.v, w)
+
+    def keep_edges(self, mask):
+        """Same nodes with only the edges where boolean `mask` holds."""
+        return Graph._trusted(self.n, self.u[mask], self.v[mask],
+                              self.w[mask])
 
     def subgraph(self, keep):
         """Induced subgraph on sorted node ids `keep`, reindexed densely."""
-        keep = np.asarray(sorted(keep))
-        remap = -np.ones(self.n, dtype=np.int64)
+        keep = np.sort(np.asarray(keep, dtype=np.int64))
+        remap = np.full(self.n, -1, dtype=np.int64)
         remap[keep] = np.arange(len(keep))
-        edges = [(remap[u], remap[v], w) for u, v, w in self.edges
-                 if remap[u] >= 0 and remap[v] >= 0]
-        kind = None
-        if self.node_kind is not None:
-            kind = [self.node_kind[i] for i in keep]
-        return Graph(len(keep), edges, node_kind=kind)
+        u, v = remap[self.u], remap[self.v]
+        inside = (u >= 0) & (v >= 0)
+        # the remap is increasing, so the kept edges stay canonical
+        return Graph._trusted(len(keep), u[inside], v[inside],
+                              self.w[inside])
+
+
+def _canonical_edges(n, u, v, w):
+    """Validate endpoint arrays; return them as u < v sorted by (u, v)."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = np.flatnonzero(lo == hi)
+    if loop.size:
+        i = lo[loop[0]]
+        raise DataError(f"self-loop ({i},{i}) in edge list")
+    bad = np.flatnonzero((lo < 0) | (hi >= n))
+    if bad.size:
+        raise DataError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range "
+                        f"for n={n}")
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    if dup.size:
+        raise DataError(f"duplicate edge ({lo[dup[0]]},{hi[dup[0]]})")
+    return lo, hi, w
 
 
 @dataclass(frozen=True)
@@ -173,48 +219,63 @@ class SBMConfig:
 
 # ingestion ----------------------------------------------------------
 
+def read_lines(path):
+    """The lines of a text input file; an unreadable file is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {path}: {reason}") from exc
+
+
 def load_edge_list(path, n_hint=None):
     pairs = set()
     max_idx = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}")
-            if u < 0 or v < 0:
-                raise DataError(f"{path}:{lineno}: negative node id")
-            max_idx = max(max_idx, u, v)
-            if u == v:
-                continue
-            pairs.add((min(u, v), max(u, v)))
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}")
+        if u < 0 or v < 0:
+            raise DataError(f"{path}:{lineno}: negative node id")
+        max_idx = max(max_idx, u, v)
+        if u == v:
+            continue
+        pairs.add((min(u, v), max(u, v)))
     if not pairs:
         raise DataError(f"{path}: empty edge set")
     n = n_hint if n_hint is not None else max_idx + 1
     return Graph.from_pairs(n, pairs)
 
 
-def load_features(path, n):
+def _numeric_rows(path):
+    """Rows of comma- or whitespace-separated numbers, all one length."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.replace(",", " ").split()
-            try:
-                rows.append([float(t) for t in toks])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric token")
-    if len(rows) != n:
-        raise DataError(f"{path}: row count mismatch (got {len(rows)}, want {n})")
-    X = np.asarray(rows, dtype=np.float64)
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.replace(",", " ").split()
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric token")
+    if len({len(r) for r in rows}) > 1:
+        raise DataError(f"{path}: rows differ in length")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def load_features(path, n):
+    X = _numeric_rows(path)
+    if len(X) != n:
+        raise DataError(f"{path}: row count mismatch (got {len(X)}, want {n})")
     if not np.all(np.isfinite(X)):
         raise DataError(f"{path}: non-finite feature value")
     return X
@@ -222,30 +283,33 @@ def load_features(path, n):
 
 def load_labels(path):
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer label")
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer label")
     return np.asarray(labels, dtype=np.int64)
 
 
 def load_attribute_bags(path):
     bags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            try:
-                bags.append(tuple(int(t) for t in line.split()))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer token id")
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            continue
+        try:
+            bags.append(tuple(int(t) for t in line.split()))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer token id")
     return tuple(bags)
+
+
+def load_vocabulary(path):
+    """Token embedding table: one row of numbers per token id."""
+    return _numeric_rows(path)
 
 
 # auxiliary graph construction ---------------------------------------
@@ -336,12 +400,17 @@ def generate_sbm(cfg: SBMConfig):
     n = sum(sizes)
     labels = np.repeat(np.arange(cfg.blocks), sizes)
 
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    probs = np.where(same, cfg.p_in, cfg.p_out)
-    mask = rng.random(len(iu)) < probs
-    pairs = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    graph = Graph.from_pairs(n, pairs)
+    # one row of the upper triangle at a time, in row-major pair order:
+    # the same draws as one call over all n(n-1)/2 pairs, in O(n) memory
+    pair_probs = np.where(labels[None, :] == np.arange(cfg.blocks)[:, None],
+                          cfg.p_in, cfg.p_out)
+    heads, tails = [], []
+    for i in range(n - 1):
+        hit = rng.random(n - 1 - i) < pair_probs[labels[i], i + 1:]
+        tails.append(np.flatnonzero(hit) + (i + 1))
+        heads.append(np.full(len(tails[-1]), i))
+    graph = Graph.from_arrays(n, np.concatenate(heads or [[]]),
+                              np.concatenate(tails or [[]]))
 
     dep = np.zeros((n, cfg.dep_dim))
     dep[np.arange(n), labels] = 1.0

@@ -17,9 +17,10 @@ from .clustering import Assignment, ModularityInitConfig, init_assignments, \
     modularity, update_assignments
 from .config import ExperimentConfig
 from .errors import DataError, MecoleError
-from .graphs import AttributeBag, Graph, GraphBundle, SBMConfig, \
+from .graphs import AttributeBag, GraphBundle, SBMConfig, \
     build_knn_similarity_graph, generate_sbm, load_attribute_bags, \
-    load_edge_list, load_features, load_labels, tfidf_class_features
+    load_edge_list, load_features, load_labels, load_vocabulary, \
+    tfidf_class_features
 from .metrics import MetricsReport, clustering_accuracy, nmi
 
 logger = logging.getLogger("mecole.training")
@@ -67,14 +68,8 @@ def load_dataset(cfg: ExperimentConfig):
         raw_bags = load_attribute_bags(cfg.bags_path)
         if len(raw_bags) != graph.n:
             raise DataError("attribute bag count does not match node count")
-        vocab_rows = []
-        with open(cfg.vocab_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    vocab_rows.append([float(t) for t in
-                                       line.replace(",", " ").split()])
-        bags = AttributeBag(bags=raw_bags, vocabulary=np.asarray(vocab_rows))
+        bags = AttributeBag(bags=raw_bags,
+                            vocabulary=load_vocabulary(cfg.vocab_path))
     return Dataset(bundle=GraphBundle(primary=graph, auxiliary=aux),
                    X=X, labels=labels, bags=bags)
 
@@ -85,10 +80,10 @@ def _mask_features(X, rate, rng):
 
 
 def _drop_edges(graph, rate, rng):
-    keep = [e for e in graph.edges if rng.random() >= rate]
-    if not keep:
-        keep = list(graph.edges[:1])
-    return Graph(graph.n, keep, node_kind=graph.node_kind)
+    keep = rng.random(graph.num_edges) >= rate
+    if not keep.any():
+        keep[:1] = True
+    return graph.keep_edges(keep)
 
 
 def _build_batches(cfg, assignment, E, graph, p_ce, rng):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,6 +30,25 @@ def test_fanout_accumulates_once():
     y = ad.add(x, x)
     y.backward()
     assert x.grad[0, 0] == pytest.approx(2.0)
+
+
+def test_backward_leaves_no_reference_cycles():
+    # a tape freed by reference counting alone: nothing for the cyclic GC
+    rng = np.random.default_rng(0)
+    a_hat = ad.normalize_adjacency(Graph.from_pairs(4, [(0, 1), (1, 2)]))
+    w = ad.parameter(rng.normal(size=(3, 2)))
+    x = ad.constant(rng.normal(size=(4, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        h = ad.gcn_layer(a_hat, x, w, activation="tanh")
+        loss = ad.tmean(ad.mul(ad.sigmoid(h), ad.add(h, h)))
+        loss.backward()
+        del h, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert w.grad is not None
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,0 +1,274 @@
+"""The array edge layer against the per-edge loops it replaced.
+
+Each reference below is a copy of the earlier scalar implementation; the
+array versions must reproduce them exactly (same pairs, same weights, same
+generator state afterwards), so seeded runs stay byte-identical.
+"""
+
+import time
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+from mecole.decoupling import DecoupledEmbeddings, rewire, sample_non_edges
+from mecole.errors import DataError
+from mecole.graphs import Graph, SBMConfig, generate_sbm
+
+
+def sigmoid_scalar(x):
+    x = np.clip(x, -500, 500)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                    np.exp(x) / (1.0 + np.exp(x)))
+
+
+def reference_edges(edges):
+    """The sorted (u, v, w) tuples the tuple-backed Graph stored."""
+    return tuple(sorted((min(int(u), int(v)), max(int(u), int(v)), float(w))
+                        for u, v, w in edges))
+
+
+def reference_adjacency(n, edges):
+    if not edges:
+        return sp.csr_matrix((n, n), dtype=np.float64)
+    us = np.array([e[0] for e in edges])
+    vs = np.array([e[1] for e in edges])
+    ws = np.array([e[2] for e in edges])
+    return sp.csr_matrix((np.concatenate([ws, ws]),
+                          (np.concatenate([us, vs]), np.concatenate([vs, us]))),
+                         shape=(n, n))
+
+
+def reference_non_edges(edges, n, count, rng):
+    edge_set = {(u, v) for u, v, _ in edges}
+    out = []
+    while len(out) < count:
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in edge_set:
+            continue
+        out.append(key)
+    return np.asarray(out)
+
+
+def reference_sbm_pairs(cfg):
+    """Edges and generator of the all-pairs planted-partition draw."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n
+    labels = np.repeat(np.arange(cfg.blocks), cfg.block_sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.where(labels[iu] == labels[ju], cfg.p_in, cfg.p_out)
+    mask = rng.random(len(iu)) < probs
+    return list(zip(iu[mask].tolist(), ju[mask].tolist())), rng
+
+
+def random_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = {(int(min(a, b)), int(max(a, b)))
+             for a, b in rng.integers(0, n, size=(m, 2)) if a != b}
+    return Graph.from_pairs(n, pairs)
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+# Graph ----------------------------------------------------------------------
+
+edge_lists = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.floats(0.1, 10.0)), max_size=40)))
+
+
+def _clean(edges):
+    """Drop self-loops and repeated pairs (either orientation)."""
+    seen, out = set(), []
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            out.append((u, v, w))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists)
+def test_graph_matches_tuple_view(case):
+    n, raw = case
+    edges = _clean(raw)
+    g = Graph(n, edges)
+    assert g.edges == reference_edges(edges)
+    assert g.num_edges == len(edges)
+    assert g.degrees.sum() == 2 * g.num_edges
+    assert_same_csr(g.adjacency, reference_adjacency(n, g.edges))
+    dense = g.adjacency.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert np.all(g.u < g.v)
+    same = Graph.from_arrays(n, [e[0] for e in edges], [e[1] for e in edges],
+                             [e[2] for e in edges])
+    assert same.edges == g.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists, st.data())
+def test_graph_rejects_bad_edge_lists(case, data):
+    n, raw = case
+    edges = _clean(raw)
+    u = data.draw(st.integers(0, n - 1))
+    bad = data.draw(st.sampled_from(["loop", "range", "negative", "dup"]))
+    if bad == "loop":
+        edges.append((u, u, 1.0))
+    elif bad == "range":
+        edges.append((u, n + data.draw(st.integers(0, 5)), 1.0))
+    elif bad == "negative":
+        edges.append((-1, u, 1.0))
+    elif edges:
+        a, b, _ = data.draw(st.sampled_from(edges))
+        edges.append((b, a, 2.0))  # the same pair, other orientation
+    else:
+        return
+    pos = data.draw(st.integers(0, len(edges) - 1))
+    edges.insert(pos, edges.pop())
+    with pytest.raises(DataError):
+        Graph(n, edges)
+
+
+def test_derived_graphs_match_rebuilds(rng):
+    g = random_graph(30, 80, 1)
+    w = rng.uniform(0.5, 2.0, size=g.num_edges)
+    rebuilt = Graph(g.n, [(u, v, x) for (u, v, _), x in zip(g.edges, w)])
+    assert g.with_weights(w).edges == rebuilt.edges
+    assert_same_csr(g.with_weights(w).adjacency, rebuilt.adjacency)
+
+    keep = rng.random(g.num_edges) < 0.5
+    kept = Graph(g.n, [e for e, k in zip(g.edges, keep) if k])
+    assert g.keep_edges(keep).edges == kept.edges
+    assert_same_csr(g.keep_edges(keep).adjacency, kept.adjacency)
+
+    nodes = sorted(rng.choice(30, size=18, replace=False).tolist())
+    remap = {old: new for new, old in enumerate(nodes)}
+    sub = Graph(18, [(remap[u], remap[v], x) for u, v, x in g.edges
+                     if u in remap and v in remap])
+    assert g.subgraph(nodes).edges == sub.edges
+    assert_same_csr(g.subgraph(nodes).adjacency, sub.adjacency)
+
+
+def test_graph_arrays_are_read_only():
+    g = Graph.from_pairs(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        g.w[0] = 2.0
+
+
+# generate_sbm ----------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [
+    SBMConfig(blocks=3, block_sizes=(10, 10, 10), p_in=0.5, p_out=0.1,
+              seed=42),
+    SBMConfig(blocks=4, block_sizes=(7, 30, 1, 12), p_in=0.3, p_out=0.05,
+              seed=0, confound_strength=1.5),
+    SBMConfig(blocks=2, block_sizes=(25, 40), p_in=0.2, p_out=0.0, seed=9),
+    SBMConfig(blocks=2, block_sizes=(1, 1), p_in=1.0, p_out=1.0, seed=3),
+    SBMConfig(blocks=5, block_sizes=(60,) * 5, p_in=0.05, p_out=0.005,
+              seed=123, confound_strength=0.7),
+])
+def test_sbm_matches_all_pairs_draw(cfg):
+    pairs, rng = reference_sbm_pairs(cfg)
+    g, X, labels = generate_sbm(cfg)
+    assert g.edges == Graph.from_pairs(cfg.n, pairs).edges
+    # the features come from the same stream, drawn after the edges
+    dep = np.zeros((cfg.n, cfg.dep_dim))
+    dep[np.arange(cfg.n), labels] = 1.0
+    dep += rng.normal(0.0, cfg.noise_sigma, size=(cfg.n, cfg.dep_dim))
+    assert np.array_equal(X[:, :cfg.dep_dim], dep)
+
+
+# sample_non_edges --------------------------------------------------------------
+
+def near_complete_graph(n, missing, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    drop = set(rng.choice(len(pairs), size=missing, replace=False).tolist())
+    return Graph.from_pairs(n, [p for i, p in enumerate(pairs)
+                                if i not in drop])
+
+
+@pytest.mark.parametrize("g,count,seed", [
+    (random_graph(3, 2, 99), 2, 99), (random_graph(10, 30, 0), 50, 0),
+    (random_graph(40, 300, 1), 300, 1), (random_graph(200, 2000, 2), 5000, 2),
+    # 20 non-edges among 435 pairs: about 22 draws per non-edge
+    (near_complete_graph(30, 20, 3), 100, 3),
+])
+def test_sample_non_edges_matches_scalar_loop(g, count, seed):
+    n = g.n
+    ref_rng = np.random.default_rng([seed, 5])
+    expected = reference_non_edges(g.edges, n, count, ref_rng)
+    rng = np.random.default_rng([seed, 5])
+    got = sample_non_edges(g, count, rng)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the stream after sampling is the one the scalar loop leaves
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
+def test_sample_non_edges_near_complete_graph_raises_fast():
+    pairs = [(u, v) for u in range(200) for v in range(u + 1, 200)
+             if (u, v) != (0, 1)]
+    g = Graph.from_pairs(200, pairs)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="too dense"):
+        sample_non_edges(g, 50, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
+
+
+class _StuckGenerator:
+    """Draws node 0 forever, so every pair is a self-pair."""
+
+    def integers(self, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_sample_non_edges_gives_up_after_its_draw_budget():
+    g = Graph.from_pairs(10, [(0, 1)])
+    with pytest.raises(DataError, match="drawn pairs"):
+        sample_non_edges(g, 1000, _StuckGenerator())
+
+
+# rewire ------------------------------------------------------------------------
+
+def reference_rewire_weights(graph, ho, eta):
+    return [min(eta, w / max(float(sigmoid_scalar(ho[u] @ ho[v])), 1e-8))
+            for u, v, w in graph.edges]
+
+
+def test_rewire_equals_scalar_formula():
+    rng = np.random.default_rng(20)
+    g = random_graph(20, 60, 4)
+    ho = rng.normal(size=(20, 32))
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(20, 4)), ho)
+    got = [w for _, _, w in rewire(g, E, 4.0).edges]
+    assert got == reference_rewire_weights(g, ho, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists, st.integers(0, 2 ** 32 - 1), st.floats(0.5, 8.0),
+       st.floats(0.1, 5.0))
+def test_rewired_weights_bounded(case, seed, eta, scale):
+    n, raw = case
+    g = Graph.from_pairs(n, [(u, v) for u, v, _ in _clean(raw)])
+    rng = np.random.default_rng(seed)
+    ho = scale * rng.normal(size=(n, 3))
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(n, 2)), ho)
+    rw = rewire(g, E, eta)
+    assert np.array_equal(rw.u, g.u) and np.array_equal(rw.v, g.v)
+    assert np.all(rw.w > 0) and np.all(rw.w <= eta)
+    assert [w for _, _, w in rw.edges] == \
+        reference_rewire_weights(g, ho, eta)

@@ -4,7 +4,8 @@ import pytest
 from mecole.clustering import Assignment
 from mecole.errors import ConfigError, DataError
 from mecole.graphs import AttributeBag, Graph, GraphBundle, SBMConfig, \
-    build_knn_similarity_graph, generate_sbm, load_edge_list, load_features, \
+    build_knn_similarity_graph, generate_sbm, load_attribute_bags, \
+    load_edge_list, load_features, load_labels, load_vocabulary, \
     tfidf_class_features
 
 
@@ -65,6 +66,32 @@ def test_load_features_row_mismatch(tmp_path):
 def test_load_features_non_numeric(tmp_path):
     with pytest.raises(DataError, match="non-numeric"):
         load_features(write(tmp_path, "f.csv", "1 2\n3 oops\n"), 2)
+
+
+def test_load_features_ragged_rows(tmp_path):
+    with pytest.raises(DataError, match="differ in length"):
+        load_features(write(tmp_path, "f.csv", "1 2\n3\n"), 2)
+
+
+def test_load_vocabulary(tmp_path):
+    V = load_vocabulary(write(tmp_path, "v.txt", "# emb\n1,0\n0 1\n"))
+    assert V.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DataError, match="differ in length"):
+        load_vocabulary(write(tmp_path, "v.txt", "1 0\n1\n"))
+    with pytest.raises(DataError, match=":2:"):
+        load_vocabulary(write(tmp_path, "v.txt", "1 0\nx 1\n"))
+
+
+def test_loaders_map_unreadable_files_to_data_error(tmp_path):
+    missing = tmp_path / "missing.txt"
+    for load in (load_edge_list, load_labels, load_attribute_bags,
+                 load_vocabulary, lambda p: load_features(p, 1)):
+        with pytest.raises(DataError, match="cannot read"):
+            load(missing)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"0 1\n\xff\xfe\n")
+    with pytest.raises(DataError, match="cannot read"):
+        load_edge_list(binary)
 
 
 # Graph invariants -------------------------------------------------------

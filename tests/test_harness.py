@@ -252,6 +252,42 @@ def test_cli_exit_code_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key", ["edge_path", "feature_path", "label_path",
+                                 "bags_path", "vocab_path"])
+def test_cli_missing_input_file_is_data_error(tmp_path, capsys, key):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "bags.txt").write_text("0\n1\n0\n")
+    (tmp_path / "vocab.txt").write_text("1 0\n0 1\n")
+    paths = {"edge_path": tmp_path / "edges.txt",
+             "bags_path": tmp_path / "bags.txt",
+             "vocab_path": tmp_path / "vocab.txt",
+             key: tmp_path / "missing" / "input.txt"}
+    argv = ["train", "--out", str(tmp_path / "run")]
+    for k, p in paths.items():
+        argv += ["--set", f"{k}={p}"]
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot read" in err and "Traceback" not in err
+
+
+def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
+    (tmp_path / "labels.txt").write_text("0\n1\n")
+    bad = tmp_path / "assign.csv"
+    bad.write_text("node_id,class,r0,r1,relevant\n0,x,0.5,0.5,1\n")
+    for path in (bad, tmp_path / "missing.csv"):
+        rc = cli_main(["eval", "--assignments", str(path),
+                       "--labels", str(tmp_path / "labels.txt")])
+        assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
+    rc = cli_main(["train", "--config", str(tmp_path / "none.cfg")])
+    assert rc == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_cli_gen_sbm_train_eval_roundtrip(tmp_path, capsys):
     data_dir = tmp_path / "data"
     rc = cli_main(["gen-sbm"] + sbm_args(data_dir))
