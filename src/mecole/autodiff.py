@@ -23,6 +23,7 @@ __all__ = [
     "mul",
     "div",
     "sigmoid",
+    "sigmoid_array",
     "tanh",
     "relu",
     "exp",
@@ -221,12 +222,18 @@ def spmm(a_sparse, x):
 
 # elementwise -------------------------------------------------------
 
+def sigmoid_array(x):
+    """Logistic function of a plain array, stable at both tails: one
+    `exp` of `-|x|`, which never overflows."""
+    x = np.clip(x, -500, 500)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x):
     x = _as_tensor(x)
-    out_vals = np.where(x.values >= 0,
-                        1.0 / (1.0 + np.exp(-np.clip(x.values, -500, 500))),
-                        np.exp(np.clip(x.values, -500, 500)) /
-                        (1.0 + np.exp(np.clip(x.values, -500, 500))))
+    out_vals = sigmoid_array(x.values)
+
     def bwd(g):
         return ((x, g * out_vals * (1.0 - out_vals)),)
     return _make(out_vals, (x,), bwd, "sigmoid")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +58,12 @@ class Assignment:
     def K(self):
         return self.R.shape[1]
 
-    @property
+    @cached_property
     def hard(self):
-        return self.R.argmax(axis=1)
+        """Argmax class per node, computed once and read-only."""
+        hard = self.R.argmax(axis=1)
+        hard.flags.writeable = False
+        return hard
 
     def members(self, k, relevant_only=True):
         mask = self.hard == k

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .decoupling import predict_links_against
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 logger = logging.getLogger("mecole.contrastive")
 
@@ -106,18 +106,35 @@ def synthesize_virtual_node(v, assignment, E, p_ce, rng):
                        donor=donor, mask=mask)
 
 
-def _weighted_draw_without_replacement(items, weights, m, rng):
-    """Sequential weighted draws; the first draw is exactly proportional
-    to the weights."""
-    items = list(items)
-    weights = np.asarray(weights, dtype=np.float64).copy()
-    out = []
-    for _ in range(m):
-        p = weights / weights.sum()
-        i = int(rng.choice(len(items), p=p))
-        out.append(items.pop(i))
-        weights = np.delete(weights, i)
-    return out
+def _weighted_draw_without_replacement(weights, m, rng):
+    """Positions of `m` sequential weighted draws without replacement; the
+    first draw is exactly proportional to the weights.
+
+    Each draw is what `rng.choice(len(w), p=w / w.sum())` does over the
+    weights `w` still left, with its uniforms drawn up front, so the picks
+    and the generator's end state are those of a loop of `choice` calls.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    left = list(range(w.size))
+    picks = []
+    for u in rng.random(m).tolist():
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(u, side="right"))
+        picks.append(left.pop(i))
+        w = np.concatenate((w[:i], w[i + 1:]))
+    return np.array(picks, dtype=np.int64)
+
+
+def _top_stable(keys, c):
+    """`np.argsort(keys, kind="stable")[:c]` without sorting every key:
+    ties at the boundary still go to the lowest index."""
+    if c < keys.size:
+        kth = np.partition(keys, c - 1)[c - 1]
+        idx = np.flatnonzero(keys <= kth)
+    else:
+        idx = np.arange(keys.size)
+    return idx[np.argsort(keys[idx], kind="stable")[:c]]
 
 
 def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
@@ -125,32 +142,35 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
     outside the anchor's neighborhood, drawn proportionally to Z."""
     if m < 1:
         raise ConfigError("m must be >= 1")
-    v = virt.anchor
-    excluded = set(graph.neighbors(v).tolist())
-    excluded.add(v)
-    candidates = np.array([u for u in range(graph.n) if u not in excluded])
+    if pool_factor < 1:
+        raise ConfigError("pool_factor must be >= 1")
+    candidates = graph.non_neighbors(virt.anchor)
     if candidates.size == 0:
         raise DataError("no candidate negatives: anchor neighborhood is full")
     if uniform:
         # ablation: any non-neighbor, no hardness ranking
         take = min(m, candidates.size)
-        chosen = np.asarray(sorted(int(u) for u in
-                                   rng.choice(candidates, size=take,
-                                              replace=False)))
+        chosen = np.sort(rng.choice(candidates, size=take, replace=False))
         return chosen, np.full(take, 1.0 / take)
     z = predict_links_against(virt.h_d, virt.h_o, E)[candidates]
     c = min(pool_factor * m, candidates.size)
-    pool_idx = np.argsort(-z, kind="stable")[:c]
+    pool_idx = _top_stable(-z, c)
     pool = candidates[pool_idx]
     pool_z = z[pool_idx]
+    # scores are products of two clipped sigmoids and can underflow to 0;
+    # a draw needs m of them above 0, and the probabilities need one
+    need = m if pool.size > m else 1
+    nonzero = np.count_nonzero(pool_z)
+    if nonzero < need:
+        raise NumericError(
+            f"hard-negative pool of anchor {virt.anchor} has {nonzero} "
+            f"nonzero scores; the draw needs {need}")
     if pool.size <= m:
-        chosen = [int(u) for u in pool]
+        pick = np.arange(pool.size)
     else:
-        chosen = _weighted_draw_without_replacement(pool, pool_z, m, rng)
-    chosen = np.asarray(chosen)
-    zmap = dict(zip(pool.tolist(), pool_z.tolist()))
-    zc = np.array([zmap[int(u)] for u in chosen])
-    return chosen, zc / zc.sum()
+        pick = _weighted_draw_without_replacement(pool_z, m, rng)
+    zc = pool_z[pick]
+    return pool[pick], zc / zc.sum()
 
 
 def sample_positives(v, graph, count, rng):

@@ -66,12 +66,6 @@ class DecoupledEmbeddings:
                    ad.Tensor(ho, requires_grad=requires_grad))
 
 
-def _sigmoid(x):
-    x = np.clip(x, -500, 500)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                    np.exp(x) / (1.0 + np.exp(x)))
-
-
 class DecoupledEncoder:
     """Two independent 2-layer GCNs over (possibly multiple) adjacency
     channels, mixed with softmax-normalized learned scalars.
@@ -152,15 +146,16 @@ def predict_link(u, v, E):
     """Factorized edge probability for one pair (frozen embeddings)."""
     if u == v:
         raise DataError("predict_link requires u != v")
-    zd = float(_sigmoid(E.hd[u] @ E.hd[v]))
-    zo = float(_sigmoid(E.ho[u] @ E.ho[v])) if E.ho.shape[1] else 0.5
+    zd = float(ad.sigmoid_array(E.hd[u] @ E.hd[v]))
+    zo = float(ad.sigmoid_array(E.ho[u] @ E.ho[v])) if E.ho.shape[1] else 0.5
     return zd * zo, zd, zo
 
 
 def predict_links_against(hd_vec, ho_vec, E):
     """Vectorized Z(x, u) of one embedding pair against every node."""
-    zd = _sigmoid(E.hd @ hd_vec)
-    zo = _sigmoid(E.ho @ ho_vec) if E.ho.shape[1] else np.full(E.n, 0.5)
+    zd = ad.sigmoid_array(E.hd @ hd_vec)
+    zo = ad.sigmoid_array(E.ho @ ho_vec) if E.ho.shape[1] else \
+        np.full(E.n, 0.5)
     return zd * zo
 
 
@@ -336,5 +331,5 @@ def rewire(graph, E, eta):
     ho = E.ho
     # stacked 1x1 products: bit-equal to the scalar ho[u] @ ho[v]
     dots = np.matmul(ho[graph.u][:, None, :], ho[graph.v][:, :, None])
-    e_o = _sigmoid(dots.reshape(-1))
+    e_o = ad.sigmoid_array(dots.reshape(-1))
     return graph.with_weights(np.minimum(eta, graph.w / np.maximum(e_o, EPS)))

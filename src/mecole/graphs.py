@@ -115,6 +115,13 @@ class Graph:
         return self.adjacency.indices[
             self.adjacency.indptr[u]:self.adjacency.indptr[u + 1]]
 
+    def non_neighbors(self, u):
+        """Ascending ids of the nodes other than `u` not adjacent to it."""
+        keep = np.ones(self.n, dtype=bool)
+        keep[self.neighbors(u)] = False
+        keep[u] = False
+        return np.flatnonzero(keep)
+
     def with_weights(self, weights):
         """Same topology with new per-edge weights (in edge order)."""
         w = np.array(weights, dtype=np.float64)
@@ -335,17 +342,24 @@ def build_knn_similarity_graph(X, k, eta_sim):
     sims[norms == 0, :] = -np.inf
     sims[:, norms == 0] = -np.inf
     np.fill_diagonal(sims, -np.inf)
-    kk = min(k, n - 1)
-    edges = {}
-    top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-    for i in range(n):
-        for j in top[i]:
-            s = sims[i, j]
-            if not np.isfinite(s) or s < eta_sim:
-                continue
-            key = (min(i, int(j)), max(i, int(j)))
-            edges[key] = s
-    return Graph(n, [(u, v, w) for (u, v), w in edges.items()])
+    return _top_k_graph(sims, min(k, n - 1), eta_sim)
+
+
+def _top_k_graph(sims, k, eta_sim):
+    """Graph joining each row of `sims` to those of its `k` largest
+    entries that are finite and at least `eta_sim`. A pair kept from both
+    of its rows weighs `sims[max, min]`, the entry met last in row-major
+    order (`sims` need not be exactly symmetric)."""
+    n = sims.shape[0]
+    rows = np.repeat(np.arange(n), k)
+    cols = np.argpartition(-sims, k - 1, axis=1)[:, :k].reshape(-1)
+    s = sims[rows, cols]
+    ok = np.isfinite(s) & (s >= eta_sim)
+    rows, cols, s = rows[ok], cols[ok], s[ok]
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    _, first_reversed = np.unique(pair[::-1], return_index=True)
+    last = len(pair) - 1 - first_reversed
+    return Graph.from_arrays(n, rows[last], cols[last], s[last])
 
 
 def tfidf_class_features(bags: AttributeBag, assignment):

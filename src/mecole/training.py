@@ -105,15 +105,15 @@ def _build_batches(cfg, assignment, E, graph, p_ce, rng):
                     pool_factor=cfg.pool_factor, uniform=cfg.neg_uniform)
             except MecoleError:
                 continue
-            neg_nodes.extend(int(u) for u in nodes)
-            neg_scores.extend(p.tolist())
+            neg_nodes.append(nodes)
+            neg_scores.append(p)
         if not neg_nodes:
             continue
         pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
-        neg_p = np.asarray(neg_scores)
+        neg_p = np.concatenate(neg_scores)
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=np.asarray(neg_nodes), neg_p=neg_p / neg_p.sum()))
+            negatives=np.concatenate(neg_nodes), neg_p=neg_p / neg_p.sum()))
     return batches
 
 
@@ -128,15 +128,11 @@ def _build_augment_batches(cfg, assignment, E, graph, rng):
         if nbrs.size == 0:
             continue
         pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
-        excluded = set(graph.neighbors(v).tolist()) | {v}
-        candidates = np.array([u for u in range(graph.n)
-                               if u not in excluded])
+        candidates = graph.non_neighbors(v)
         if candidates.size == 0:
             continue
         take = min(cfg.negatives_m * cfg.virtual_per_anchor, candidates.size)
-        negs = np.asarray(sorted(int(u) for u in
-                                 rng.choice(candidates, size=take,
-                                            replace=False)))
+        negs = np.sort(rng.choice(candidates, size=take, replace=False))
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
             negatives=negs, neg_p=np.full(take, 1.0 / take)))

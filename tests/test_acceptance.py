@@ -290,6 +290,7 @@ SBM_FIXTURE = dict(sbm_blocks=4, sbm_block_size=100, sbm_p_in=0.10,
                    sbm_p_out=0.01, sbm_noise_sigma=0.5, K=4)
 
 
+@pytest.mark.slow
 def test_criterion_5_planted_structure(verdict):
     with verdict(5, "planted 4-block graph: mean accuracy >= 0.90 over 3 "
                     "seeds and >= init-only accuracy, under 5 minutes"):
@@ -310,6 +311,7 @@ def test_criterion_5_planted_structure(verdict):
 
 # 6. ablation direction on confounded features -------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_confound_ablation_direction(verdict):
     with verdict(6, "with a spurious block-correlated signal in the "
                     "invariant dims, the full model beats the non-decoupled "
@@ -334,6 +336,7 @@ def test_criterion_6_confound_ablation_direction(verdict):
 
 # 7. sparse-graph resilience ---------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_sparse_resilience(verdict):
     with verdict(7, "removing the top-degree 30% of nodes degrades accuracy "
                     "by < 0.15 absolute"):

@@ -222,3 +222,32 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_text("NOT-A-CHECKPOINT\n")
     with pytest.raises(DataError):
         ad.load_checkpoint(path)
+
+
+def sigmoid_three_exp(x):
+    """The elementwise form the tape op used: three `exp` calls."""
+    c = np.clip(x, -500, 500)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-c)),
+                    np.exp(c) / (1.0 + np.exp(c)))
+
+
+def sigmoid_clip_first(x):
+    """The form the frozen-embedding helpers used: clip, then branch."""
+    x = np.clip(x, -500, 500)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                    np.exp(x) / (1.0 + np.exp(x)))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (40, 3), (5, 1)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 30.0, 800.0])
+def test_sigmoid_array_bit_equal_to_both_earlier_forms(shape, scale):
+    x = np.random.default_rng(0).normal(scale=scale, size=shape)
+    x = np.append(x, [0.0, -0.0, 500.0, -500.0, 1e308, -1e308]) \
+        if x.ndim == 1 else x
+    got = ad.sigmoid_array(x)
+    for ref in (sigmoid_three_exp, sigmoid_clip_first):
+        want = ref(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert ad.sigmoid(np.atleast_2d(x)).values.tobytes() == \
+        np.atleast_2d(sigmoid_three_exp(x)).tobytes()

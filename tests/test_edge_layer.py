@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from mecole.decoupling import DecoupledEmbeddings, rewire, sample_non_edges
 from mecole.errors import DataError
-from mecole.graphs import Graph, SBMConfig, generate_sbm
+from mecole.graphs import Graph, SBMConfig, _top_k_graph, \
+    build_knn_similarity_graph, generate_sbm
 
 
 def sigmoid_scalar(x):
@@ -272,3 +273,55 @@ def test_rewired_weights_bounded(case, seed, eta, scale):
     assert np.all(rw.w > 0) and np.all(rw.w <= eta)
     assert [w for _, _, w in rw.edges] == \
         reference_rewire_weights(g, ho, eta)
+
+
+def reference_top_k_edges(sims, k, eta_sim):
+    """The k-NN loop the array version replaced: a dict keyed by the
+    unordered pair keeps the weight seen last."""
+    n = sims.shape[0]
+    edges = {}
+    top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    for i in range(n):
+        for j in top[i]:
+            s = sims[i, j]
+            if not np.isfinite(s) or s < eta_sim:
+                continue
+            edges[(min(i, int(j)), max(i, int(j)))] = s
+    return reference_edges((u, v, w) for (u, v), w in edges.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k, eta", [(1, -1.0), (3, 0.0), (5, 0.2), (40, -1.0)])
+def test_knn_graph_matches_scalar_loop(seed, k, eta):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(30, 4))
+    X[rng.integers(30)] = 0.0  # a zero-norm row contributes no edges
+    g = build_knn_similarity_graph(X, k, eta)
+    norms = np.linalg.norm(X, axis=1)
+    Xn = X / np.where(norms > 0, norms, 1.0)[:, None]
+    sims = Xn @ Xn.T
+    sims[norms == 0, :] = -np.inf
+    sims[:, norms == 0] = -np.inf
+    np.fill_diagonal(sims, -np.inf)
+    assert g.edges == reference_top_k_edges(sims, min(k, 29), eta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_knn_graph_asymmetric_sims_keep_last_weight(seed):
+    # a perturbed similarity matrix: (i, j) and (j, i) differ, so the
+    # weight of a pair kept from both rows shows which one won
+    rng = np.random.default_rng(seed)
+    n, k = 25, 4
+    sims = rng.uniform(-1, 1, size=(n, n))
+    sims = (sims + sims.T) / 2 + rng.normal(scale=1e-3, size=(n, n))
+    sims[rng.random((n, n)) < 0.05] = np.nan
+    np.fill_diagonal(sims, -np.inf)
+    g = _top_k_graph(sims, k, 0.0)
+    assert g.edges == reference_top_k_edges(sims, k, 0.0)
+    top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    kept = {(i, int(j)) for i in range(n) for j in top[i]
+            if np.isfinite(sims[i, j]) and sims[i, j] >= 0.0}
+    both = [(u, v, w) for u, v, w in g.edges
+            if (u, v) in kept and (v, u) in kept]
+    assert both
+    assert all(w == sims[v, u] != sims[u, v] for u, v, w in both)

@@ -1,0 +1,397 @@
+"""The array path of the counterfactual hard-negative sampler against the
+per-node code it replaced.
+
+Each reference below is a copy of the earlier implementation; the array
+versions must reproduce it exactly (same nodes, same probabilities to the
+bit, same generator state afterwards), so seeded runs stay byte-identical.
+"""
+
+import numpy as np
+import pytest
+
+from mecole import contrastive as ct
+from mecole.clustering import Assignment
+from mecole.config import ExperimentConfig
+from mecole.contrastive import VirtualNode, sample_negatives, \
+    synthesize_virtual_node
+from mecole.decoupling import DecoupledEmbeddings, predict_links_against
+from mecole.errors import ConfigError, DataError, MecoleError, NumericError
+from mecole.graphs import Graph, SBMConfig, generate_sbm
+from mecole.training import _build_augment_batches, _build_batches, \
+    _drop_edges, run_training
+
+
+# references: the per-node code the array path replaced -----------------------
+
+def ref_synthesize_virtual_node(v, assignment, E, p_ce, rng):
+    if not 0.0 < p_ce <= 1.0:
+        raise ConfigError("p_ce must lie in (0, 1]")
+    hard = assignment.R.argmax(axis=1)
+    opposing = np.flatnonzero(hard != hard[v])
+    if opposing.size == 0:
+        raise DataError("no opposing class to draw a donor from")
+    donor = int(rng.choice(opposing))
+    dim_d = E.hd.shape[1]
+    mask = rng.random(dim_d) < p_ce
+    while not mask.any():
+        mask = rng.random(dim_d) < p_ce
+    h_d = np.where(mask, E.hd[donor], E.hd[v])
+    return VirtualNode(h_d=h_d, h_o=E.ho[v].copy(), anchor=int(v),
+                       donor=donor, mask=mask)
+
+
+def ref_weighted_draw_without_replacement(items, weights, m, rng):
+    items = list(items)
+    weights = np.asarray(weights, dtype=np.float64).copy()
+    out = []
+    for _ in range(m):
+        p = weights / weights.sum()
+        i = int(rng.choice(len(items), p=p))
+        out.append(items.pop(i))
+        weights = np.delete(weights, i)
+    return out
+
+
+def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
+                         uniform=False):
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+    v = virt.anchor
+    excluded = set(graph.neighbors(v).tolist())
+    excluded.add(v)
+    candidates = np.array([u for u in range(graph.n) if u not in excluded])
+    if candidates.size == 0:
+        raise DataError("no candidate negatives: anchor neighborhood is full")
+    if uniform:
+        take = min(m, candidates.size)
+        chosen = np.asarray(sorted(int(u) for u in
+                                   rng.choice(candidates, size=take,
+                                              replace=False)))
+        return chosen, np.full(take, 1.0 / take)
+    z = predict_links_against(virt.h_d, virt.h_o, E)[candidates]
+    c = min(pool_factor * m, candidates.size)
+    pool_idx = np.argsort(-z, kind="stable")[:c]
+    pool = candidates[pool_idx]
+    pool_z = z[pool_idx]
+    if pool.size <= m:
+        chosen = [int(u) for u in pool]
+    else:
+        chosen = ref_weighted_draw_without_replacement(pool, pool_z, m, rng)
+    chosen = np.asarray(chosen)
+    zmap = dict(zip(pool.tolist(), pool_z.tolist()))
+    zc = np.array([zmap[int(u)] for u in chosen])
+    return chosen, zc / zc.sum()
+
+
+def ref_build_batches(cfg, assignment, E, graph, p_ce, rng):
+    anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
+    batches = []
+    for v in anchors:
+        if graph.neighbors(v).size == 0:
+            continue
+        neg_nodes, neg_scores = [], []
+        for _ in range(cfg.virtual_per_anchor):
+            try:
+                virt = ref_synthesize_virtual_node(v, assignment, E, p_ce,
+                                                   rng)
+            except MecoleError:
+                break
+            try:
+                nodes, p = ref_sample_negatives(
+                    virt, E, graph, cfg.negatives_m, rng,
+                    pool_factor=cfg.pool_factor, uniform=cfg.neg_uniform)
+            except MecoleError:
+                continue
+            neg_nodes.extend(int(u) for u in nodes)
+            neg_scores.extend(p.tolist())
+        if not neg_nodes:
+            continue
+        pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
+        neg_p = np.asarray(neg_scores)
+        batches.append(ct.ContrastiveBatch(
+            anchor=int(v), positives=pos, pos_p=pos_p,
+            negatives=np.asarray(neg_nodes), neg_p=neg_p / neg_p.sum()))
+    return batches
+
+
+def ref_build_augment_batches(cfg, assignment, E, graph, rng):
+    view = _drop_edges(graph, 0.2, rng)
+    anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
+    batches = []
+    for v in anchors:
+        nbrs = view.neighbors(v)
+        if nbrs.size == 0:
+            continue
+        pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
+        excluded = set(graph.neighbors(v).tolist()) | {v}
+        candidates = np.array([u for u in range(graph.n)
+                               if u not in excluded])
+        if candidates.size == 0:
+            continue
+        take = min(cfg.negatives_m * cfg.virtual_per_anchor, candidates.size)
+        negs = np.asarray(sorted(int(u) for u in
+                                 rng.choice(candidates, size=take,
+                                            replace=False)))
+        batches.append(ct.ContrastiveBatch(
+            anchor=int(v), positives=pos, pos_p=pos_p,
+            negatives=negs, neg_p=np.full(take, 1.0 / take)))
+    return batches
+
+
+# helpers ---------------------------------------------------------------------
+
+def same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def same_result(a, b):
+    return all(same_array(x, y) for x, y in zip(a, b))
+
+
+def same_batches(a, b):
+    return len(a) == len(b) and all(
+        x.anchor == y.anchor and all(
+            same_array(getattr(x, f), getattr(y, f))
+            for f in ("positives", "pos_p", "negatives", "neg_p"))
+        for x, y in zip(a, b))
+
+
+def pair_rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def fixture(seed, n_blocks=4, size=40, dim=6):
+    """A planted graph, random embeddings and a noisy soft assignment."""
+    rng = np.random.default_rng(seed)
+    graph, _, labels = generate_sbm(SBMConfig(
+        blocks=n_blocks, block_sizes=(size,) * n_blocks, p_in=0.15,
+        p_out=0.02, seed=seed))
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(graph.n, dim)),
+                                        rng.normal(size=(graph.n, dim)))
+    scores = np.eye(n_blocks)[labels] * 2.0 + \
+        rng.normal(size=(graph.n, n_blocks))
+    R = np.exp(scores)
+    R /= R.sum(axis=1, keepdims=True)
+    return graph, E, Assignment(R=R, relevant=np.ones(graph.n, dtype=bool))
+
+
+def virtual_nodes(graph, assignment, E, rng, count=12):
+    anchors = [v for v in range(graph.n) if graph.neighbors(v).size][:count]
+    return [synthesize_virtual_node(v, assignment, E, 0.5, rng)
+            for v in anchors]
+
+
+# sampler equivalence ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m, pool_factor", [(5, 10), (3, 2), (1, 10)])
+def test_hard_path_matches_reference(seed, m, pool_factor):
+    graph, E, a = fixture(seed)
+    for virt in virtual_nodes(graph, a, E, np.random.default_rng(seed)):
+        new_rng, ref_rng = pair_rngs(seed + 100)
+        got = sample_negatives(virt, E, graph, m, new_rng,
+                               pool_factor=pool_factor)
+        want = ref_sample_negatives(virt, E, graph, m, ref_rng,
+                                    pool_factor=pool_factor)
+        assert same_result(got, want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [1, 5, 500])
+def test_uniform_path_matches_reference(seed, m):
+    graph, E, a = fixture(seed)
+    for virt in virtual_nodes(graph, a, E, np.random.default_rng(seed)):
+        new_rng, ref_rng = pair_rngs(seed + 200)
+        got = sample_negatives(virt, E, graph, m, new_rng, uniform=True)
+        want = ref_sample_negatives(virt, E, graph, m, ref_rng, uniform=True)
+        assert same_result(got, want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pool_no_larger_than_m_matches_reference(seed):
+    # 8 nodes, anchor 0 adjacent to 1 and 2: five candidates, m >= 5
+    rng = np.random.default_rng(seed)
+    graph = Graph.from_pairs(8, [(0, 1), (0, 2), (3, 4)])
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(8, 3)),
+                                        rng.normal(size=(8, 2)))
+    a = Assignment(R=np.eye(2)[[0, 0, 0, 0, 1, 1, 1, 1]] * 0.8 + 0.1,
+                   relevant=np.ones(8, dtype=bool))
+    virt = synthesize_virtual_node(0, a, E, 0.5, rng)
+    for m, pool_factor in [(5, 10), (7, 1), (2, 2)]:
+        new_rng, ref_rng = pair_rngs(seed)
+        got = sample_negatives(virt, E, graph, m, new_rng,
+                               pool_factor=pool_factor)
+        want = ref_sample_negatives(virt, E, graph, m, ref_rng,
+                                    pool_factor=pool_factor)
+        assert same_result(got, want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ties_across_the_pool_boundary_match_reference(seed):
+    # three groups of 11+ candidates share one class-dependent row each
+    # and all share one invariant row, so Z takes three values; a pool of
+    # 15 takes all of the top group and cuts through the next one
+    rng = np.random.default_rng(seed)
+    n = 40
+    graph = Graph.from_pairs(n, [(0, 1), (0, 2), (5, 6)])
+    hd = rng.normal(size=(3, 4))[rng.permutation(np.arange(n) % 3)]
+    ho = np.tile(rng.normal(size=3), (n, 1))
+    E = DecoupledEmbeddings.from_arrays(hd, ho)
+    virt = VirtualNode(h_d=hd[0], h_o=ho[0], anchor=0, donor=3,
+                       mask=np.ones(4, dtype=bool))
+    m, pool_factor = 3, 5
+    z = predict_links_against(virt.h_d, virt.h_o, E)[3:]
+    boundary = np.sort(z)[::-1][m * pool_factor - 1]
+    inside = np.sort(z)[::-1][:m * pool_factor]
+    assert (z == boundary).sum() > (inside == boundary).sum()
+    for draw_seed in range(5):
+        new_rng, ref_rng = pair_rngs(draw_seed)
+        got = sample_negatives(virt, E, graph, m, new_rng,
+                               pool_factor=pool_factor)
+        want = ref_sample_negatives(virt, E, graph, m, ref_rng,
+                                    pool_factor=pool_factor)
+        assert same_result(got, want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_top_stable_matches_full_stable_sort():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        size = int(rng.integers(1, 60))
+        keys = rng.integers(0, 6, size=size).astype(np.float64)
+        keys[rng.random(size) < 0.2] = -0.0
+        c = int(rng.integers(1, size + 1))
+        assert np.array_equal(ct._top_stable(keys, c),
+                              np.argsort(keys, kind="stable")[:c])
+
+
+def test_weighted_draw_matches_choice_loop():
+    rng = np.random.default_rng(1)
+    for case in range(300):
+        size = int(rng.integers(2, 60))
+        w = rng.random(size) ** 3
+        m = int(rng.integers(1, size))
+        items = np.arange(100, 100 + size)
+        new_rng, ref_rng = pair_rngs(case)
+        picks = ct._weighted_draw_without_replacement(w, m, new_rng)
+        want = ref_weighted_draw_without_replacement(items, w, m, ref_rng)
+        assert items[picks].tolist() == want
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_virtual_node_matches_reference(seed):
+    graph, E, a = fixture(seed)
+    new_rng, ref_rng = pair_rngs(seed)
+    for v in range(0, graph.n, 7):
+        got = synthesize_virtual_node(v, a, E, 0.3, new_rng)
+        want = ref_synthesize_virtual_node(v, a, E, 0.3, ref_rng)
+        assert got.anchor == want.anchor and got.donor == want.donor
+        for f in ("h_d", "h_o", "mask"):
+            assert same_array(getattr(got, f), getattr(want, f))
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# batch builders --------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("neg_uniform", [False, True])
+def test_build_batches_matches_reference(seed, neg_uniform):
+    graph, E, a = fixture(seed)
+    cfg = ExperimentConfig(K=4, seed=seed, neg_uniform=neg_uniform)
+    new_rng, ref_rng = pair_rngs(seed)
+    got = _build_batches(cfg, a, E, graph, 0.5, new_rng)
+    want = ref_build_batches(cfg, a, E, graph, 0.5, ref_rng)
+    assert got and same_batches(got, want)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_augment_batches_matches_reference(seed):
+    graph, E, a = fixture(seed)
+    cfg = ExperimentConfig(K=4, seed=seed, graph_augment=True)
+    new_rng, ref_rng = pair_rngs(seed)
+    got = _build_augment_batches(cfg, a, E, graph, new_rng)
+    want = ref_build_augment_batches(cfg, a, E, graph, ref_rng)
+    assert got and same_batches(got, want)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_non_neighbors_excludes_closed_neighborhood():
+    graph = Graph.from_pairs(6, [(0, 1), (0, 4), (2, 3)])
+    assert graph.non_neighbors(0).tolist() == [2, 3, 5]
+    assert graph.non_neighbors(5).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_hard_labels_computed_once_and_read_only():
+    _, _, a = fixture(0)
+    assert a.hard is a.hard
+    assert np.array_equal(a.hard, a.R.argmax(axis=1))
+    with pytest.raises(ValueError):
+        a.hard[0] = 1
+
+
+# degenerate pools ------------------------------------------------------------
+
+def underflow_fixture():
+    """Anchor 0 adjacent to 1; every candidate's Z underflows to 0: both
+    factors clip to about exp(-500), and their product is below the
+    smallest subnormal."""
+    graph = Graph.from_pairs(6, [(0, 1)])
+    E = DecoupledEmbeddings.from_arrays(np.full((6, 1), 20.0),
+                                        np.full((6, 1), 20.0))
+    virt = VirtualNode(h_d=np.array([-40.0]), h_o=np.array([-40.0]),
+                       anchor=0, donor=2, mask=np.array([True]))
+    return graph, E, virt
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
+def test_all_zero_pool_raises_numeric_error(m):
+    graph, E, virt = underflow_fixture()
+    assert not predict_links_against(virt.h_d, virt.h_o, E).any()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(NumericError):
+        sample_negatives(virt, E, graph, m, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_pool_with_fewer_nonzero_scores_than_m_raises_numeric_error():
+    graph, E, virt = underflow_fixture()
+    hd = E.hd.copy()
+    hd[3] = 0.0  # zd = 1/2, so Z of node 3 is tiny but above 0
+    E = DecoupledEmbeddings.from_arrays(hd, E.ho)
+    z = predict_links_against(virt.h_d, virt.h_o, E)
+    assert np.count_nonzero(z) == 1
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(NumericError):
+        sample_negatives(virt, E, graph, 2, rng)
+    assert rng.bit_generator.state == before
+    chosen, p = sample_negatives(virt, E, graph, 1, rng)
+    assert chosen.tolist() == [3] and p.tolist() == [1.0]
+
+
+def test_pool_factor_below_one_is_a_config_error():
+    graph, E, virt = underflow_fixture()
+    with pytest.raises(ConfigError):
+        sample_negatives(virt, E, graph, 2, np.random.default_rng(0),
+                         pool_factor=0)
+
+
+# the standard InfoNCE form through a full run --------------------------------
+
+def test_standard_infonce_run_losses_finite_and_nonnegative():
+    cfg = ExperimentConfig(sbm_blocks=4, sbm_block_size=50, sbm_p_in=0.15,
+                           sbm_p_out=0.01, K=4, epochs=12, init_epochs=50,
+                           infonce_standard=True, seed=0)
+    report = run_training(cfg)
+    lce = np.array([row["LCE"] for row in report.epoch_losses])
+    assert len(lce) == cfg.epochs
+    assert np.all(np.isfinite(lce)) and np.all(lce >= 0)
+    assert np.any(lce > 0)
