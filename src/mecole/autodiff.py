@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff over dense 2-D arrays.
 
-Tensors record their parents on construction; ``backward`` topologically
-sorts the implicit tape and accumulates gradients exactly once per node.
-Sparse adjacency matrices enter only as constants via ``spmm``.
+An op records its parents and its backward closure only when one of its
+inputs has ``requires_grad``; its result then has ``requires_grad`` too,
+so the flag means "a gradient flows here". Ops on constants return plain
+constants. ``backward`` topologically sorts the implicit tape and
+accumulates gradients exactly once per node. Sparse adjacency matrices
+enter only as constants via ``spmm``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ __all__ = [
     "sigmoid",
     "sigmoid_array",
     "tanh",
-    "relu",
     "exp",
     "log",
     "sqrt",
     "absolute",
     "clip",
     "take_rows",
+    "take_cols",
+    "concat",
     "softmax_rows",
     "tsum",
     "tmean",
@@ -39,9 +43,8 @@ __all__ = [
     "row_norm2",
     "Adam",
     "normalize_adjacency",
-    "gcn_layer",
-    "save_checkpoint",
-    "load_checkpoint",
+    "glorot",
+    "gcn",
 ]
 
 
@@ -98,17 +101,18 @@ class Tensor:
             g = grads.pop(id(t), None)
             if g is None:
                 continue
-            if t.requires_grad and t._backward is None:
-                t.grad = g if t.grad is None else t.grad + g
-            if t._backward is not None:
-                for parent, pg in t._backward(g):
-                    if not _needs_grad(parent):
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
+            if t._backward is None:  # leaf
+                if t.requires_grad:
+                    t.grad = g if t.grad is None else t.grad + g
+                continue
+            for parent, pg in t._backward(g):
+                if not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
 
     # operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -140,11 +144,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _needs_grad(t):
-    return t.requires_grad or t._backward is not None or any(
-        _needs_grad(p) for p in t._parents)
-
-
 def constant(values):
     return Tensor(values, requires_grad=False)
 
@@ -168,8 +167,10 @@ def _unbroadcast(grad, shape):
 
 
 def _make(values, parents, backward, op):
-    out = Tensor(values, _parents=parents, _backward=backward, _op=op)
-    return out
+    if any(p.requires_grad for p in parents):
+        return Tensor(values, requires_grad=True, _parents=parents,
+                      _backward=backward, _op=op)
+    return Tensor(values, _op=op)
 
 
 # binary ------------------------------------------------------------
@@ -247,13 +248,6 @@ def tanh(x):
     return _make(out_vals, (x,), bwd, "tanh")
 
 
-def relu(x):
-    x = _as_tensor(x)
-    def bwd(g):
-        return ((x, g * (x.values > 0)),)
-    return _make(np.maximum(x.values, 0.0), (x,), bwd, "relu")
-
-
 def exp(x):
     x = _as_tensor(x)
     out_vals = np.exp(x.values)
@@ -305,6 +299,26 @@ def take_rows(x, idx):
     return _make(x.values[idx], (x,), bwd, "take_rows")
 
 
+def take_cols(x, idx):
+    x = _as_tensor(x)
+    idx = np.asarray(idx, dtype=np.intp)
+    def bwd(g):
+        gx = np.zeros_like(x.values)
+        np.add.at(gx, (slice(None), idx), g)
+        return ((x, gx),)
+    return _make(x.values[:, idx], (x,), bwd, "take_cols")
+
+
+def concat(parts):
+    """Column-wise concatenation."""
+    parts = tuple(_as_tensor(p) for p in parts)
+    splits = np.cumsum([p.shape[1] for p in parts])[:-1]
+    def bwd(g):
+        return tuple(zip(parts, np.split(g, splits, axis=1)))
+    return _make(np.concatenate([p.values for p in parts], axis=1), parts,
+                 bwd, "concat")
+
+
 def softmax_rows(x):
     x = _as_tensor(x)
     shifted = x.values - x.values.max(axis=1, keepdims=True)
@@ -318,22 +332,19 @@ def softmax_rows(x):
 
 # reductions --------------------------------------------------------
 
-def tsum(x, axis=None, keepdims=True):
+def tsum(x, axis=None):
     x = _as_tensor(x)
     out_vals = x.values.sum(axis=axis, keepdims=True)
-    if not keepdims and axis is None:
-        out_vals = out_vals.reshape(1, 1)
     def bwd(g):
         return ((x, np.broadcast_to(g, x.shape).copy()),)
     return _make(out_vals, (x,), bwd, "sum")
 
 
-def tmean(x, axis=None):
+def tmean(x):
     x = _as_tensor(x)
-    out_vals = x.values.mean(axis=axis, keepdims=True)
-    count = x.values.size if axis is None else x.shape[axis]
+    out_vals = x.values.mean(keepdims=True)
     def bwd(g):
-        return ((x, np.broadcast_to(g / count, x.shape).copy()),)
+        return ((x, np.broadcast_to(g / x.values.size, x.shape).copy()),)
     return _make(out_vals, (x,), bwd, "mean")
 
 
@@ -372,18 +383,36 @@ def normalize_adjacency(graph_or_adj):
     return sp.csr_matrix(d_mat @ a_hat @ d_mat)
 
 
-_ACTIVATIONS = {
-    "identity": lambda t: t,
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-}
+def glorot(rng, rows, cols):
+    """Glorot & Bengio (AISTATS 2010) uniform initialization, drawn from
+    `rng`, as a parameter."""
+    scale = np.sqrt(6.0 / (rows + cols))
+    return parameter(rng.uniform(-scale, scale, size=(rows, cols)))
 
 
-def gcn_layer(a_hat, h, w, activation="identity"):
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation '{activation}'")
-    return _ACTIVATIONS[activation](matmul(spmm(a_hat, h), w))
+def gcn(a_hats, X, w1, w2, mix=None):
+    """Two-layer GCN (Kipf & Welling, ICLR 2017): A tanh(A X W1) W2.
+
+    With several adjacency channels, A is their sum weighted by
+    softmax(mix), recomputed at each layer. With X=None the first layer
+    acts on implicit identity features, so `w1` is a free per-node
+    embedding. `X` is an array or a constant tensor.
+    """
+    def propagate(h):
+        if len(a_hats) == 1:
+            return spmm(a_hats[0], h)
+        weights = softmax_rows(mix)
+        out = None
+        for c, a_hat in enumerate(a_hats):
+            term = mul(spmm(a_hat, h), take_cols(weights, [c]))
+            out = term if out is None else add(out, term)
+        return out
+
+    if X is None:
+        h1 = tanh(propagate(w1))
+    else:
+        h1 = tanh(matmul(propagate(_as_tensor(X)), w1))
+    return matmul(propagate(h1), w2)
 
 
 # optimizer ---------------------------------------------------------
@@ -428,37 +457,3 @@ class Adam:
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             _check_finite(p.values, "adam_step")
 
-
-# checkpoints -------------------------------------------------------
-
-_CKPT_MAGIC = "MECOLE-CKPT-1"
-
-
-def save_checkpoint(path, arrays):
-    """Write named arrays as a text container with shape headers."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_CKPT_MAGIC + "\n")
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            shape = " ".join(str(s) for s in arr.shape)
-            fh.write(f"{name} {shape}\n")
-            fh.write(" ".join(repr(float(x)) for x in arr.reshape(-1)) + "\n")
-
-
-def load_checkpoint(path):
-    from .errors import DataError
-
-    arrays = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"{path}: bad checkpoint magic '{magic}'")
-        while True:
-            header = fh.readline()
-            if not header:
-                break
-            parts = header.split()
-            name, shape = parts[0], tuple(int(s) for s in parts[1:])
-            flat = np.array([float(tok) for tok in fh.readline().split()])
-            arrays[name] = flat.reshape(shape)
-    return arrays

@@ -147,28 +147,16 @@ def init_assignments(bundle, X, K, cfg: ModularityInitConfig, seed):
     n = graph.n
     rng = np.random.default_rng(seed)
     a_hat = ad.normalize_adjacency(graph)
-
-    def glorot(rows, cols):
-        scale = np.sqrt(6.0 / (rows + cols))
-        return ad.parameter(rng.uniform(-scale, scale, size=(rows, cols)))
-
     if X is not None:
-        X = np.asarray(X, dtype=np.float64)
-        w1 = glorot(X.shape[1], cfg.hidden)
-        h0 = ad.constant(X)
+        X = ad.constant(X)
+        w1 = ad.glorot(rng, X.shape[1], cfg.hidden)
     else:
-        w1 = glorot(n, cfg.hidden)
-        h0 = None
-    w2 = glorot(cfg.hidden, K)
-    params = [w1, w2]
-    opt = ad.Adam(params, lr=cfg.lr)
+        w1 = ad.glorot(rng, n, cfg.hidden)
+    w2 = ad.glorot(rng, cfg.hidden, K)
+    opt = ad.Adam([w1, w2], lr=cfg.lr)
 
     def forward():
-        if h0 is not None:
-            h1 = ad.gcn_layer(a_hat, h0, w1, activation="tanh")
-        else:
-            h1 = ad.tanh(ad.spmm(a_hat, w1))
-        return ad.softmax_rows(ad.gcn_layer(a_hat, h1, w2))
+        return ad.softmax_rows(ad.gcn([a_hat], X, w1, w2))
 
     for _ in range(cfg.epochs):
         opt.zero_grad()

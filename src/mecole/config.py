@@ -91,6 +91,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.alpha_ce < 0:
             raise ConfigError("alpha_ce must be >= 0")
+        for name in ("hidden", "per_class_anchors", "positives",
+                     "negatives_m", "pool_factor", "virtual_per_anchor",
+                     "assign_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for name in ("p_ce_start", "p_ce_end"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:

@@ -82,18 +82,13 @@ class DecoupledEncoder:
         self.dim_o = dim_o
         self.n_channels = n_channels
         self.n = n
-
-        def glorot(rows, cols):
-            scale = np.sqrt(6.0 / (rows + cols))
-            return ad.parameter(rng.uniform(-scale, scale, size=(rows, cols)))
-
         first_rows = in_dim if in_dim is not None else n
-        self.w1_d = glorot(first_rows, hidden)
-        self.w2_d = glorot(hidden, dim_d)
+        self.w1_d = ad.glorot(rng, first_rows, hidden)
+        self.w2_d = ad.glorot(rng, hidden, dim_d)
         self.mix_d = ad.parameter(np.zeros((1, n_channels)))
         if dim_o > 0:
-            self.w1_o = glorot(first_rows, hidden)
-            self.w2_o = glorot(hidden, dim_o)
+            self.w1_o = ad.glorot(rng, first_rows, hidden)
+            self.w2_o = ad.glorot(rng, hidden, dim_o)
             self.mix_o = ad.parameter(np.zeros((1, n_channels)))
         else:
             self.w1_o = self.w2_o = self.mix_o = None
@@ -108,33 +103,13 @@ class DecoupledEncoder:
                 params.append(self.mix_o)
         return params
 
-    def _branch(self, a_hats, X, w1, w2, mix):
-        def propagate(h):
-            if len(a_hats) == 1:
-                return ad.spmm(a_hats[0], h)
-            weights = ad.softmax_rows(mix)
-            parts = None
-            for c, a_hat in enumerate(a_hats):
-                sel = np.zeros((len(a_hats), 1))
-                sel[c, 0] = 1.0
-                w_c = ad.matmul(weights, ad.constant(sel))  # (1,1)
-                term = ad.mul(ad.spmm(a_hat, h), w_c)
-                parts = term if parts is None else ad.add(parts, term)
-            return parts
-
-        if X is not None:
-            h1 = ad.tanh(ad.matmul(propagate(ad.constant(X)), w1))
-        else:
-            h1 = ad.tanh(propagate(w1))
-        return ad.matmul(propagate(h1), w2)
-
     def encode(self, a_hats_d, a_hats_o, X):
         """Forward pass; `a_hats_*` are lists of normalized adjacencies."""
         if len(a_hats_d) != self.n_channels or len(a_hats_o) != self.n_channels:
             raise ConfigError("channel count mismatch with encoder")
-        h_d = self._branch(a_hats_d, X, self.w1_d, self.w2_d, self.mix_d)
+        h_d = ad.gcn(a_hats_d, X, self.w1_d, self.w2_d, self.mix_d)
         if self.dim_o > 0:
-            h_o = self._branch(a_hats_o, X, self.w1_o, self.w2_o, self.mix_o)
+            h_o = ad.gcn(a_hats_o, X, self.w1_o, self.w2_o, self.mix_o)
         else:
             h_o = ad.constant(np.zeros((h_d.shape[0], 0)))
         return DecoupledEmbeddings(h_d, h_o)
@@ -181,14 +156,9 @@ class MlpPredictor:
     def __init__(self, dim_d, dim_o, hidden, seed):
         rng = np.random.default_rng(seed)
         in_dim = 2 * (dim_d + dim_o)
-
-        def glorot(rows, cols):
-            scale = np.sqrt(6.0 / (rows + cols))
-            return ad.parameter(rng.uniform(-scale, scale, size=(rows, cols)))
-
-        self.w1 = glorot(in_dim, hidden)
+        self.w1 = ad.glorot(rng, in_dim, hidden)
         self.b1 = ad.parameter(np.zeros((1, hidden)))
-        self.w2 = glorot(hidden, 1)
+        self.w2 = ad.glorot(rng, hidden, 1)
         self.b2 = ad.parameter(np.zeros((1, 1)))
 
     def parameters(self):
@@ -198,21 +168,9 @@ class MlpPredictor:
         cols = [ad.take_rows(E.H_d, u), ad.take_rows(E.H_d, v)]
         if E.ho.shape[1]:
             cols += [ad.take_rows(E.H_o, u), ad.take_rows(E.H_o, v)]
-        feat = cols[0]
-        for c in cols[1:]:
-            feat = _hconcat(feat, c)
+        feat = ad.concat(cols)
         h = ad.tanh(ad.add(ad.matmul(feat, self.w1), self.b1))
         return ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))
-
-
-def _hconcat(a, b):
-    """Horizontal concat of two tensors via constant selector matmuls."""
-    ca, cb = a.shape[1], b.shape[1]
-    sa = np.zeros((ca, ca + cb))
-    sa[:, :ca] = np.eye(ca)
-    sb = np.zeros((cb, ca + cb))
-    sb[:, ca:] = np.eye(cb)
-    return ad.add(ad.matmul(a, ad.constant(sa)), ad.matmul(b, ad.constant(sb)))
 
 
 # losses -------------------------------------------------------------

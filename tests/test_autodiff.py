@@ -6,8 +6,12 @@ import scipy.sparse as sp
 
 from conftest import finite_diff_check
 from mecole import autodiff as ad
+from mecole.clustering import ModularityInitConfig, init_assignments, \
+    init_objective
+from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
+    MlpPredictor
 from mecole.errors import NumericError
-from mecole.graphs import Graph
+from mecole.graphs import Graph, SBMConfig, generate_sbm
 
 
 def test_square_gradient():
@@ -41,7 +45,7 @@ def test_backward_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        h = ad.gcn_layer(a_hat, x, w, activation="tanh")
+        h = ad.tanh(ad.matmul(ad.spmm(a_hat, x), w))
         loss = ad.tmean(ad.mul(ad.sigmoid(h), ad.add(h, h)))
         loss.backward()
         del h, loss
@@ -86,6 +90,7 @@ def test_softmax_rows_sum_to_one(rng):
     assert np.allclose(s.values.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero")
 def test_non_finite_forward_raises():
     x = ad.constant([[0.0]])
     with pytest.raises(NumericError):
@@ -130,22 +135,14 @@ def test_normalize_symmetric(rng):
     assert np.allclose(a_hat, a_hat.T)
 
 
-# gcn_layer -----------------------------------------------------------
+# gcn -----------------------------------------------------------------
 
 def test_gcn_layer_identity_adjacency():
     a = sp.identity(2, format="csr")
     h = ad.constant([[1.0, 2.0], [3.0, 4.0]])
     w = ad.constant([[1.0, 0.0], [0.0, 1.0]])
-    out = ad.gcn_layer(a, h, w)
+    out = ad.matmul(ad.spmm(a, h), w)
     assert out.values == pytest.approx(h.values)
-
-
-def test_gcn_layer_relu():
-    a = sp.identity(1, format="csr")
-    h = ad.constant([[-1.0, 2.0]])
-    w = ad.constant(np.eye(2))
-    out = ad.gcn_layer(a, h, w, activation="relu")
-    assert np.allclose(out.values, [[0.0, 2.0]])
 
 
 def test_two_layer_gcn_gradient():
@@ -157,8 +154,7 @@ def test_two_layer_gcn_gradient():
     w2 = ad.parameter(rng.normal(size=(5, 2)))
 
     def loss():
-        h1 = ad.gcn_layer(a_hat, h0, w1, activation="tanh")
-        h2 = ad.gcn_layer(a_hat, h1, w2)
+        h2 = ad.gcn([a_hat], h0, w1, w2)
         return ad.tmean(ad.mul(h2, h2))
 
     assert finite_diff_check(loss, [w1, w2]) < 1e-4
@@ -205,25 +201,6 @@ def test_adam_deterministic_trajectories():
     assert np.array_equal(run(), run())
 
 
-# checkpoints ----------------------------------------------------------
-
-def test_checkpoint_roundtrip(tmp_path, rng):
-    arrays = {"w1": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
-    path = tmp_path / "model.ckpt"
-    ad.save_checkpoint(path, arrays)
-    loaded = ad.load_checkpoint(path)
-    for name in arrays:
-        assert np.array_equal(arrays[name], loaded[name])
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    from mecole.errors import DataError
-    path = tmp_path / "bad.ckpt"
-    path.write_text("NOT-A-CHECKPOINT\n")
-    with pytest.raises(DataError):
-        ad.load_checkpoint(path)
-
-
 def sigmoid_three_exp(x):
     """The elementwise form the tape op used: three `exp` calls."""
     c = np.clip(x, -500, 500)
@@ -251,3 +228,230 @@ def test_sigmoid_array_bit_equal_to_both_earlier_forms(shape, scale):
         assert got.tobytes() == want.tobytes()
     assert ad.sigmoid(np.atleast_2d(x)).values.tobytes() == \
         np.atleast_2d(sigmoid_three_exp(x)).tobytes()
+
+
+# the grad flag: ops on constants keep no tape ----------------------------
+
+def test_op_on_constants_keeps_no_tape(rng):
+    a = ad.constant(rng.normal(size=(3, 2)))
+    b = ad.constant(rng.normal(size=(3, 2)))
+    outs = [ad.add(a, b), ad.sub(1.0, a), ad.mul(a, b),
+            ad.matmul(a, ad.constant(np.eye(2))), ad.tanh(a),
+            ad.spmm(sp.identity(3, format="csr"), a),
+            ad.take_rows(a, [0, 2]), ad.take_cols(a, [1]),
+            ad.concat([a, b]), ad.softmax_rows(a), ad.tsum(a), ad.tmean(a)]
+    for out in outs:
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+    p = ad.parameter(rng.normal(size=(3, 2)))
+    mixed = ad.mul(a, p)
+    assert mixed.requires_grad and mixed._parents == (a, p)
+    assert ad.tanh(mixed).requires_grad
+
+
+def test_backward_through_constant_propagation(rng):
+    # w's gradient is (A X)^T G, as the tape computed it before constant
+    # subtrees stopped recording; the constant X gets no gradient
+    a = sp.csr_matrix(rng.random((6, 6)) * (rng.random((6, 6)) < 0.4))
+    X = ad.constant(rng.normal(size=(6, 4)))
+    w = ad.parameter(rng.normal(size=(4, 3)))
+    G = rng.normal(size=(6, 3))
+    loss = ad.tsum(ad.mul(ad.matmul(ad.spmm(a, X), w), ad.constant(G)))
+    loss.backward()
+    assert w.grad.tobytes() == ((a @ X.values).T @ G).tobytes()
+    assert X.grad is None
+
+
+def test_take_cols_and_concat_gradients(rng):
+    a = ad.parameter(rng.normal(size=(4, 3)))
+    b = ad.parameter(rng.normal(size=(4, 2)))
+
+    def loss():
+        t = ad.concat([ad.take_cols(a, [2, 0, 2]), b, a])
+        return ad.tmean(ad.mul(ad.tanh(t), t))
+
+    assert finite_diff_check(loss, [a, b]) < 1e-4
+
+
+# one GCN, one glorot, a real concat: against the code they replaced -------
+
+def glorot_closure(rng):
+    """The initializer each caller defined for itself."""
+    def glorot(rows, cols):
+        scale = np.sqrt(6.0 / (rows + cols))
+        return ad.parameter(rng.uniform(-scale, scale, size=(rows, cols)))
+    return glorot
+
+
+def branch_with_selectors(a_hats, X, w1, w2, mix):
+    """`DecoupledEncoder._branch`: channel weights read from softmax(mix)
+    by one-hot selector matmuls."""
+    def propagate(h):
+        if len(a_hats) == 1:
+            return ad.spmm(a_hats[0], h)
+        weights = ad.softmax_rows(mix)
+        parts = None
+        for c, a_hat in enumerate(a_hats):
+            sel = np.zeros((len(a_hats), 1))
+            sel[c, 0] = 1.0
+            w_c = ad.matmul(weights, ad.constant(sel))  # (1,1)
+            term = ad.mul(ad.spmm(a_hat, h), w_c)
+            parts = term if parts is None else ad.add(parts, term)
+        return parts
+
+    if X is not None:
+        h1 = ad.tanh(ad.matmul(propagate(ad.constant(X)), w1))
+    else:
+        h1 = ad.tanh(propagate(w1))
+    return ad.matmul(propagate(h1), w2)
+
+
+def gcn_layer(a_hat, h, w, activation="identity"):
+    out = ad.matmul(ad.spmm(a_hat, h), w)
+    return ad.tanh(out) if activation == "tanh" else out
+
+
+def init_assignments_with_gcn_layer(graph, X, K, cfg, seed):
+    """`init_assignments` as written with `gcn_layer`; returns R."""
+    rng = np.random.default_rng(seed)
+    a_hat = ad.normalize_adjacency(graph)
+    glorot = glorot_closure(rng)
+    if X is not None:
+        w1 = glorot(X.shape[1], cfg.hidden)
+        h0 = ad.constant(X)
+    else:
+        w1 = glorot(graph.n, cfg.hidden)
+        h0 = None
+    w2 = glorot(cfg.hidden, K)
+    opt = ad.Adam([w1, w2], lr=cfg.lr)
+
+    def forward():
+        if h0 is not None:
+            h1 = gcn_layer(a_hat, h0, w1, activation="tanh")
+        else:
+            h1 = ad.tanh(ad.spmm(a_hat, w1))
+        return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
+
+    for _ in range(cfg.epochs):
+        opt.zero_grad()
+        loss = init_objective(graph, forward(), cfg.collapse_weight)
+        loss.backward()
+        opt.step()
+    return forward().values
+
+
+def hconcat_with_selectors(a, b):
+    ca, cb = a.shape[1], b.shape[1]
+    sa = np.zeros((ca, ca + cb))
+    sa[:, :ca] = np.eye(ca)
+    sb = np.zeros((cb, ca + cb))
+    sb[:, ca:] = np.eye(cb)
+    return ad.add(ad.matmul(a, ad.constant(sa)), ad.matmul(b, ad.constant(sb)))
+
+
+def mlp_score_with_hconcat(mlp, E, u, v):
+    cols = [ad.take_rows(E.H_d, u), ad.take_rows(E.H_d, v)]
+    if E.ho.shape[1]:
+        cols += [ad.take_rows(E.H_o, u), ad.take_rows(E.H_o, v)]
+    feat = cols[0]
+    for c in cols[1:]:
+        feat = hconcat_with_selectors(feat, c)
+    h = ad.tanh(ad.add(ad.matmul(feat, mlp.w1), mlp.b1))
+    return ad.sigmoid(ad.add(ad.matmul(h, mlp.w2), mlp.b2))
+
+
+def values_and_grads(forward, params, seed):
+    """Output bytes and each parameter's gradient bytes for a random
+    linear read-out of `forward()`."""
+    for p in params:
+        p.zero_grad()
+    out = forward()
+    weights = np.random.default_rng(seed).normal(size=out.shape)
+    ad.tsum(ad.mul(out, ad.constant(weights))).backward()
+    return out.values.tobytes(), [p.grad.tobytes() for p in params]
+
+
+def sbm_graph(seed=0):
+    return generate_sbm(SBMConfig(blocks=3, block_sizes=(20, 20, 20),
+                                  p_in=0.3, p_out=0.03, dep_dim=4,
+                                  inv_dim=4, seed=seed))
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("with_x", [True, False])
+def test_gcn_matches_selector_branch(n_channels, with_x):
+    graph, X, _ = sbm_graph()
+    rng = np.random.default_rng(7)
+    a_hats = [ad.normalize_adjacency(graph)]
+    for _ in range(n_channels - 1):
+        a_hats.append(ad.normalize_adjacency(
+            graph.with_weights(rng.random(graph.num_edges) + 0.1)))
+    X = X if with_x else None
+    in_dim = X.shape[1] if with_x else None
+    enc = DecoupledEncoder(in_dim, 8, 5, 3, n_channels, seed=11, n=graph.n)
+    glorot = glorot_closure(np.random.default_rng(11))
+    first = in_dim if with_x else graph.n
+    for w, shape in ((enc.w1_d, (first, 8)), (enc.w2_d, (8, 5)),
+                     (enc.w1_o, (first, 8)), (enc.w2_o, (8, 3))):
+        assert w.values.tobytes() == glorot(*shape).values.tobytes()
+    for mix in (enc.mix_d, enc.mix_o):
+        mix.values[:] = rng.normal(size=mix.shape)
+    branches = ((enc.w1_d, enc.w2_d, enc.mix_d), (enc.w1_o, enc.w2_o,
+                                                  enc.mix_o))
+    for k, (w1, w2, mix) in enumerate(branches):
+        params = [w1, w2] + ([mix] if n_channels > 1 else [])
+        got = values_and_grads(lambda: ad.gcn(a_hats, X, w1, w2, mix),
+                               params, k)
+        want = values_and_grads(
+            lambda: branch_with_selectors(a_hats, X, w1, w2, mix), params, k)
+        assert got == want
+    E = enc.encode(a_hats, a_hats, X)
+    assert E.hd.tobytes() == branch_with_selectors(
+        a_hats, X, enc.w1_d, enc.w2_d, enc.mix_d).values.tobytes()
+
+
+@pytest.mark.parametrize("with_x", [True, False])
+def test_init_gcn_matches_gcn_layer_forward(with_x):
+    graph, X, _ = sbm_graph(1)
+    X = X if with_x else None
+    cfg = ModularityInitConfig(epochs=15, hidden=8)
+    got = init_assignments(graph, X, 3, cfg, seed=5).R
+    want = init_assignments_with_gcn_layer(graph, X, 3, cfg, seed=5)
+    assert got.tobytes() == want.tobytes()
+
+    a_hat = ad.normalize_adjacency(graph)
+    rng = np.random.default_rng(2)
+    w1 = ad.parameter(rng.normal(size=(X.shape[1] if with_x else graph.n, 8)))
+    w2 = ad.parameter(rng.normal(size=(8, 3)))
+    h0 = ad.constant(X) if with_x else None
+
+    def before():
+        h1 = gcn_layer(a_hat, h0, w1, activation="tanh") if with_x \
+            else ad.tanh(ad.spmm(a_hat, w1))
+        return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
+
+    got = values_and_grads(
+        lambda: ad.softmax_rows(ad.gcn([a_hat], h0, w1, w2)), [w1, w2], 0)
+    assert got == values_and_grads(before, [w1, w2], 0)
+
+
+@pytest.mark.parametrize("dim_o", [0, 3])
+def test_mlp_concat_matches_hconcat(dim_o):
+    rng = np.random.default_rng(dim_o)
+    n = 12
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(n, 4)),
+                                        rng.normal(size=(n, dim_o)),
+                                        requires_grad=True)
+    mlp = MlpPredictor(4, dim_o, 6, seed=3)
+    glorot = glorot_closure(np.random.default_rng(3))
+    assert mlp.w1.values.tobytes() == \
+        glorot(2 * (4 + dim_o), 6).values.tobytes()
+    assert mlp.w2.values.tobytes() == glorot(6, 1).values.tobytes()
+    for b in (mlp.b1, mlp.b2):
+        b.values[:] = rng.normal(size=b.shape)
+    u = rng.integers(n, size=30)
+    v = rng.integers(n, size=30)
+    params = mlp.parameters() + [E.H_d] + ([E.H_o] if dim_o else [])
+    got = values_and_grads(lambda: mlp.score(E, u, v), params, 1)
+    assert got == values_and_grads(
+        lambda: mlp_score_with_hconcat(mlp, E, u, v), params, 1)

@@ -244,6 +244,18 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("key", ["negatives_m", "pool_factor", "positives",
+                                 "virtual_per_anchor", "per_class_anchors",
+                                 "assign_every", "hidden"])
+def test_cli_count_below_one_is_config_error(tmp_path, capsys, key):
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
+                                       extra=["--set", f"{key}=0"]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key} must be >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
 def test_cli_exit_code_data_error(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     missing.write_text("")  # empty edge list -> data error
