@@ -112,10 +112,9 @@ def _cmd_gen_sbm(args):
                     confound_strength=cfg.sbm_confound, seed=cfg.seed)
     graph, X, labels = generate_sbm(sbm)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "edges.txt"), "w") as fh:
-        fh.write("# generated planted-partition graph\n")
-        for u, v, _ in graph.edges:
-            fh.write(f"{u}\t{v}\n")
+    np.savetxt(os.path.join(cfg.out_dir, "edges.txt"),
+               np.column_stack([graph.u, graph.v]), fmt="%d", delimiter="\t",
+               header="generated planted-partition graph")
     np.savetxt(os.path.join(cfg.out_dir, "features.csv"), X, delimiter=",")
     np.savetxt(os.path.join(cfg.out_dir, "labels.txt"), labels, fmt="%d")
     print(f"wrote {graph.n} nodes, {graph.num_edges} edges to {cfg.out_dir}")

@@ -86,8 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ConfigError("K must be >= 2")
-        for name in ("alpha_ce", "eta", "tau", "lr", "init_lr"):
-            if getattr(self, name) <= 0 and name not in ("alpha_ce",):
+        for name in ("eta", "tau", "lr", "init_lr"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if self.alpha_ce < 0:
             raise ConfigError("alpha_ce must be >= 0")
@@ -149,6 +149,8 @@ def _coerce(name, raw):
             return False
         raise ConfigError(f"{name}: expected boolean, got {raw!r}")
     if raw.lower() in ("none", ""):
+        if "None" not in str(t):
+            raise ConfigError(f"{name}: a value is required, got {raw!r}")
         return None
     if "int" in str(t):
         try:

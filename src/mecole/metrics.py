@@ -26,10 +26,10 @@ def clustering_accuracy(pred, truth):
     pred, truth = pred[keep], truth[keep]
     if pred.size == 0:
         raise DataError("no labeled nodes to evaluate")
+    if pred.min() < 0:
+        raise DataError("predicted cluster ids must be >= 0")
     k = int(max(pred.max(), truth.max())) + 1
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for p, t in zip(pred, truth):
-        confusion[p, t] += 1
+    confusion = np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / pred.size)
 

@@ -299,9 +299,8 @@ def sparse_eval(cfg: ExperimentConfig, fraction):
     remove = int(np.ceil(fraction * graph.n))
     if remove == 0:
         return run_training(cfg, dataset=dataset, variant="sparse")
-    deg = graph.degrees
-    order = sorted(range(graph.n), key=lambda u: (-deg[u], u))
-    keep = sorted(set(range(graph.n)) - set(order[:remove]))
+    order = np.argsort(-graph.degrees, kind="stable")
+    keep = np.sort(order[remove:])
     sub = graph.subgraph(keep)
     if sub.num_edges == 0:
         raise DataError("sparse protocol removed every edge")

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mecole import training
 from mecole.cli import main as cli_main
 from mecole.config import ExperimentConfig, apply_overrides, \
     parse_config_file
@@ -79,6 +80,26 @@ def test_apply_overrides():
     assert values["seed"] == 9 and values["dim_d"] == 4
     with pytest.raises(ConfigError):
         apply_overrides({}, ["no-equals"])
+
+
+def test_none_only_for_optional_keys():
+    values = apply_overrides({}, ["K=5", "relevance_floor=none",
+                                  "label_path=", "aux_edge_path=None"])
+    assert values["label_path"] is None and values["aux_edge_path"] is None
+    assert ExperimentConfig(**values).relevance_floor == \
+        pytest.approx(1.2 / 5)
+    for item in ("K=none", "hidden=", "tau=none", "disc_metric=none"):
+        with pytest.raises(ConfigError, match="a value is required"):
+            apply_overrides({}, [item])
+
+
+@pytest.mark.parametrize("item", ["K=none", "hidden=", "tau=none"])
+def test_cli_none_for_required_key_is_config_error(tmp_path, capsys, item):
+    rc = cli_main(["train", "--set", item, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 # training loop invariants -----------------------------------------------------
@@ -196,6 +217,28 @@ def test_sparse_eval_reduces_node_count():
     assert report.variant == "sparse"
 
 
+def test_sparse_eval_keeps_old_degree_order(tmp_path, monkeypatch):
+    # degrees 3, 2, 2, 2, 3, 3, 3: ties at the cut go to the lowest id
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 5),
+             (4, 6), (5, 6)]
+    (tmp_path / "edges.txt").write_text(
+        "".join(f"{u} {v}\n" for u, v in edges))
+    n = 7
+    X = np.arange(n, dtype=float)[:, None] * np.ones((1, 2))
+    np.savetxt(tmp_path / "features.csv", X, delimiter=",")
+    monkeypatch.setattr(training, "run_training",
+                        lambda cfg, dataset, variant: dataset)
+    cfg = ExperimentConfig(edge_path=str(tmp_path / "edges.txt"),
+                           feature_path=str(tmp_path / "features.csv"))
+    deg = load_dataset(cfg).bundle.primary.degrees
+    for fraction in (0.1, 0.2, 0.3):
+        remove = int(np.ceil(fraction * n))
+        order = sorted(range(n), key=lambda u: (-deg[u], u))
+        old_keep = sorted(set(range(n)) - set(order[:remove]))
+        kept = sparse_eval(cfg, fraction).X[:, 0].astype(int).tolist()
+        assert kept == old_keep
+
+
 def test_sparse_eval_invalid_fraction():
     with pytest.raises(DataError):
         sparse_eval(fast_cfg(), 0.0)
@@ -287,7 +330,10 @@ def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
     (tmp_path / "labels.txt").write_text("0\n1\n")
     bad = tmp_path / "assign.csv"
     bad.write_text("node_id,class,r0,r1,relevant\n0,x,0.5,0.5,1\n")
-    for path in (bad, tmp_path / "missing.csv"):
+    negative = tmp_path / "negative.csv"
+    negative.write_text("node_id,class,r0,r1,relevant\n"
+                        "0,-1,0.5,0.5,1\n1,1,0.5,0.5,1\n")
+    for path in (bad, tmp_path / "missing.csv", negative):
         rc = cli_main(["eval", "--assignments", str(path),
                        "--labels", str(tmp_path / "labels.txt")])
         assert rc == 2
@@ -305,6 +351,12 @@ def test_cli_gen_sbm_train_eval_roundtrip(tmp_path, capsys):
     rc = cli_main(["gen-sbm"] + sbm_args(data_dir))
     assert rc == 0
     capsys.readouterr()
+    graph = load_dataset(ExperimentConfig(
+        sbm_blocks=2, sbm_block_size=15, sbm_p_in=0.4,
+        sbm_p_out=0.02)).bundle.primary
+    recipe = "# generated planted-partition graph\n" + \
+        "".join(f"{u}\t{v}\n" for u, v, _ in graph.edges)
+    assert (data_dir / "edges.txt").read_bytes() == recipe.encode()
     run_dir = tmp_path / "run"
     rc = cli_main(["train"] + sbm_args(run_dir, extra=[
         "--set", f"edge_path={data_dir / 'edges.txt'}",
