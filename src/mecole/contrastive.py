@@ -8,6 +8,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .decoupling import predict_links_against
@@ -194,25 +195,22 @@ def contrastive_loss(batches, E, tau, include_positive_in_denominator=False):
         raise ConfigError("temperature tau must be > 0")
     if not batches:
         raise DataError("contrastive loss needs at least one batch")
-    total = None
-    count = 0
-    for b in batches:
-        f_v = ad.take_rows(E.H_d, [b.anchor])
-        neg = ad.take_rows(E.H_d, b.negatives)
-        s_neg = ad.div(ad.tsum(ad.mul(neg, f_v), axis=1), tau)
-        denom = ad.tsum(ad.exp(s_neg))
-        pos = ad.take_rows(E.H_d, b.positives)
-        s_pos = ad.div(ad.tsum(ad.mul(pos, f_v), axis=1), tau)
-        if include_positive_in_denominator:
-            for j in range(len(b.positives)):
-                s_j = ad.take_rows(s_pos, [j])
-                term = ad.sub(ad.log(ad.add(denom, ad.exp(s_j))), s_j)
-                total = term if total is None else ad.add(total, term)
-                count += 1
-        else:
-            log_denom = ad.log(denom)
-            for j in range(len(b.positives)):
-                term = ad.sub(log_denom, ad.take_rows(s_pos, [j]))
-                total = term if total is None else ad.add(total, term)
-                count += 1
-    return ad.div(total, float(count))
+    anchors = np.array([b.anchor for b in batches], dtype=np.intp)
+
+    def scores(side):
+        """s/tau of every batch's `side` nodes against its anchor, and the
+        batch of each row; one gather per side for all batches."""
+        parts = [getattr(b, side) for b in batches]
+        batch = np.repeat(np.arange(len(batches)), [len(p) for p in parts])
+        pairs = ad.mul(ad.take_rows(E.H_d, np.concatenate(parts)),
+                       ad.take_rows(E.H_d, anchors[batch]))
+        return ad.div(ad.tsum(pairs, axis=1), tau), batch
+
+    s_neg, neg_batch = scores("negatives")
+    s_pos, pos_batch = scores("positives")
+    # per-batch sums of exp(s-) through a batch-by-negative 0/1 matrix
+    member = sp.eye(len(batches), format="csr")[neg_batch].T
+    denom = ad.take_rows(ad.spmm(member, ad.exp(s_neg)), pos_batch)
+    if include_positive_in_denominator:
+        denom = ad.add(denom, ad.exp(s_pos))
+    return ad.tmean(ad.sub(ad.log(denom), s_pos))
