@@ -3,9 +3,10 @@
 An op records its parents and its backward closure only when one of its
 inputs has ``requires_grad``; its result then has ``requires_grad`` too,
 so the flag means "a gradient flows here". Ops on constants return plain
-constants. ``backward`` topologically sorts the implicit tape and
-accumulates gradients exactly once per node. Sparse adjacency matrices
-enter only as constants via ``spmm``.
+constants, and a backward closure returns (and computes) gradients only
+for the parents that have the flag. ``backward`` topologically sorts the
+implicit tape and accumulates gradients exactly once per node. Sparse
+adjacency matrices enter only as constants via ``spmm``.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ class Tensor:
                     t.grad = g if t.grad is None else t.grad + g
                 continue
             for parent, pg in t._backward(g):
-                if not parent.requires_grad:
-                    continue
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -175,47 +174,57 @@ def _make(values, parents, backward, op):
 
 # binary ------------------------------------------------------------
 
+def _grads(*pairs):
+    """(parent, gradient) for each parent a gradient flows to; each
+    gradient is a thunk, computed only for those parents."""
+    return tuple((t, f()) for t, f in pairs if t.requires_grad)
+
+
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        return _grads((a, lambda: _unbroadcast(g, a.shape)),
+                      (b, lambda: _unbroadcast(g, b.shape)))
     return _make(a.values + b.values, (a, b), bwd, "add")
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+        return _grads((a, lambda: _unbroadcast(g, a.shape)),
+                      (b, lambda: _unbroadcast(-g, b.shape)))
     return _make(a.values - b.values, (a, b), bwd, "sub")
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     def bwd(g):
-        return ((a, _unbroadcast(g * b.values, a.shape)),
-                (b, _unbroadcast(g * a.values, b.shape)))
+        return _grads((a, lambda: _unbroadcast(g * b.values, a.shape)),
+                      (b, lambda: _unbroadcast(g * a.values, b.shape)))
     return _make(a.values * b.values, (a, b), bwd, "mul")
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     def bwd(g):
-        return ((a, _unbroadcast(g / b.values, a.shape)),
-                (b, _unbroadcast(-g * a.values / b.values ** 2, b.shape)))
+        return _grads(
+            (a, lambda: _unbroadcast(g / b.values, a.shape)),
+            (b, lambda: _unbroadcast(-g * a.values / b.values ** 2, b.shape)))
     return _make(a.values / b.values, (a, b), bwd, "div")
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     def bwd(g):
-        return ((a, g @ b.values.T), (b, a.values.T @ g))
+        return _grads((a, lambda: g @ b.values.T), (b, lambda: a.values.T @ g))
     return _make(a.values @ b.values, (a, b), bwd, "matmul")
 
 
 def spmm(a_sparse, x):
     """Sparse-constant @ dense-tensor product."""
     x = _as_tensor(x)
-    a = sp.csr_matrix(a_sparse)
+    a = a_sparse if sp.issparse(a_sparse) and a_sparse.format == "csr" \
+        else sp.csr_matrix(a_sparse)
     def bwd(g):
         return ((x, a.T @ g),)
     return _make(a @ x.values, (x,), bwd, "spmm")
@@ -224,11 +233,10 @@ def spmm(a_sparse, x):
 # elementwise -------------------------------------------------------
 
 def sigmoid_array(x):
-    """Logistic function of a plain array, stable at both tails: one
-    `exp` of `-|x|`, which never overflows."""
+    """Logistic function of a plain array, stable at both tails:
+    `exp(min(x, 0)) / (1 + exp(-|x|))`, whose `exp`s never overflow."""
     x = np.clip(x, -500, 500)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(x):
@@ -289,13 +297,22 @@ def clip(x, lo, hi):
 
 # structural --------------------------------------------------------
 
+def _scatter_rows(idx, g, rows):
+    """Row i of the result sums the rows j of `g` with `idx[j] == i`, added
+    in index order as `np.add.at` adds them: one product with a 0/1
+    matrix whose rows list their j ascending."""
+    order = np.argsort(idx, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=rows))))
+    scatter = sp.csr_matrix((np.ones(idx.size), order, indptr),
+                            shape=(rows, idx.size))
+    return scatter @ g
+
+
 def take_rows(x, idx):
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     def bwd(g):
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, idx, g)
-        return ((x, gx),)
+        return ((x, _scatter_rows(idx, g, x.shape[0])),)
     return _make(x.values[idx], (x,), bwd, "take_rows")
 
 
@@ -303,9 +320,8 @@ def take_cols(x, idx):
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     def bwd(g):
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, (slice(None), idx), g)
-        return ((x, gx),)
+        return ((x, np.ascontiguousarray(
+            _scatter_rows(idx, g.T, x.shape[1]).T)),)
     return _make(x.values[:, idx], (x,), bwd, "take_cols")
 
 
@@ -314,7 +330,8 @@ def concat(parts):
     parts = tuple(_as_tensor(p) for p in parts)
     splits = np.cumsum([p.shape[1] for p in parts])[:-1]
     def bwd(g):
-        return tuple(zip(parts, np.split(g, splits, axis=1)))
+        grads = zip(parts, np.split(g, splits, axis=1))
+        return tuple((p, pg) for p, pg in grads if p.requires_grad)
     return _make(np.concatenate([p.values for p in parts], axis=1), parts,
                  bwd, "concat")
 

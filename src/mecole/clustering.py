@@ -65,6 +65,15 @@ class Assignment:
         hard.flags.writeable = False
         return hard
 
+    @cached_property
+    def opposing(self):
+        """Per class k, the ascending ids of the nodes whose hard label is
+        not k (the donor pool of k's anchors), built once and read-only."""
+        pools = tuple(np.flatnonzero(self.hard != k) for k in range(self.K))
+        for pool in pools:
+            pool.flags.writeable = False
+        return pools
+
     def members(self, k, relevant_only=True):
         mask = self.hard == k
         if relevant_only:

@@ -11,7 +11,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .decoupling import predict_links_against
 from .errors import ConfigError, DataError, NumericError
 
 logger = logging.getLogger("mecole.contrastive")
@@ -19,6 +18,7 @@ logger = logging.getLogger("mecole.contrastive")
 __all__ = [
     "VirtualNode",
     "ContrastiveBatch",
+    "NegativeRows",
     "sample_anchors",
     "synthesize_virtual_node",
     "sample_negatives",
@@ -93,8 +93,7 @@ def synthesize_virtual_node(v, assignment, E, p_ce, rng):
     uniformly from the opposing classes; invariant dims stay the anchor's."""
     if not 0.0 < p_ce <= 1.0:
         raise ConfigError("p_ce must lie in (0, 1]")
-    hard = assignment.hard
-    opposing = np.flatnonzero(hard != hard[v])
+    opposing = assignment.opposing[assignment.hard[v]]
     if opposing.size == 0:
         raise DataError("no opposing class to draw a donor from")
     donor = int(rng.choice(opposing))
@@ -107,35 +106,146 @@ def synthesize_virtual_node(v, assignment, E, p_ce, rng):
                        donor=donor, mask=mask)
 
 
-def _weighted_draw_without_replacement(weights, m, rng):
-    """Positions of `m` sequential weighted draws without replacement; the
-    first draw is exactly proportional to the weights.
+def _weighted_draw_without_replacement(w, u):
+    """Per row of weights `w`, the positions of sequential weighted draws
+    without replacement, one per column of uniforms `u`; the first draw is
+    exactly proportional to the weights.
 
     Each draw is what `rng.choice(len(w), p=w / w.sum())` does over the
-    weights `w` still left, with its uniforms drawn up front, so the picks
-    and the generator's end state are those of a loop of `choice` calls.
+    weights still left in the row, with its uniform drawn up front. A
+    picked weight is removed by compaction, not zeroed, so each row's sum
+    adds the same elements in the same order as the row on its own.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    left = list(range(w.size))
-    picks = []
-    for u in rng.random(m).tolist():
-        cdf = (w / w.sum()).cumsum()
-        cdf /= cdf[-1]
-        i = int(cdf.searchsorted(u, side="right"))
-        picks.append(left.pop(i))
-        w = np.concatenate((w[:i], w[i + 1:]))
-    return np.array(picks, dtype=np.int64)
+    rows = np.arange(w.shape[0])
+    left = np.broadcast_to(np.arange(w.shape[1]), w.shape)
+    picks = np.empty(u.shape, dtype=np.intp)
+    for j in range(u.shape[1]):
+        cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        # searchsorted(cdf, u, side="right") of each row
+        i = np.count_nonzero(cdf <= u[:, j:j + 1], axis=1)
+        picks[:, j] = left[rows, i]
+        keep = np.arange(w.shape[1]) != i[:, None]
+        w = w[keep].reshape(rows.size, -1)
+        left = left[keep].reshape(rows.size, -1)
+    return picks
 
 
 def _top_stable(keys, c):
-    """`np.argsort(keys, kind="stable")[:c]` without sorting every key:
-    ties at the boundary still go to the lowest index."""
-    if c < keys.size:
-        kth = np.partition(keys, c - 1)[c - 1]
-        idx = np.flatnonzero(keys <= kth)
-    else:
-        idx = np.arange(keys.size)
-    return idx[np.argsort(keys[idx], kind="stable")[:c]]
+    """Per row, `np.argsort(keys, kind="stable")[:c]` without sorting every
+    key: ties at the boundary still go to the lowest index."""
+    kth = np.partition(keys, c - 1, axis=1)[:, c - 1:c]
+    # the keys up to each row's c-th, in row-major order; a stable sort by
+    # row, then key, keeps ties in index order
+    rows, cols = np.divmod(np.flatnonzero(keys <= kth), keys.shape[1])
+    order = np.lexsort((keys[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(keys.shape[0]))
+    return cols[order][first[:, None] + np.arange(c)]
+
+
+def _hard_pools(z, anchors, graph, c):
+    """Per row of link scores `z`, the `c` nodes with the highest score
+    outside the closed neighborhood of the row's anchor, highest first
+    with ties to the lowest id, and their scores."""
+    keys = -z
+    nbrs = [graph.neighbors(v) for v in anchors]
+    keys[np.repeat(np.arange(len(nbrs)), [x.size for x in nbrs]),
+         np.concatenate(nbrs)] = np.inf
+    keys[np.arange(len(nbrs)), anchors] = np.inf
+    pool = _top_stable(keys, c)
+    return pool, np.take_along_axis(z, pool, axis=1)
+
+
+# the sigmoid of a dot product above this is at least about 5e-131, so a
+# product of two such sigmoids is a normal number, never 0
+SAFE_DOT = -300.0
+ROW_BLOCK = 32
+
+
+class NegativeRows:
+    """The negatives of an epoch's virtual nodes, one row per virtual node
+    in the order they were added.
+
+    A hard-negative row is queued with the random draws it needs (the
+    uniforms of its weighted draw), made when the per-node sampler would
+    have made them. Queued rows are scored in blocks of `ROW_BLOCK` rows
+    with one pool size, each block once it fills and the rest in
+    `resolve`; scoring draws nothing. The dot products are one
+    matrix-vector product per virtual node, and every sum adds its terms
+    in the order of a row scored alone, so no row depends on its block.
+    """
+
+    def __init__(self, E, graph, m, pool_factor):
+        self.E, self.graph = E, graph
+        self.m, self.pool_factor = m, pool_factor
+        self.rows = []  # (nodes, p); None while a queued row waits
+        self._queued = {}  # pool size -> [(row, anchor, dots, zo, uniforms)]
+        # anchor -> (sigmoid of its H_o dots, their minimum); a virtual
+        # node keeps its anchor's H_o row
+        self._zo = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def append(self, nodes, p):
+        """A row whose negatives are already drawn."""
+        self.rows.append((nodes, p))
+
+    def queue(self, virt, rng):
+        """Queue a hard-negative row for `virt` and draw its uniforms.
+
+        Raises before any draw, so the generator does not move, when the
+        anchor has no candidate or too few candidates score above 0.
+        """
+        v = virt.anchor
+        nbrs = self.graph.neighbors(v)
+        candidates = self.graph.n - 1 - nbrs.size
+        if candidates == 0:
+            raise DataError("no candidate negatives: anchor neighborhood is "
+                            "full")
+        c = min(self.pool_factor * self.m, candidates)
+        dd = self.E.hd @ virt.h_d
+        if v not in self._zo:
+            do = self.E.ho @ virt.h_o
+            self._zo[v] = ad.sigmoid_array(do), do.min()
+        zo, do_min = self._zo[v]
+        # scores are products of two clipped sigmoids and can underflow to
+        # 0; a draw needs m of them above 0, and the probabilities need one
+        need = self.m if c > self.m else 1
+        if min(dd.min(), do_min) <= SAFE_DOT:
+            z = ad.sigmoid_array(dd) * zo
+            z[nbrs] = 0.0
+            z[v] = 0.0
+            nonzero = min(np.count_nonzero(z), c)
+            if nonzero < need:
+                raise NumericError(
+                    f"hard-negative pool of anchor {v} has {nonzero} "
+                    f"nonzero scores; the draw needs {need}")
+        u = rng.random(self.m) if c > self.m else None
+        block = self._queued.setdefault(c, [])
+        block.append((len(self.rows), v, dd, zo, u))
+        self.rows.append(None)
+        if len(block) == ROW_BLOCK:
+            self._score(c, self._queued.pop(c))
+
+    def resolve(self):
+        """Score the rows still queued; returns all rows."""
+        for c in list(self._queued):
+            self._score(c, self._queued.pop(c))
+        return self.rows
+
+    def _score(self, c, block):
+        """Pools of size `c` and their draws for a block of queued rows."""
+        ids, anchors, dd, zo, u = zip(*block)
+        z = ad.sigmoid_array(np.stack(dd)) * np.stack(zo)
+        pool, pool_z = _hard_pools(z, np.array(anchors), self.graph, c)
+        if c > self.m:
+            pick = _weighted_draw_without_replacement(pool_z, np.stack(u))
+            pool = np.take_along_axis(pool, pick, axis=1)
+            pool_z = np.take_along_axis(pool_z, pick, axis=1)
+        p = pool_z / pool_z.sum(axis=1, keepdims=True)
+        for r, nodes, pr in zip(ids, pool, p):
+            self.rows[r] = (nodes, pr)
 
 
 def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
@@ -145,33 +255,17 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
         raise ConfigError("m must be >= 1")
     if pool_factor < 1:
         raise ConfigError("pool_factor must be >= 1")
+    if not uniform:
+        rows = NegativeRows(E, graph, m, pool_factor)
+        rows.queue(virt, rng)
+        return rows.resolve()[0]
+    # ablation: any non-neighbor, no hardness ranking
     candidates = graph.non_neighbors(virt.anchor)
     if candidates.size == 0:
         raise DataError("no candidate negatives: anchor neighborhood is full")
-    if uniform:
-        # ablation: any non-neighbor, no hardness ranking
-        take = min(m, candidates.size)
-        chosen = np.sort(rng.choice(candidates, size=take, replace=False))
-        return chosen, np.full(take, 1.0 / take)
-    z = predict_links_against(virt.h_d, virt.h_o, E)[candidates]
-    c = min(pool_factor * m, candidates.size)
-    pool_idx = _top_stable(-z, c)
-    pool = candidates[pool_idx]
-    pool_z = z[pool_idx]
-    # scores are products of two clipped sigmoids and can underflow to 0;
-    # a draw needs m of them above 0, and the probabilities need one
-    need = m if pool.size > m else 1
-    nonzero = np.count_nonzero(pool_z)
-    if nonzero < need:
-        raise NumericError(
-            f"hard-negative pool of anchor {virt.anchor} has {nonzero} "
-            f"nonzero scores; the draw needs {need}")
-    if pool.size <= m:
-        pick = np.arange(pool.size)
-    else:
-        pick = _weighted_draw_without_replacement(pool_z, m, rng)
-    zc = pool_z[pick]
-    return pool[pick], zc / zc.sum()
+    take = min(m, candidates.size)
+    chosen = np.sort(rng.choice(candidates, size=take, replace=False))
+    return chosen, np.full(take, 1.0 / take)
 
 
 def sample_positives(v, graph, count, rng):

@@ -87,33 +87,46 @@ def _drop_edges(graph, rate, rng):
 
 
 def _build_batches(cfg, assignment, E, graph, p_ce, rng):
-    """Virtual-node pipeline: anchors -> virtual nodes -> hard negatives."""
+    """Virtual-node pipeline: anchors -> virtual nodes -> hard negatives.
+
+    The random draws come in the per-node order: the anchors, then per
+    virtual node its synthesis and its negatives' draws, then the anchor's
+    positives. The hard negatives are scored apart from the draws, in
+    blocks of virtual nodes (`ct.NegativeRows`).
+    """
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
-    batches = []
+    negatives = ct.NegativeRows(E, graph, cfg.negatives_m, cfg.pool_factor)
+    plan = []
     for v in anchors:
         if graph.neighbors(v).size == 0:
             continue
-        neg_nodes, neg_scores = [], []
+        first = len(negatives)
         for _ in range(cfg.virtual_per_anchor):
             try:
                 virt = ct.synthesize_virtual_node(v, assignment, E, p_ce, rng)
             except MecoleError:
                 break
             try:
-                nodes, p = ct.sample_negatives(
-                    virt, E, graph, cfg.negatives_m, rng,
-                    pool_factor=cfg.pool_factor, uniform=cfg.neg_uniform)
+                if cfg.neg_uniform:
+                    negatives.append(*ct.sample_negatives(
+                        virt, E, graph, cfg.negatives_m, rng,
+                        pool_factor=cfg.pool_factor, uniform=True))
+                else:
+                    negatives.queue(virt, rng)
             except MecoleError:
                 continue
-            neg_nodes.append(nodes)
-            neg_scores.append(p)
-        if not neg_nodes:
+        if len(negatives) == first:
             continue
         pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
-        neg_p = np.concatenate(neg_scores)
+        plan.append((v, pos, pos_p, first, len(negatives)))
+    rows = negatives.resolve()
+    batches = []
+    for v, pos, pos_p, first, stop in plan:
+        nodes, p = zip(*rows[first:stop])
+        neg_p = np.concatenate(p)
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=np.concatenate(neg_nodes), neg_p=neg_p / neg_p.sum()))
+            negatives=np.concatenate(nodes), neg_p=neg_p / neg_p.sum()))
     return batches
 
 

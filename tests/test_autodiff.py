@@ -273,6 +273,37 @@ def test_take_cols_and_concat_gradients(rng):
     assert finite_diff_check(loss, [a, b]) < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_take_gradients_bit_equal_to_add_at(seed):
+    # 300 picks of 80 rows (or columns): repeats, misses, and magnitudes
+    # far apart, so any other order of the sums would show in the bits
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 80, size=300)
+    G = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-8, 9, (300, 1))
+    x = ad.parameter(rng.normal(size=(80, 7)))
+    ad.tsum(ad.mul(ad.take_rows(x, idx), ad.constant(G))).backward()
+    want = np.zeros_like(x.values)
+    np.add.at(want, idx, G)
+    assert x.grad.tobytes() == want.tobytes()
+    y = ad.parameter(rng.normal(size=(7, 80)))
+    ad.tsum(ad.mul(ad.take_cols(y, idx), ad.constant(G.T))).backward()
+    want = np.zeros_like(y.values)
+    np.add.at(want, (slice(None), idx), G.T)
+    assert y.grad.tobytes() == want.tobytes()
+
+
+def test_binary_backward_computes_only_needed_gradients(rng):
+    c = ad.constant(rng.normal(size=(3, 3)) + 5.0)
+    p = ad.parameter(rng.normal(size=(3, 3)) + 5.0)
+    g = np.ones((3, 3))
+    for op in (ad.add, ad.sub, ad.mul, ad.div, ad.matmul):
+        for a, b in ((c, p), (p, c), (p, p)):
+            got = [t for t, _ in op(a, b)._backward(g)]
+            assert got == [t for t in (a, b) if t.requires_grad]
+    got = ad.concat([c, p, c])._backward(np.ones((3, 9)))
+    assert [t for t, _ in got] == [p]
+
+
 # one GCN, one glorot, a real concat: against the code they replaced -------
 
 def glorot_closure(rng):

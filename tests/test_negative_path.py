@@ -73,6 +73,11 @@ def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
     pool_idx = np.argsort(-z, kind="stable")[:c]
     pool = candidates[pool_idx]
     pool_z = z[pool_idx]
+    # scores can underflow to 0: raise, before drawing, when fewer than m
+    # are above 0 (fewer than one if the pool is taken whole)
+    need = m if pool.size > m else 1
+    if np.count_nonzero(pool_z) < need:
+        raise NumericError("hard-negative pool underflows")
     if pool.size <= m:
         chosen = [int(u) for u in pool]
     else:
@@ -263,25 +268,57 @@ def test_top_stable_matches_full_stable_sort():
     rng = np.random.default_rng(0)
     for _ in range(300):
         size = int(rng.integers(1, 60))
-        keys = rng.integers(0, 6, size=size).astype(np.float64)
-        keys[rng.random(size) < 0.2] = -0.0
+        keys = rng.integers(0, 6, size=(3, size)).astype(np.float64)
+        keys[rng.random(keys.shape) < 0.2] = -0.0
         c = int(rng.integers(1, size + 1))
-        assert np.array_equal(ct._top_stable(keys, c),
-                              np.argsort(keys, kind="stable")[:c])
+        for got, row in zip(ct._top_stable(keys, c), keys):
+            assert np.array_equal(got, np.argsort(row, kind="stable")[:c])
 
 
 def test_weighted_draw_matches_choice_loop():
+    # rows drawn together, against one choice loop per row in row order
     rng = np.random.default_rng(1)
     for case in range(300):
         size = int(rng.integers(2, 60))
-        w = rng.random(size) ** 3
+        w = rng.random((int(rng.integers(1, 4)), size)) ** 3
         m = int(rng.integers(1, size))
         items = np.arange(100, 100 + size)
         new_rng, ref_rng = pair_rngs(case)
-        picks = ct._weighted_draw_without_replacement(w, m, new_rng)
-        want = ref_weighted_draw_without_replacement(items, w, m, ref_rng)
-        assert items[picks].tolist() == want
+        picks = ct._weighted_draw_without_replacement(
+            w, new_rng.random((len(w), m)))
+        for got, row in zip(picks, w):
+            want = ref_weighted_draw_without_replacement(items, row, m,
+                                                         ref_rng)
+            assert items[got].tolist() == want
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def boundary_draws(w, m, rng):
+    """Uniforms on the steps of each draw's cdf, as the per-node loop
+    computes it over the weights left, and the positions they pick."""
+    left_w, left, u, picks = w, list(range(w.size)), [], []
+    for _ in range(m):
+        cdf = (left_w / left_w.sum()).cumsum()
+        cdf /= cdf[-1]
+        u.append(cdf[int(rng.integers(0, cdf.size - 1))])
+        i = int(cdf.searchsorted(u[-1], side="right"))
+        picks.append(left.pop(i))
+        left_w = np.delete(left_w, i)
+    return u, picks
+
+
+def test_weighted_draw_on_cdf_steps_matches_per_node_sums():
+    # a uniform equal to a step of the cdf picks the next weight only if
+    # every sum adds the weights left in the per-node order; summing them
+    # in another order moves some steps by an ulp
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        size = int(rng.integers(9, 60))
+        w = rng.random((3, size)) ** 3 * 10.0 ** rng.integers(-3, 4, (3, size))
+        m = int(rng.integers(2, 8))
+        u, want = zip(*(boundary_draws(row, m, rng) for row in w))
+        got = ct._weighted_draw_without_replacement(w, np.array(u))
+        assert got.tolist() == list(want)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -299,16 +336,110 @@ def test_virtual_node_matches_reference(seed):
 
 # batch builders --------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(3))
+def noisy_assignment(labels, rng):
+    K = labels.max() + 1
+    R = np.exp(np.eye(K)[labels] * 2.0 + rng.normal(size=(len(labels), K)))
+    R /= R.sum(axis=1, keepdims=True)
+    return Assignment(R=R, relevant=np.ones(len(labels), dtype=bool))
+
+
+def ragged_fixture():
+    """48 nodes, so every pool is cut by the candidate count rather than
+    pool_factor * m, and three hubs left with 3, 5 and 7 candidates (pools
+    no larger than m = 5)."""
+    rng = np.random.default_rng(7)
+    sbm, _, labels = generate_sbm(SBMConfig(
+        blocks=4, block_sizes=(12,) * 4, p_in=0.3, p_out=0.05, seed=7))
+    pairs = set(zip(sbm.u.tolist(), sbm.v.tolist()))
+    for hub, left in ((0, 3), (12, 5), (24, 7)):
+        others = [u for u in range(48) if u != hub][:-left]
+        pairs |= {(min(hub, u), max(hub, u)) for u in others}
+    graph = Graph.from_pairs(48, sorted(pairs))
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(48, 6)),
+                                        rng.normal(size=(48, 6)))
+    return graph, E, noisy_assignment(labels, rng)
+
+
+def underflow_batch_fixture():
+    """Class 0 is nodes 0 and 1, adjacent to each other and to all of
+    class 1 (nodes 2-9). With a class-1 donor, their virtual nodes score
+    every candidate (classes 2 and 3) at sigmoid(-500)^2, which is 0, so
+    those pools underflow; other pools mix 0 and tiny nonzero scores."""
+    labels = np.repeat([0, 1, 2, 3], [2, 8, 15, 15])
+    pairs = [(0, 1)] + [(a, u) for a in (0, 1) for u in range(2, 10)]
+    pairs += [(u, u + 1) for u in range(10, 39)]
+    graph = Graph.from_pairs(40, pairs)
+    hd = np.where(labels == 1, -40.0, 20.0)[:, None]
+    ho = np.where(labels == 0, -40.0, 20.0)[:, None]
+    E = DecoupledEmbeddings.from_arrays(hd, ho)
+    a = Assignment(R=np.eye(4)[labels] * 0.7 + 0.075,
+                   relevant=np.ones(40, dtype=bool))
+    return graph, E, a
+
+
+def cora_fixture():
+    """One epoch's inputs at Cora's size: 2,708 nodes in 7 classes."""
+    rng = np.random.default_rng(11)
+    graph, _, labels = generate_sbm(SBMConfig(
+        blocks=7, block_sizes=(351, 217, 418, 818, 426, 298, 180),
+        p_in=0.0064, p_out=0.00033, seed=11))
+    E = DecoupledEmbeddings.from_arrays(rng.normal(size=(graph.n, 16)),
+                                        rng.normal(size=(graph.n, 32)))
+    return graph, E, noisy_assignment(labels, rng)
+
+
+def batch_case(case):
+    """Graph, embeddings, assignment and config overrides of one input."""
+    if case == "ragged":
+        return (*ragged_fixture(), dict(K=4, per_class_anchors=12))
+    if case == "blocks":
+        # 4 classes x 20 anchors x 6 virtual nodes: many row blocks
+        return (*fixture(3), dict(K=4, per_class_anchors=20,
+                                  virtual_per_anchor=6))
+    if case == "underflow":
+        return (*underflow_batch_fixture(), dict(K=4))
+    if case == "cora":
+        return (*cora_fixture(), dict(K=7))
+    return (*fixture(case), dict(K=4))
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "ragged", "blocks", "underflow",
+                                  "cora"])
 @pytest.mark.parametrize("neg_uniform", [False, True])
-def test_build_batches_matches_reference(seed, neg_uniform):
-    graph, E, a = fixture(seed)
-    cfg = ExperimentConfig(K=4, seed=seed, neg_uniform=neg_uniform)
+def test_build_batches_matches_reference(case, neg_uniform):
+    graph, E, a, overrides = batch_case(case)
+    seed = case if isinstance(case, int) else 5
+    cfg = ExperimentConfig(seed=seed, neg_uniform=neg_uniform, **overrides)
     new_rng, ref_rng = pair_rngs(seed)
     got = _build_batches(cfg, a, E, graph, 0.5, new_rng)
     want = ref_build_batches(cfg, a, E, graph, 0.5, ref_rng)
     assert got and same_batches(got, want)
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    if neg_uniform:
+        return
+    counts = [len(b.negatives) for b in got]
+    full = cfg.virtual_per_anchor * cfg.negatives_m
+    if case == "ragged":
+        # pools of every size from the hubs' 3 up to the 47 of the others
+        assert min(counts) < full
+    if case == "blocks":
+        assert sum(counts) > 2 * ct.ROW_BLOCK * cfg.negatives_m
+    if case == "underflow":
+        # a class-0 anchor lost the rows of its class-1 donors
+        assert any(b.anchor in (0, 1) and 0 < len(b.negatives) < full
+                   for b in got)
+
+
+@pytest.mark.parametrize("case", [0, "ragged", "underflow", "cora"])
+def test_hard_negatives_lie_outside_the_closed_neighborhood(case):
+    graph, E, a, overrides = batch_case(case)
+    cfg = ExperimentConfig(seed=0, **overrides)
+    batches = _build_batches(cfg, a, E, graph, 0.5,
+                             np.random.default_rng(3))
+    assert batches
+    for b in batches:
+        closed = set(graph.neighbors(b.anchor).tolist()) | {b.anchor}
+        assert not closed & set(b.negatives.tolist())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -334,6 +465,15 @@ def test_hard_labels_computed_once_and_read_only():
     assert np.array_equal(a.hard, a.R.argmax(axis=1))
     with pytest.raises(ValueError):
         a.hard[0] = 1
+
+
+def test_donor_pools_built_once_per_class_and_read_only():
+    _, _, a = fixture(1)
+    assert a.opposing is a.opposing and len(a.opposing) == a.K
+    for k, pool in enumerate(a.opposing):
+        assert same_array(pool, np.flatnonzero(a.hard != k))
+        with pytest.raises(ValueError):
+            pool[0] = 0
 
 
 # degenerate pools ------------------------------------------------------------
