@@ -126,7 +126,8 @@ def soft_modularity(graph, C):
 
 def init_objective(graph, C, collapse_weight):
     """Differentiable init loss on a soft assignment tensor C: negative
-    soft modularity plus the cluster-collapse regularizer."""
+    soft modularity plus the cluster-collapse regularizer. `init_assignments`
+    trains on a hand-written gradient of it that the tests pin to this."""
     n, K = C.shape
     m = graph.w.sum()
     deg_row = ad.constant(graph.weighted_degrees[None, :])
@@ -163,20 +164,82 @@ def init_assignments(bundle, X, K, cfg: ModularityInitConfig, seed):
         w1 = ad.glorot(rng, n, cfg.hidden)
     w2 = ad.glorot(rng, cfg.hidden, K)
     opt = ad.Adam([w1, w2], lr=cfg.lr)
+    forward, step = _init_gcn_step(graph, a_hat, X, w1, w2,
+                                   cfg.collapse_weight)
+    for _ in range(cfg.epochs):
+        step()
+        opt.step()
+    return Assignment(R=forward()[1], relevant=np.ones(n, dtype=bool))
+
+
+def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
+    """The init's GCN, C = softmax(Â tanh(Â X W1) W2), off the tape.
+
+    Returns `forward()` -> (Â H1, C) and `step()`, which sets `w1.grad`
+    and `w2.grad` to the gradient of `init_objective` at C. X=None means
+    identity features (Â W1 in place of Â X W1). The gradient is written
+    out by hand with the tape's NumPy operations in the tape's order, so it
+    equals what `backward()` would give, bit for bit. The n x hidden
+    buffers are allocated once, here.
+    """
+    A = graph.adjacency
+    deg_row = graph.weighted_degrees[None, :]
+    two_m = 2.0 * graph.w.sum()
+    n, K = graph.n, w2.shape[1]
+    collapse_scale = np.sqrt(K) / n
+    # Â is symmetric only up to rounding on weighted graphs: keep Âᵀ
+    a_hat_t = a_hat.T
+    P = None if X is None else ad.spmm(a_hat, X).values
+    z1, h1, dtanh, g_q = (np.empty((n, w1.shape[1])) for _ in range(4))
+    finite = np.empty(z1.shape, dtype=bool)
 
     def forward():
-        return ad.softmax_rows(ad.gcn([a_hat], X, w1, w2))
+        if P is None:
+            z1[...] = a_hat @ w1.values
+        else:
+            np.matmul(P, w1.values, out=z1)
+        # tanh would hide an overflow here, which the tape reported
+        if not np.isfinite(z1, out=finite).all():
+            raise NumericError("modularity init diverged (non-finite layer)")
+        np.tanh(z1, out=h1)
+        q = a_hat @ h1
+        z2 = q @ w2.values
+        e = np.exp(z2 - z2.max(axis=1, keepdims=True))
+        return q, e / e.sum(axis=1, keepdims=True)
 
-    for _ in range(cfg.epochs):
-        opt.zero_grad()
-        loss = init_objective(graph, forward(), cfg.collapse_weight)
-        if not np.isfinite(loss.item()):
+    def step():
+        q, C = forward()
+        ac = A @ C
+        dc = deg_row @ C
+        col = C.sum(axis=0, keepdims=True)
+        norm = np.sqrt((col * col).sum(keepdims=True))
+        q_soft = ((C * ac).sum(keepdims=True)
+                  - (dc * dc).sum(keepdims=True) / two_m) / two_m
+        loss = q_soft * -1.0 + (norm * collapse_scale - 1.0) * collapse_weight
+        if not np.isfinite(loss).all():
             raise NumericError("modularity init diverged (non-finite loss)")
-        loss.backward()
-        opt.step()
 
-    C = forward().values
-    return Assignment(R=C, relevant=np.ones(n, dtype=bool))
+        # dL/dC: the collapse term, the degree term, then the two terms of
+        # tr(Cᵀ A C), added in the order the tape's backward adds them
+        g_trace = -1.0 / two_m
+        g_col = collapse_weight * collapse_scale * 0.5 / norm * col
+        g_dc = -g_trace / two_m * dc
+        g_c = g_col + g_col + deg_row.T @ (g_dc + g_dc)
+        g_c += g_trace * ac
+        g_c += A.T @ (g_trace * C)
+        g_z2 = C * (g_c - (g_c * C).sum(axis=1, keepdims=True))
+        w2.grad = q.T @ g_z2
+        # one n x hidden temporary alive at a time: the allocator then
+        # reuses its block rather than handing it back to the OS and
+        # faulting it in again every epoch
+        del q
+        g_h1 = a_hat_t @ np.matmul(g_z2, w2.values.T, out=g_q)
+        np.multiply(h1, h1, out=dtanh)
+        np.subtract(1.0, dtanh, out=dtanh)
+        g_h1 *= dtanh
+        w1.grad = (a_hat_t if P is None else P.T) @ g_h1
+
+    return forward, step
 
 
 def modularity_init_loss(graph, C_values, collapse_weight=1.0):

@@ -96,6 +96,9 @@ class ExperimentConfig:
                      "assign_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("epochs", "dim_o", "knn_k", "assign_warmup"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         for name in ("p_ce_start", "p_ce_end"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:

@@ -218,6 +218,10 @@ class SBMConfig:
             raise ConfigError("block_sizes length must equal blocks")
         if self.dep_dim < self.blocks:
             raise ConfigError("dep_dim must be >= number of blocks")
+        if self.inv_dim < 0:
+            raise ConfigError("inv_dim must be >= 0")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be >= 0")
 
     @property
     def n(self):

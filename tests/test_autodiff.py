@@ -465,6 +465,17 @@ def test_init_gcn_matches_gcn_layer_forward(with_x):
         lambda: ad.softmax_rows(ad.gcn([a_hat], h0, w1, w2)), [w1, w2], 0)
     assert got == values_and_grads(before, [w1, w2], 0)
 
+    # positive random weights: Â then differs bitwise from Âᵀ in some
+    # entries, so a backward that uses Â for Âᵀ shows here
+    weighted = graph.with_weights(
+        np.random.default_rng(3).random(graph.num_edges) + 0.1)
+    a_hat = ad.normalize_adjacency(weighted)
+    assert (a_hat != a_hat.T).nnz > 0
+    cfg = ModularityInitConfig(epochs=15, hidden=8, collapse_weight=0.5)
+    got = init_assignments(weighted, X, 3, cfg, seed=5).R
+    want = init_assignments_with_gcn_layer(weighted, X, 3, cfg, seed=5)
+    assert got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("dim_o", [0, 3])
 def test_mlp_concat_matches_hconcat(dim_o):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from mecole import autodiff as ad
 from mecole.clustering import Assignment, ModularityInitConfig, \
     init_assignments, modularity, modularity_init_loss, soft_modularity, \
     update_assignments
 from mecole.decoupling import DecoupledEmbeddings
-from mecole.errors import ConfigError, DataError
+from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, GraphBundle
 
 
@@ -138,6 +139,39 @@ def test_init_objective_improves():
 def test_init_k_validation():
     with pytest.raises(ConfigError):
         init_assignments(two_triangles(), None, 1, ModularityInitConfig(), 0)
+
+
+def test_init_stays_off_the_tape(monkeypatch):
+    """The init's step is closed-form NumPy: it builds a fixed number of
+    tensors whatever the epoch count, and never runs `backward`."""
+    g = Graph.from_pairs(8, clique(range(4)) + clique(range(4, 8)) +
+                         [(3, 4)])
+    X = np.random.default_rng(0).normal(size=(8, 3))
+    counts = {"tensors": 0, "backward": 0}
+    tensor_init, backward = ad.Tensor.__init__, ad.Tensor.backward
+
+    def counting_init(self, *args, **kwargs):
+        counts["tensors"] += 1
+        tensor_init(self, *args, **kwargs)
+
+    def counting_backward(self):
+        counts["backward"] += 1
+        backward(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(ad.Tensor, "backward", counting_backward)
+    made = []
+    for epochs in (5, 50):
+        counts.update(tensors=0, backward=0)
+        init_assignments(g, X, 2, ModularityInitConfig(epochs=epochs,
+                                                       hidden=4), seed=0)
+        made.append(counts["tensors"])
+        assert counts["backward"] == 0
+    assert made[0] == made[1]
+
+    X[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        init_assignments(g, X, 2, ModularityInitConfig(epochs=5), seed=0)
 
 
 # self-training update --------------------------------------------------------

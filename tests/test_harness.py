@@ -287,15 +287,32 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("key", ["negatives_m", "pool_factor", "positives",
-                                 "virtual_per_anchor", "per_class_anchors",
-                                 "assign_every", "hidden"])
+# the smallest legal value of each count
+COUNT_FLOORS = {"negatives_m": 1, "pool_factor": 1, "positives": 1,
+                "virtual_per_anchor": 1, "per_class_anchors": 1,
+                "assign_every": 1, "hidden": 1, "epochs": 0, "dim_o": 0,
+                "knn_k": 0, "assign_warmup": 0}
+
+
+@pytest.mark.parametrize("key", list(COUNT_FLOORS))
 def test_cli_count_below_one_is_config_error(tmp_path, capsys, key):
-    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
-                                       extra=["--set", f"{key}=0"]))
+    floor = COUNT_FLOORS[key]
+    rc = cli_main(["train"] + sbm_args(
+        tmp_path / "run", extra=["--set", f"{key}={floor - 1}"]))
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"{key} must be >= 1" in err and "Traceback" not in err
+    assert f"{key} must be >= {floor}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("key", ["sbm_inv_dim", "sbm_noise_sigma"])
+def test_cli_negative_sbm_setting_is_config_error(tmp_path, capsys, key):
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
+                                       extra=["--set", f"{key}=-1"]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "must be >= 0" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
