@@ -38,6 +38,7 @@ __all__ = [
     "take_cols",
     "concat",
     "softmax_rows",
+    "softmax_array",
     "tsum",
     "tmean",
     "row_max",
@@ -336,11 +337,15 @@ def concat(parts):
                  bwd, "concat")
 
 
+def softmax_array(x):
+    """Row softmax of a plain 2-D array, shifted by each row's maximum."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(x):
     x = _as_tensor(x)
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_vals = e / e.sum(axis=1, keepdims=True)
+    out_vals = softmax_array(x.values)
     def bwd(g):
         dot = (g * out_vals).sum(axis=1, keepdims=True)
         return ((x, out_vals * (g - dot)),)

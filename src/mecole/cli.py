@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_overrides, parse_config_file
 from .errors import ConfigError, DataError, NumericError
-from .graphs import SBMConfig, generate_sbm, load_labels, read_lines
+from .graphs import generate_sbm, load_labels, read_lines
 from .metrics import clustering_accuracy, nmi
-from .training import run_ablation_grid, run_training, sparse_eval, \
-    write_grid_csv, write_report
+from .training import run_ablation_grid, run_training, sbm_config, \
+    sparse_eval, write_grid_csv, write_report
 
 logger = logging.getLogger("mecole")
 
@@ -104,13 +104,7 @@ def _cmd_sparse(args):
 
 def _cmd_gen_sbm(args):
     cfg = _build_config(args)
-    sbm = SBMConfig(blocks=cfg.sbm_blocks,
-                    block_sizes=(cfg.sbm_block_size,) * cfg.sbm_blocks,
-                    p_in=cfg.sbm_p_in, p_out=cfg.sbm_p_out,
-                    dep_dim=cfg.sbm_dep_dim, inv_dim=cfg.sbm_inv_dim,
-                    noise_sigma=cfg.sbm_noise_sigma,
-                    confound_strength=cfg.sbm_confound, seed=cfg.seed)
-    graph, X, labels = generate_sbm(sbm)
+    graph, X, labels = generate_sbm(sbm_config(cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     np.savetxt(os.path.join(cfg.out_dir, "edges.txt"),
                np.column_stack([graph.u, graph.v]), fmt="%d", delimiter="\t",

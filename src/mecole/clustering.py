@@ -7,7 +7,6 @@ stage optimizes a modularity objective.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError
-
-logger = logging.getLogger("mecole.clustering")
 
 __all__ = [
     "Assignment",
@@ -203,9 +200,7 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
             raise NumericError("modularity init diverged (non-finite layer)")
         np.tanh(z1, out=h1)
         q = a_hat @ h1
-        z2 = q @ w2.values
-        e = np.exp(z2 - z2.max(axis=1, keepdims=True))
-        return q, e / e.sum(axis=1, keepdims=True)
+        return q, ad.softmax_array(q @ w2.values)
 
     def step():
         q, C = forward()
@@ -271,17 +266,18 @@ def _fit_logistic(X, y, steps=500, lr=0.5, l2=1e-4):
     return w, b
 
 
-def update_assignments(E, prev: Assignment, q, relevance_floor, seed,
-                       prev_weights=None, return_weights=False):
+def update_assignments(E, prev: Assignment, q, relevance_floor,
+                       prev_weights=None):
     """Self-training step: fit per-class logistic regressors on the most
     confident pseudo-labeled nodes, then re-score every node.
 
-    `prev_weights` carries (w, b) per class across epochs so a class that
-    momentarily has no pseudo-labels keeps its previous regressor.
+    Returns the new `Assignment` and the per-class `(w, b)` list; passed
+    back as `prev_weights`, it lets a class that momentarily has no
+    pseudo-labels keep its previous regressor.
     """
     if not 0.0 < q <= 1.0:
         raise ConfigError("confidence quantile q must lie in (0, 1]")
-    hd = E.H_d.values if hasattr(E.H_d, "values") else np.asarray(E.H_d)
+    hd = E.hd
     n, K = prev.R.shape
     hard = prev.hard
     weights = list(prev_weights) if prev_weights is not None else [None] * K
@@ -308,11 +304,5 @@ def update_assignments(E, prev: Assignment, q, relevance_floor, seed,
             continue  # uniform contribution (score 0)
         w, b = weights[k]
         scores[:, k] = hd @ w + b
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    R = e / e.sum(axis=1, keepdims=True)
-    relevant = R.max(axis=1) >= relevance_floor
-    out = Assignment(R=R, relevant=relevant)
-    if return_weights:
-        return out, weights
-    return out
+    R = ad.softmax_array(scores)
+    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), weights

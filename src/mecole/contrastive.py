@@ -4,7 +4,6 @@ sampling, and the contrastive loss over class-dependent embeddings.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,6 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError
 
-logger = logging.getLogger("mecole.contrastive")
-
 __all__ = [
     "VirtualNode",
     "ContrastiveBatch",
@@ -22,6 +19,7 @@ __all__ = [
     "sample_anchors",
     "synthesize_virtual_node",
     "sample_negatives",
+    "uniform_negatives",
     "sample_positives",
     "contrastive_loss",
 ]
@@ -255,15 +253,21 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
         raise ConfigError("m must be >= 1")
     if pool_factor < 1:
         raise ConfigError("pool_factor must be >= 1")
-    if not uniform:
-        rows = NegativeRows(E, graph, m, pool_factor)
-        rows.queue(virt, rng)
-        return rows.resolve()[0]
-    # ablation: any non-neighbor, no hardness ranking
-    candidates = graph.non_neighbors(virt.anchor)
+    if uniform:
+        # ablation: any non-neighbor, no hardness ranking
+        return uniform_negatives(graph, virt.anchor, m, rng)
+    rows = NegativeRows(E, graph, m, pool_factor)
+    rows.queue(virt, rng)
+    return rows.resolve()[0]
+
+
+def uniform_negatives(graph, v, count, rng):
+    """Up to `count` distinct nodes outside the closed neighborhood of `v`,
+    drawn uniformly and sorted, with their equal probabilities."""
+    candidates = graph.non_neighbors(v)
     if candidates.size == 0:
         raise DataError("no candidate negatives: anchor neighborhood is full")
-    take = min(m, candidates.size)
+    take = min(count, candidates.size)
     chosen = np.sort(rng.choice(candidates, size=take, replace=False))
     return chosen, np.full(take, 1.0 / take)
 
@@ -275,8 +279,7 @@ def sample_positives(v, graph, count, rng):
         raise DataError(f"anchor {v} has no neighbors to sample positives")
     take = min(count, nbrs.size)
     chosen = rng.choice(nbrs, size=take, replace=False)
-    return np.asarray(sorted(int(u) for u in chosen)), \
-        np.full(take, 1.0 / take)
+    return np.sort(chosen).astype(np.int64), np.full(take, 1.0 / take)
 
 
 def contrastive_loss(batches, E, tau, include_positive_in_denominator=False):

@@ -4,16 +4,12 @@ prediction, reconstruction and discrepancy losses, and edge rewiring.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
-from .graphs import Graph
-
-logger = logging.getLogger("mecole.decoupling")
 
 __all__ = [
     "DecoupledEmbeddings",
@@ -78,10 +74,8 @@ class DecoupledEncoder:
         if dim_d < 1:
             raise ConfigError("dim_d must be >= 1")
         rng = np.random.default_rng(seed)
-        self.in_dim = in_dim
         self.dim_o = dim_o
         self.n_channels = n_channels
-        self.n = n
         first_rows = in_dim if in_dim is not None else n
         self.w1_d = ad.glorot(rng, first_rows, hidden)
         self.w2_d = ad.glorot(rng, hidden, dim_d)
@@ -257,15 +251,14 @@ def discrepancy_loss(E, assignment, metric, pairs, rng):
     if len(nonempty) < 2:
         raise DataError("discrepancy loss needs >= 2 non-empty classes")
 
-    class_pairs = [(i, j) for i in range(len(nonempty))
-                   for j in range(i + 1, len(nonempty))]
-    idx = rng.integers(len(class_pairs), size=pairs)
-    left = np.empty(pairs, dtype=np.int64)
-    right = np.empty(pairs, dtype=np.int64)
-    for t, ci in enumerate(idx):
-        g1, g2 = class_pairs[ci]
-        left[t] = nonempty[g1][rng.integers(nonempty[g1].size)]
-        right[t] = nonempty[g2][rng.integers(nonempty[g2].size)]
+    class_pairs = np.array([(i, j) for i in range(len(nonempty))
+                            for j in range(i + 1, len(nonempty))])
+    groups = class_pairs[rng.integers(len(class_pairs), size=pairs)]
+    sizes = np.array([g.size for g in nonempty])
+    # one array draw for every pair's left, then right, node: the values and
+    # generator state of one scalar draw for each in turn
+    left, right = np.concatenate(nonempty)[
+        (np.cumsum(sizes) - sizes)[groups] + rng.integers(0, sizes[groups])].T
 
     num = _metric_tensor(ad.take_rows(E.H_o, left),
                          ad.take_rows(E.H_o, right), metric)

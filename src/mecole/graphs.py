@@ -240,13 +240,19 @@ def read_lines(path):
         raise DataError(f"cannot read {path}: {reason}") from exc
 
 
+def _data_lines(path):
+    """(line number, stripped line) of each line that is neither blank nor
+    a `#` comment."""
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_edge_list(path, n_hint=None):
     pairs = set()
     max_idx = -1
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
@@ -269,10 +275,7 @@ def load_edge_list(path, n_hint=None):
 def _numeric_rows(path):
     """Rows of comma- or whitespace-separated numbers, all one length."""
     rows = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         toks = line.replace(",", " ").split()
         try:
             rows.append([float(t) for t in toks])
@@ -294,10 +297,7 @@ def load_features(path, n):
 
 def load_labels(path):
     labels = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         try:
             labels.append(int(line))
         except ValueError:
@@ -320,7 +320,10 @@ def load_attribute_bags(path):
 
 def load_vocabulary(path):
     """Token embedding table: one row of numbers per token id."""
-    return _numeric_rows(path)
+    vocab = _numeric_rows(path)
+    if len(vocab) == 0:
+        raise DataError(f"{path}: empty vocabulary")
+    return vocab
 
 
 # auxiliary graph construction ---------------------------------------

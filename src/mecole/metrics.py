@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -13,11 +13,9 @@ from .errors import DataError
 __all__ = ["clustering_accuracy", "nmi", "MetricsReport"]
 
 
-def clustering_accuracy(pred, truth):
-    """Best-permutation agreement fraction (optimal label matching).
-
-    Entries with truth == -1 are treated as unlabeled and excluded.
-    """
+def _contingency(pred, truth):
+    """k x k counts of (predicted, true) label pairs, pred along rows;
+    entries with truth == -1 are unlabeled and excluded."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
@@ -29,39 +27,32 @@ def clustering_accuracy(pred, truth):
     if pred.min() < 0:
         raise DataError("predicted cluster ids must be >= 0")
     k = int(max(pred.max(), truth.max())) + 1
-    confusion = np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
+    return np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
+
+
+def clustering_accuracy(pred, truth):
+    """Best-permutation agreement fraction (optimal label matching).
+
+    Entries with truth == -1 are treated as unlabeled and excluded.
+    """
+    confusion = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-confusion)
-    return float(confusion[rows, cols].sum() / pred.size)
+    return float(confusion[rows, cols].sum() / confusion.sum())
 
 
 def nmi(pred, truth):
     """Normalized mutual information (arithmetic-mean normalization)."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise DataError("prediction/truth length mismatch")
-    keep = truth >= 0
-    pred, truth = pred[keep], truth[keep]
-    n = pred.size
-    if n == 0:
-        raise DataError("no labeled nodes to evaluate")
-
-    def entropy(labels):
-        _, counts = np.unique(labels, return_counts=True)
-        p = counts / n
-        return float(-(p * np.log(p)).sum())
-
-    h_p, h_t = entropy(pred), entropy(truth)
+    table = _contingency(pred, truth)
+    n = table.sum()
+    p_pred, p_truth = table.sum(axis=1) / n, table.sum(axis=0) / n
+    h_p, h_t = (float(-(p * np.log(p)).sum())
+                for p in (p_pred[p_pred > 0], p_truth[p_truth > 0]))
     if h_p == 0.0 or h_t == 0.0:
         return 0.0
-    mi = 0.0
-    for a in np.unique(pred):
-        for b in np.unique(truth):
-            joint = np.sum((pred == a) & (truth == b)) / n
-            if joint > 0:
-                pa = np.sum(pred == a) / n
-                pb = np.sum(truth == b) / n
-                mi += joint * np.log(joint / (pa * pb))
+    a, b = np.nonzero(table)
+    joint = table[a, b] / n
+    # a running sum over the cells in row-major order, not a pairwise sum
+    mi = np.cumsum(joint * np.log(joint / (p_pred[a] * p_truth[b])))[-1]
     return float(mi / ((h_p + h_t) / 2.0))
 
 
@@ -81,18 +72,7 @@ class MetricsReport:
     error: str | None = None
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "nmi": self.nmi,
-            "modularity": self.modularity,
-            "init_accuracy": self.init_accuracy,
-            "wall_clock_s": self.wall_clock_s,
-            "epoch_losses": self.epoch_losses,
-            "config": self.config,
-            "error": self.error,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from . import contrastive as ct
 from . import decoupling as dc
-from .clustering import Assignment, ModularityInitConfig, init_assignments, \
-    modularity, update_assignments
+from .clustering import ModularityInitConfig, init_assignments, modularity, \
+    update_assignments
 from .config import ExperimentConfig
 from .errors import DataError, MecoleError
 from .graphs import AttributeBag, GraphBundle, SBMConfig, \
@@ -25,8 +25,8 @@ from .metrics import MetricsReport, clustering_accuracy, nmi
 
 logger = logging.getLogger("mecole.training")
 
-__all__ = ["Dataset", "load_dataset", "run_training", "sparse_eval",
-           "run_ablation_grid", "export_assignments"]
+__all__ = ["Dataset", "sbm_config", "load_dataset", "run_training",
+           "sparse_eval", "run_ablation_grid", "export_assignments"]
 
 
 @dataclass
@@ -37,19 +37,23 @@ class Dataset:
     bags: AttributeBag | None = None
 
 
+def sbm_config(cfg: ExperimentConfig):
+    """The planted-partition settings of a synthetic run; a data error when
+    they do not describe at least two non-empty blocks."""
+    if cfg.sbm_blocks < 2 or cfg.sbm_block_size < 1:
+        raise DataError("no edge_path given and SBM config incomplete")
+    return SBMConfig(blocks=cfg.sbm_blocks,
+                     block_sizes=(cfg.sbm_block_size,) * cfg.sbm_blocks,
+                     p_in=cfg.sbm_p_in, p_out=cfg.sbm_p_out,
+                     dep_dim=cfg.sbm_dep_dim, inv_dim=cfg.sbm_inv_dim,
+                     noise_sigma=cfg.sbm_noise_sigma,
+                     confound_strength=cfg.sbm_confound, seed=cfg.seed)
+
+
 def load_dataset(cfg: ExperimentConfig):
     """Materialize the graph bundle, features, and labels for a run."""
     if cfg.uses_sbm:
-        if cfg.sbm_blocks < 2 or cfg.sbm_block_size < 1:
-            raise DataError("no edge_path given and SBM config incomplete")
-        sbm = SBMConfig(blocks=cfg.sbm_blocks,
-                        block_sizes=(cfg.sbm_block_size,) * cfg.sbm_blocks,
-                        p_in=cfg.sbm_p_in, p_out=cfg.sbm_p_out,
-                        dep_dim=cfg.sbm_dep_dim, inv_dim=cfg.sbm_inv_dim,
-                        noise_sigma=cfg.sbm_noise_sigma,
-                        confound_strength=cfg.sbm_confound,
-                        seed=cfg.seed)
-        graph, X, labels = generate_sbm(sbm)
+        graph, X, labels = generate_sbm(sbm_config(cfg))
     else:
         graph = load_edge_list(cfg.edge_path)
         X = load_features(cfg.feature_path, graph.n) \
@@ -137,18 +141,17 @@ def _build_augment_batches(cfg, assignment, E, graph, rng):
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
     batches = []
     for v in anchors:
-        nbrs = view.neighbors(v)
-        if nbrs.size == 0:
+        if view.neighbors(v).size == 0:
             continue
         pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
-        candidates = graph.non_neighbors(v)
-        if candidates.size == 0:
+        try:
+            negs, neg_p = ct.uniform_negatives(
+                graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
+        except MecoleError:
             continue
-        take = min(cfg.negatives_m * cfg.virtual_per_anchor, candidates.size)
-        negs = np.sort(rng.choice(candidates, size=take, replace=False))
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=negs, neg_p=np.full(take, 1.0 / take)))
+            negatives=negs, neg_p=neg_p))
     return batches
 
 
@@ -210,8 +213,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
         X_in = X
         if cfg.graph_augment and X is not None:
             X_in = _mask_features(X, 0.2, rng_cl)
-        E = encoder.encode(hats_d, raw_hats,
-                           X_in if X is not None else None)
+        E = encoder.encode(hats_d, raw_hats, X_in)
 
         l1 = dc.reconstruction_loss(graph, E, cfg.neg_ratio, rng, mlp=mlp)
         loss = l1
@@ -246,8 +248,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
         opt.step()
 
         l1_val = l1.item()
-        total = l1_val + l2_val + cfg.alpha_ce * lce_val \
-            if not cfg.no_cl else l1_val + l2_val
+        total = l1_val + l2_val + cfg.alpha_ce * lce_val
         report.epoch_losses.append(
             {"epoch": epoch, "L1": l1_val, "L2": l2_val,
              "LCE": lce_val, "L": total})
@@ -259,8 +260,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
         if due or epoch == cfg.epochs - 1 and epoch >= cfg.assign_warmup:
             assignment, weights_state = update_assignments(
                 E, assignment, cfg.q_confidence, cfg.relevance_floor,
-                cfg.seed + epoch, prev_weights=weights_state,
-                return_weights=True)
+                prev_weights=weights_state)
 
     pred = assignment.hard
     if labels is not None:
@@ -310,8 +310,6 @@ def sparse_eval(cfg: ExperimentConfig, fraction):
     dataset = load_dataset(cfg)
     graph = dataset.bundle.primary
     remove = int(np.ceil(fraction * graph.n))
-    if remove == 0:
-        return run_training(cfg, dataset=dataset, variant="sparse")
     order = np.argsort(-graph.degrees, kind="stable")
     keep = np.sort(order[remove:])
     sub = graph.subgraph(keep)
@@ -321,8 +319,11 @@ def sparse_eval(cfg: ExperimentConfig, fraction):
            for name, g in dataset.bundle.auxiliary.items()}
     X = dataset.X[keep] if dataset.X is not None else None
     labels = dataset.labels[keep] if dataset.labels is not None else None
+    bags = None if dataset.bags is None else AttributeBag(
+        bags=tuple(dataset.bags.bags[i] for i in keep),
+        vocabulary=dataset.bags.vocabulary)
     sparse_data = Dataset(bundle=GraphBundle(primary=sub, auxiliary=aux),
-                          X=X, labels=labels)
+                          X=X, labels=labels, bags=bags)
     return run_training(cfg, dataset=sparse_data, variant="sparse")
 
 

@@ -230,6 +230,22 @@ def test_sigmoid_array_bit_equal_to_both_earlier_forms(shape, scale):
         np.atleast_2d(sigmoid_three_exp(x)).tobytes()
 
 
+def softmax_inline(x):
+    """The row softmax as each of its three callers wrote it out."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (40, 3), (7, 9)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 30.0, 800.0])
+def test_softmax_array_bit_equal_to_inline_form(shape, scale):
+    x = np.random.default_rng(1).normal(scale=scale, size=shape)
+    want = softmax_inline(x)
+    assert ad.softmax_array(x).tobytes() == want.tobytes()
+    assert ad.softmax_rows(x).values.tobytes() == want.tobytes()
+
+
 # the grad flag: ops on constants keep no tape ----------------------------
 
 def test_op_on_constants_keeps_no_tape(rng):

@@ -192,7 +192,7 @@ def noisy_prev(hard, K, conf=0.7):
 def test_update_recovers_separable_classes():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
-    out = update_assignments(E, prev, q=0.6, relevance_floor=0.6, seed=0)
+    out, _ = update_assignments(E, prev, q=0.6, relevance_floor=0.6)
     assert out.hard.tolist() == [0] * 5 + [1] * 5
     assert np.allclose(out.R.sum(axis=1), 1.0)
 
@@ -200,7 +200,7 @@ def test_update_recovers_separable_classes():
 def test_update_sharpens_confidence():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2, conf=0.55)
-    out = update_assignments(E, prev, q=1.0, relevance_floor=0.6, seed=0)
+    out, _ = update_assignments(E, prev, q=1.0, relevance_floor=0.6)
     assert out.R.max(axis=1).mean() > prev.R.max(axis=1).mean()
 
 
@@ -209,7 +209,7 @@ def test_update_relevance_floor_marks_ambiguous():
     hd = np.array([[4.0, 0.0]] * 4 + [[-4.0, 0.0]] * 4 + [[0.0, 0.0]])
     E = DecoupledEmbeddings.from_arrays(hd, np.zeros((9, 1)))
     prev = noisy_prev([0] * 4 + [1] * 4 + [0], 2)
-    out = update_assignments(E, prev, q=0.5, relevance_floor=0.9, seed=0)
+    out, _ = update_assignments(E, prev, q=0.5, relevance_floor=0.9)
     assert not out.relevant[8]
     assert out.relevant[:4].all() and out.relevant[4:8].all()
 
@@ -217,8 +217,8 @@ def test_update_relevance_floor_marks_ambiguous():
 def test_update_deterministic_in_seed_free_path():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
-    a = update_assignments(E, prev, 0.6, 0.6, seed=0)
-    b = update_assignments(E, prev, 0.6, 0.6, seed=99)
+    a, _ = update_assignments(E, prev, 0.6, 0.6)
+    b, _ = update_assignments(E, prev, 0.6, 0.6)
     assert np.array_equal(a.R, b.R)
 
 
@@ -227,19 +227,18 @@ def test_update_label_permutation_equivariance():
     hard = [0] * 5 + [1] * 5
     prev = noisy_prev(hard, 2)
     prev_swapped = noisy_prev([1 - h for h in hard], 2)
-    out = update_assignments(E, prev, 0.6, 0.6, seed=0)
-    out_swapped = update_assignments(E, prev_swapped, 0.6, 0.6, seed=0)
+    out, _ = update_assignments(E, prev, 0.6, 0.6)
+    out_swapped, _ = update_assignments(E, prev_swapped, 0.6, 0.6)
     assert np.allclose(out.R, out_swapped.R[:, ::-1])
 
 
 def test_update_empty_class_keeps_previous_regressor():
     E = separable_embeddings()
     prev_full = noisy_prev([0] * 5 + [1] * 5, 2)
-    _, weights = update_assignments(E, prev_full, 0.6, 0.6, seed=0,
-                                    return_weights=True)
+    _, weights = update_assignments(E, prev_full, 0.6, 0.6)
     prev_collapsed = noisy_prev([0] * 10, 2)
-    kept = update_assignments(E, prev_collapsed, 0.6, 0.6, seed=0,
-                              prev_weights=weights)
+    kept, _ = update_assignments(E, prev_collapsed, 0.6, 0.6,
+                                 prev_weights=weights)
     # class 1 regressor carried over: separable structure still recovered
     assert len(set(kept.hard.tolist())) == 2
 
@@ -248,7 +247,7 @@ def test_update_invalid_q():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
     with pytest.raises(ConfigError):
-        update_assignments(E, prev, q=0.0, relevance_floor=0.5, seed=0)
+        update_assignments(E, prev, q=0.0, relevance_floor=0.5)
 
 
 def test_update_never_touches_graph():

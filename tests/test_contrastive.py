@@ -221,6 +221,16 @@ def test_positives_uniform_from_neighborhood():
         sample_positives(4, g, 1, np.random.default_rng(0))
 
 
+def test_positives_sorted_like_the_python_sort():
+    g = Graph.from_pairs(30, [(0, v) for v in range(1, 30)])
+    for seed in range(20):
+        chosen, _ = sample_positives(0, g, 8, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed).choice(g.neighbors(0), size=8,
+                                                   replace=False)
+        want = np.asarray(sorted(int(u) for u in draws))
+        assert chosen.dtype == want.dtype and np.array_equal(chosen, want)
+
+
 # contrastive loss ------------------------------------------------------------
 
 def batch(anchor, pos, neg):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import finite_diff_check
 from mecole import autodiff as ad
+from mecole import decoupling as dc
 from mecole.clustering import Assignment
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
     discrepancy_loss, predict_link, reconstruction_loss, rewire, \
@@ -216,6 +217,47 @@ def test_discrepancy_homogeneity(metric, rng):
     scaled = discrepancy_loss(embeddings(hd, c * ho), a, metric, 20,
                               np.random.default_rng(9)).item()
     assert scaled == pytest.approx(c * base, rel=1e-9)
+
+
+def ref_discrepancy_loss(E, assignment, metric, pairs, rng):
+    """`discrepancy_loss` as it was with two scalar draws per pair."""
+    groups = [assignment.members(k) for k in range(assignment.K)]
+    nonempty = [g for g in groups if g.size > 0]
+    class_pairs = [(i, j) for i in range(len(nonempty))
+                   for j in range(i + 1, len(nonempty))]
+    idx = rng.integers(len(class_pairs), size=pairs)
+    left = np.empty(pairs, dtype=np.int64)
+    right = np.empty(pairs, dtype=np.int64)
+    for t, ci in enumerate(idx):
+        g1, g2 = class_pairs[ci]
+        left[t] = nonempty[g1][rng.integers(nonempty[g1].size)]
+        right[t] = nonempty[g2][rng.integers(nonempty[g2].size)]
+    num = dc._metric_tensor(ad.take_rows(E.H_o, left),
+                            ad.take_rows(E.H_o, right), metric)
+    den = dc._metric_tensor(ad.take_rows(E.H_d, left),
+                            ad.take_rows(E.H_d, right), metric)
+    return ad.tmean(ad.div(num, ad.add(den, dc.EPS)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_discrepancy_bit_equal_to_scalar_draws(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n, K = int(rng.integers(4, 200)), int(rng.integers(2, 7))
+        hard = rng.integers(0, K, size=n)
+        hard[:2] = [0, 1]  # at least two classes
+        # uneven classes; at small n some have one member or none
+        hard[rng.random(n) < 0.2] = K - 1
+        a = hard_assignment(hard, K)
+        E = embeddings(rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
+        metric = ("l1", "l2", "cosine", "l_inf")[seed % 4]
+        pairs = int(rng.integers(1, 300))
+        got_rng = np.random.default_rng(seed + 50)
+        ref_rng = np.random.default_rng(seed + 50)
+        got = discrepancy_loss(E, a, metric, pairs, got_rng)
+        want = ref_discrepancy_loss(E, a, metric, pairs, ref_rng)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # rewire -----------------------------------------------------------------

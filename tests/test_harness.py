@@ -239,6 +239,23 @@ def test_sparse_eval_keeps_old_degree_order(tmp_path, monkeypatch):
         assert kept == old_keep
 
 
+def test_sparse_eval_keeps_attribute_bags(tmp_path, monkeypatch):
+    n = 30
+    (tmp_path / "bags.txt").write_text("".join(f"{i}\n" for i in range(n)))
+    np.savetxt(tmp_path / "vocab.txt", np.eye(n))
+    cfg = fast_cfg(epochs=2, bags_path=str(tmp_path / "bags.txt"),
+                   vocab_path=str(tmp_path / "vocab.txt"))
+    seen = []
+    tfidf = training.tfidf_class_features
+    monkeypatch.setattr(training, "tfidf_class_features",
+                        lambda bags, a: seen.append(bags) or tfidf(bags, a))
+    sparse_eval(cfg, 0.3)
+    deg = load_dataset(cfg).bundle.primary.degrees
+    keep = np.sort(np.argsort(-deg, kind="stable")[9:])
+    assert len(seen) == 1
+    assert seen[0].bags == tuple((int(i),) for i in keep)
+
+
 def test_sparse_eval_invalid_fraction():
     with pytest.raises(DataError):
         sparse_eval(fast_cfg(), 0.0)
@@ -343,6 +360,19 @@ def test_cli_missing_input_file_is_data_error(tmp_path, capsys, key):
     assert "cannot read" in err and "Traceback" not in err
 
 
+def test_cli_empty_vocabulary_is_data_error(tmp_path, capsys):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "bags.txt").write_text("\n\n\n\n")
+    (tmp_path / "vocab.txt").write_text("# no tokens\n")
+    rc = cli_main(["train", "--out", str(tmp_path / "run"),
+                   "--set", f"edge_path={tmp_path / 'edges.txt'}",
+                   "--set", f"bags_path={tmp_path / 'bags.txt'}",
+                   "--set", f"vocab_path={tmp_path / 'vocab.txt'}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "empty vocabulary" in err and "Traceback" not in err
+
+
 def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
     (tmp_path / "labels.txt").write_text("0\n1\n")
     bad = tmp_path / "assign.csv"
@@ -387,6 +417,14 @@ def test_cli_gen_sbm_train_eval_roundtrip(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "accuracy" in text and "nmi" in text
+
+
+def test_cli_gen_sbm_without_sbm_settings_is_data_error(tmp_path, capsys):
+    rc = cli_main(["gen-sbm", "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "SBM config incomplete" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
 
 
 def test_cli_sparse_eval(tmp_path, capsys):

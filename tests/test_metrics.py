@@ -73,6 +73,64 @@ def test_nmi_degenerate_single_cluster_zero():
     assert nmi(np.zeros(5, dtype=int), np.array([0, 0, 1, 1, 1])) == 0.0
 
 
+def ref_nmi(pred, truth):
+    """The per-pair loop `nmi` computed before it read the contingency
+    table."""
+    keep = truth >= 0
+    pred, truth = pred[keep], truth[keep]
+    n = pred.size
+
+    def entropy(labels):
+        _, counts = np.unique(labels, return_counts=True)
+        p = counts / n
+        return float(-(p * np.log(p)).sum())
+
+    h_p, h_t = entropy(pred), entropy(truth)
+    if h_p == 0.0 or h_t == 0.0:
+        return 0.0
+    mi = 0.0
+    for a in np.unique(pred):
+        for b in np.unique(truth):
+            joint = np.sum((pred == a) & (truth == b)) / n
+            if joint > 0:
+                pa = np.sum(pred == a) / n
+                pb = np.sum(truth == b) / n
+                mi += joint * np.log(joint / (pa * pb))
+    return float(mi / ((h_p + h_t) / 2.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nmi_bit_equal_to_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 400))
+        pred = rng.integers(0, rng.integers(1, 9), size=n)
+        truth = rng.integers(-1, rng.integers(1, 9), size=n)
+        truth[0] = max(truth[0], 0)  # at least one labeled node
+        assert nmi(pred, truth) == ref_nmi(pred, truth)
+
+
+def test_nmi_rejects_what_accuracy_rejects():
+    for pred, truth in (([0, 1], [0]), ([0, 1], [-1, -1]), ([-1, 0], [0, 1])):
+        with pytest.raises(DataError):
+            nmi(np.array(pred), np.array(truth))
+
+
+def test_metrics_report_json_bytes_match_hand_listed_dict():
+    import json
+    r = MetricsReport(seed=3, config={"K": 2, "tau": 0.5}, variant="x",
+                      accuracy=0.25, nmi=0.5, modularity=0.125,
+                      init_accuracy=0.75, wall_clock_s=1.5, error="e")
+    r.epoch_losses.append({"epoch": 0, "L1": 1.0, "L2": 0.1, "LCE": 0.2,
+                           "L": 1.3})
+    old = {"variant": r.variant, "seed": r.seed, "accuracy": r.accuracy,
+           "nmi": r.nmi, "modularity": r.modularity,
+           "init_accuracy": r.init_accuracy,
+           "wall_clock_s": r.wall_clock_s, "epoch_losses": r.epoch_losses,
+           "config": r.config, "error": r.error}
+    assert r.to_json() == json.dumps(old, indent=2, sort_keys=True)
+
+
 def test_metrics_report_json_roundtrip():
     import json
     r = MetricsReport(seed=3, config={"K": 2}, variant="baseline")
