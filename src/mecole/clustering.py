@@ -28,24 +28,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Assignment:
-    """Soft class-assignment matrix with a per-node relevance flag."""
+    """Soft class-assignment matrix with a per-node relevance flag.
+
+    `R` and `relevant` are read-only copies of what was passed in, so one
+    assignment can be shared (the ablation grid's init) without a holder
+    changing it under another.
+    """
 
     R: np.ndarray       # (n, K), rows on the simplex
     relevant: np.ndarray  # (n,) bool
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=np.float64)
+        R = np.array(self.R, dtype=np.float64)
         if R.ndim != 2 or R.shape[1] < 2:
             raise DataError("assignment matrix must be (n, K) with K >= 2")
         if np.any(R < -1e-9) or np.any(R > 1 + 1e-9):
             raise DataError("assignment entries must lie in [0, 1]")
         if not np.allclose(R.sum(axis=1), 1.0, atol=1e-6):
             raise DataError("assignment rows must sum to 1")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "relevant",
-                           np.asarray(self.relevant, dtype=bool))
-        if self.relevant.shape != (R.shape[0],):
+        relevant = np.array(self.relevant, dtype=bool)
+        if relevant.shape != (R.shape[0],):
             raise DataError("relevant flag must have one entry per node")
+        R.flags.writeable = False
+        relevant.flags.writeable = False
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "relevant", relevant)
 
     @property
     def n(self):
@@ -255,12 +262,25 @@ def _fit_logistic(X, y, steps=500, lr=0.5, l2=1e-4):
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
+    # z holds the logits, then p, then err = p - y, in place; the
+    # operations and their order are those of the plain expression
+    # 1 / (1 + exp(-clip(X w + b, -500, 500))) - y, so the bits are too
+    z = np.empty(n)
+    gw = np.empty(d)
     for _ in range(steps):
-        z = X @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        err = p - y
-        gw = X.T @ err / n + l2 * w
-        gb = err.mean()
+        np.matmul(X, w, out=z)
+        z += b
+        np.maximum(z, -500, out=z)
+        np.minimum(z, 500, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(1.0, z, out=z)
+        np.divide(1.0, z, out=z)
+        z -= y
+        np.matmul(X.T, z, out=gw)
+        gw /= n
+        gw += l2 * w
+        gb = np.add.reduce(z) / n
         w -= lr * gw
         b -= lr * gb
     return w, b

@@ -21,6 +21,7 @@ logger = logging.getLogger("mecole.graphs")
 __all__ = [
     "Graph",
     "GraphBundle",
+    "MAX_NODES",
     "AttributeBag",
     "SBMConfig",
     "load_edge_list",
@@ -249,6 +250,12 @@ def _data_lines(path):
             yield lineno, line
 
 
+# every per-node array is dense, so a node id is a memory size: the cap
+# turns a stray huge id into a data error, not a huge allocation or an
+# int64 overflow
+MAX_NODES = 2 ** 24
+
+
 def load_edge_list(path, n_hint=None):
     pairs = set()
     max_idx = -1
@@ -268,6 +275,9 @@ def load_edge_list(path, n_hint=None):
         pairs.add((min(u, v), max(u, v)))
     if not pairs:
         raise DataError(f"{path}: empty edge set")
+    if max_idx >= MAX_NODES:
+        raise DataError(f"{path}: node id {max_idx} above the limit of "
+                        f"{MAX_NODES - 1}")
     n = n_hint if n_hint is not None else max_idx + 1
     return Graph.from_pairs(n, pairs)
 
@@ -302,7 +312,10 @@ def load_labels(path):
             labels.append(int(line))
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer label")
-    return np.asarray(labels, dtype=np.int64)
+    try:
+        return np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: label outside the int64 range")
 
 
 def load_attribute_bags(path):

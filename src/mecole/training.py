@@ -68,7 +68,11 @@ def load_dataset(cfg: ExperimentConfig):
     if X is not None and cfg.knn_k > 0 and not cfg.drop_gx:
         aux["G_X"] = build_knn_similarity_graph(X, cfg.knn_k, cfg.eta_sim)
     bags = None
-    if cfg.bags_path and cfg.vocab_path:
+    if bool(cfg.bags_path) != bool(cfg.vocab_path):
+        only = "bags_path" if cfg.bags_path else "vocab_path"
+        raise DataError(f"{only} is set alone: the key-attribute channel "
+                        "needs both bags_path and vocab_path")
+    if cfg.bags_path:
         raw_bags = load_attribute_bags(cfg.bags_path)
         if len(raw_bags) != graph.n:
             raise DataError("attribute bag count does not match node count")
@@ -155,9 +159,21 @@ def _build_augment_batches(cfg, assignment, E, graph, rng):
     return batches
 
 
+def _init_settings(cfg: ExperimentConfig):
+    """`(K, init config, seed)`: what the modularity init reads of a
+    config. It also reads the primary graph and X, nothing else."""
+    return cfg.K, ModularityInitConfig(
+        epochs=cfg.init_epochs, lr=cfg.init_lr,
+        collapse_weight=cfg.collapse_weight, hidden=cfg.hidden), cfg.seed
+
+
 def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
-                 variant="baseline"):
-    """Execute the full iteration loop and return a MetricsReport."""
+                 variant="baseline", init=None):
+    """Execute the full iteration loop and return a MetricsReport.
+
+    `init`, when given, is the `Assignment` the modularity init of `cfg`
+    on `dataset` would train; the ablation grid passes one shared init.
+    """
     t0 = time.time()
     # separate streams so contrastive sampling cannot perturb the loss
     # trajectory of the reconstruction/discrepancy terms (alpha_ce = 0
@@ -170,10 +186,8 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
     graph = bundle.primary
 
     dim_o = 0 if cfg.no_decouple else cfg.dim_o
-    init_cfg = ModularityInitConfig(epochs=cfg.init_epochs, lr=cfg.init_lr,
-                                    collapse_weight=cfg.collapse_weight,
-                                    hidden=cfg.hidden)
-    assignment = init_assignments(bundle, X, cfg.K, init_cfg, cfg.seed)
+    assignment = init if init is not None else init_assignments(
+        bundle, X, *_init_settings(cfg))
     init_acc = None
     if labels is not None:
         init_acc = clustering_accuracy(assignment.hard, labels)
@@ -332,7 +346,14 @@ ABLATION_FLAGS = ("no_decouple", "neg_uniform", "mlp_predictor", "no_cl",
 
 
 def run_ablation_grid(cfg: ExperimentConfig):
-    """Baseline + one-flag variants + the discrepancy-metric grid."""
+    """Baseline + one-flag variants + the discrepancy-metric grid.
+
+    The cells share their inputs: the dataset is loaded once per
+    `(drop_gv, drop_gx)` and the modularity init trained once per
+    `_init_settings`, since no flag touches the primary graph, X or the
+    init. Only successes are kept, so a cell whose load or init fails records
+    the error and the next cell that needs it tries again.
+    """
     cells = [("baseline", cfg)]
     for flag in ABLATION_FLAGS:
         if flag == "drop_gv" and not cfg.aux_edge_path:
@@ -345,10 +366,20 @@ def run_ablation_grid(cfg: ExperimentConfig):
             continue
         cells.append((f"disc_{metric}", replace(cfg, disc_metric=metric)))
 
+    datasets, inits = {}, {}
     reports = []
     for name, cell_cfg in cells:
         try:
-            reports.append(run_training(cell_cfg, variant=name))
+            data_key = (cell_cfg.drop_gv, cell_cfg.drop_gx)
+            if data_key not in datasets:
+                datasets[data_key] = load_dataset(cell_cfg)
+            dataset = datasets[data_key]
+            init_key = _init_settings(cell_cfg)
+            if init_key not in inits:
+                inits[init_key] = init_assignments(
+                    dataset.bundle, dataset.X, *init_key)
+            reports.append(run_training(cell_cfg, dataset, variant=name,
+                                        init=inits[init_key]))
         except MecoleError as exc:
             logger.warning("ablation cell '%s' failed: %s", name, exc)
             failed = MetricsReport(seed=cell_cfg.seed,

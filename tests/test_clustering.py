@@ -5,8 +5,8 @@ import pytest
 
 from mecole import autodiff as ad
 from mecole.clustering import Assignment, ModularityInitConfig, \
-    init_assignments, modularity, modularity_init_loss, soft_modularity, \
-    update_assignments
+    _fit_logistic, init_assignments, modularity, modularity_init_loss, \
+    soft_modularity, update_assignments
 from mecole.decoupling import DecoupledEmbeddings
 from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, GraphBundle
@@ -97,6 +97,20 @@ def test_assignment_members_respects_relevance():
     a = Assignment(R=R, relevant=np.array([True, False, True]))
     assert a.members(0).tolist() == [0]
     assert a.members(0, relevant_only=False).tolist() == [0, 1]
+
+
+def test_assignment_arrays_are_read_only_copies():
+    R = np.array([[0.9, 0.1], [0.2, 0.8]])
+    relevant = np.array([True, False])
+    a = Assignment(R=R, relevant=relevant)
+    for arr in (a.R, a.relevant):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    # the caller's arrays stay writable and are not aliased
+    R[0] = [0.5, 0.5]
+    relevant[1] = True
+    assert a.R[0].tolist() == [0.9, 0.1] and a.relevant.tolist() == [
+        True, False]
 
 
 # init ----------------------------------------------------------------------
@@ -257,3 +271,44 @@ def test_update_never_touches_graph():
     from mecole.clustering import update_assignments as ua
     params = inspect.signature(ua).parameters
     assert "graph" not in params and "bundle" not in params
+
+
+def _fit_logistic_reference(X, y, steps=500, lr=0.5, l2=1e-4):
+    """The plain-expression form of the fit, one temporary per operation."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(steps):
+        z = X @ w + b
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        err = p - y
+        gw = X.T @ err / n + l2 * w
+        gb = err.mean()
+        w -= lr * gw
+        b -= lr * gb
+    return w, b
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_fit_logistic_matches_reference_bits(trial):
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(1, 200))
+    d = int(rng.integers(1, 20))
+    # scales up to 1e4 drive logits far beyond the +-500 clip
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4)
+    y = (rng.random(n) < 0.4).astype(np.float64)
+    steps = int(rng.integers(1, 60))
+    lr = float(rng.uniform(0.05, 2.0))
+    w, b = _fit_logistic(X, y, steps=steps, lr=lr)
+    w_ref, b_ref = _fit_logistic_reference(X, y, steps=steps, lr=lr)
+    assert w.tobytes() == w_ref.tobytes()
+    assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+
+
+def test_fit_logistic_clips_extreme_logits_like_reference():
+    X = np.array([[1e6, 0.0], [-1e6, 1.0], [3.0, -2.0]])
+    y = np.array([1.0, 0.0, 1.0])
+    w, b = _fit_logistic(X, y, steps=5)
+    w_ref, b_ref = _fit_logistic_reference(X, y, steps=5)
+    assert np.abs(X @ w_ref).max() > 500
+    assert w.tobytes() == w_ref.tobytes() and b == b_ref

@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mecole import training
+from mecole import graphs, training
 from mecole.cli import main as cli_main
 from mecole.config import ExperimentConfig, apply_overrides, \
     parse_config_file
@@ -190,6 +191,15 @@ def test_load_dataset_files_and_aux(tmp_path):
     assert dropped.bundle.auxiliary == {}
 
 
+@pytest.mark.parametrize("key", ["bags_path", "vocab_path"])
+def test_load_dataset_bags_or_vocab_alone_is_data_error(tmp_path, key):
+    (tmp_path / "bags.txt").write_text("".join(f"{i}\n" for i in range(30)))
+    np.savetxt(tmp_path / "vocab.txt", np.eye(30))
+    path = tmp_path / ("bags.txt" if key == "bags_path" else "vocab.txt")
+    with pytest.raises(DataError, match=f"{key} is set alone"):
+        load_dataset(fast_cfg(**{key: str(path)}))
+
+
 def test_load_dataset_label_count_mismatch(tmp_path):
     (tmp_path / "edges.txt").write_text("0 1\n")
     (tmp_path / "labels.txt").write_text("0\n")
@@ -276,6 +286,104 @@ def test_ablation_grid_variants():
     assert all(r.error is None for r in reports)
 
 
+@pytest.fixture
+def grid_files(tmp_path):
+    """A 2 x 15 planted partition on files, with an auxiliary edge list and
+    a k-NN channel, so every cell of the grid runs, `drop_gv` and `drop_gx`
+    included."""
+    sbm = dict(blocks=2, block_sizes=(15, 15), dep_dim=4, inv_dim=4,
+               noise_sigma=0.3)
+    graph, X, labels = graphs.generate_sbm(graphs.SBMConfig(
+        p_in=0.4, p_out=0.02, seed=3, **sbm))
+    aux, _, _ = graphs.generate_sbm(graphs.SBMConfig(
+        p_in=0.3, p_out=0.05, seed=4, **sbm))
+    for name, g in (("edges.txt", graph), ("aux.txt", aux)):
+        (tmp_path / name).write_text(
+            "".join(f"{u} {v}\n" for u, v, _ in g.edges))
+    np.savetxt(tmp_path / "features.csv", X, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "labels.txt", labels, fmt="%d")
+    return fast_cfg(edge_path=str(tmp_path / "edges.txt"),
+                    feature_path=str(tmp_path / "features.csv"),
+                    label_path=str(tmp_path / "labels.txt"),
+                    aux_edge_path=str(tmp_path / "aux.txt"), knn_k=2,
+                    epochs=4, init_epochs=30)
+
+
+GRID_CELLS = ["baseline", *ABLATION_FLAGS, "disc_l2", "disc_cosine",
+              "disc_l_inf"]
+
+
+def test_ablation_grid_cells_equal_standalone_runs(grid_files):
+    reports = run_ablation_grid(grid_files)
+    assert [r.variant for r in reports] == GRID_CELLS
+    for r in reports:
+        assert r.error is None, r.variant
+        alone = run_training(ExperimentConfig(**r.config), variant=r.variant)
+        assert r.epoch_losses == alone.epoch_losses, r.variant
+        for attr in ("accuracy", "nmi", "modularity", "init_accuracy"):
+            assert getattr(r, attr) == getattr(alone, attr), (r.variant,
+                                                              attr)
+        for arr in ("R", "relevant"):
+            assert getattr(r.final_assignment, arr).tobytes() == \
+                getattr(alone.final_assignment, arr).tobytes(), r.variant
+
+
+def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
+                                                             monkeypatch):
+    loads, inits = [], []
+    load, init = training.load_dataset, training.init_assignments
+
+    def counting_load(cfg):
+        loads.append((cfg.drop_gv, cfg.drop_gx))
+        return load(cfg)
+
+    def counting_init(*args):
+        out = init(*args)
+        inits.append((out, out.R.tobytes(), out.relevant.tobytes()))
+        return out
+
+    monkeypatch.setattr(training, "load_dataset", counting_load)
+    monkeypatch.setattr(training, "init_assignments", counting_init)
+    reports = run_ablation_grid(grid_files)
+    assert all(r.error is None for r in reports)
+    assert sorted(loads) == [(False, False), (False, True), (True, False)]
+    assert len(inits) == 1
+    shared, R_bytes, relevant_bytes = inits[0]
+    assert shared.R.tobytes() == R_bytes
+    assert shared.relevant.tobytes() == relevant_bytes
+
+
+def test_init_settings_track_the_init_only():
+    cfg = fast_cfg()
+    key = training._init_settings(cfg)
+    for change in (dict(K=3), dict(init_epochs=7), dict(init_lr=0.5),
+                   dict(collapse_weight=2.0), dict(hidden=8), dict(seed=1)):
+        assert training._init_settings(replace(cfg, **change)) != key, change
+    for flag in ABLATION_FLAGS:
+        assert training._init_settings(replace(cfg, **{flag: True})) == key
+    assert training._init_settings(replace(cfg, disc_metric="l2")) == key
+
+
+def test_ablation_grid_unreadable_aux_fails_all_but_drop_gv(grid_files,
+                                                            tmp_path,
+                                                            monkeypatch):
+    loads = []
+    load = training.load_dataset
+    monkeypatch.setattr(training, "load_dataset",
+                        lambda cfg: loads.append(cfg) or load(cfg))
+    cfg = replace(grid_files, aux_edge_path=str(tmp_path / "missing.txt"))
+    reports = {r.variant: r for r in run_ablation_grid(cfg)}
+    assert list(reports) == GRID_CELLS
+    # a failed load is not kept: every cell that needs it tries again
+    assert len(loads) == len(GRID_CELLS)
+    assert reports["drop_gv"].error is None
+    assert reports["drop_gv"].accuracy is not None
+    for name, r in reports.items():
+        if name != "drop_gv":
+            assert r.error is not None and "cannot read" in r.error, name
+            assert r.accuracy is None
+
+
 # CLI -------------------------------------------------------------------------------
 
 def sbm_args(out, extra=()):
@@ -358,6 +466,20 @@ def test_cli_missing_input_file_is_data_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert rc == 2
     assert "cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["bags_path", "vocab_path"])
+def test_cli_bags_or_vocab_alone_is_data_error(tmp_path, capsys, key):
+    (tmp_path / "bags.txt").write_text("".join(f"{i}\n" for i in range(30)))
+    np.savetxt(tmp_path / "vocab.txt", np.eye(30))
+    path = tmp_path / ("bags.txt" if key == "bags_path" else "vocab.txt")
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
+                                       extra=["--set", f"{key}={path}"]))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {key} is set alone" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_cli_empty_vocabulary_is_data_error(tmp_path, capsys):
