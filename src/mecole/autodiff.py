@@ -36,6 +36,7 @@ __all__ = [
     "clip",
     "take_rows",
     "take_cols",
+    "pair_dot",
     "concat",
     "softmax_rows",
     "softmax_array",
@@ -298,15 +299,18 @@ def clip(x, lo, hi):
 
 # structural --------------------------------------------------------
 
+def _incidence(idx, w, rows):
+    """`rows x len(idx)` matrix whose column j holds `w[j]` at row `idx[j]`.
+    Its product with a dense `m` adds `w[j] * m[j]` into row `idx[j]` in
+    ascending j, the order in which `np.add.at` adds them."""
+    return sp.csc_matrix((w, idx, np.arange(idx.size + 1)),
+                         shape=(rows, idx.size))
+
+
 def _scatter_rows(idx, g, rows):
-    """Row i of the result sums the rows j of `g` with `idx[j] == i`, added
-    in index order as `np.add.at` adds them: one product with a 0/1
-    matrix whose rows list their j ascending."""
-    order = np.argsort(idx, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=rows))))
-    scatter = sp.csr_matrix((np.ones(idx.size), order, indptr),
-                            shape=(rows, idx.size))
-    return scatter @ g
+    """Row i of the result sums the rows j of `g` with `idx[j] == i`, in
+    ascending j: one product with a 0/1 incidence matrix."""
+    return _incidence(idx, np.ones(idx.size), rows) @ g
 
 
 def take_rows(x, idx):
@@ -324,6 +328,22 @@ def take_cols(x, idx):
         return ((x, np.ascontiguousarray(
             _scatter_rows(idx, g.T, x.shape[1]).T)),)
     return _make(x.values[:, idx], (x,), bwd, "take_cols")
+
+
+def pair_dot(x, u, v):
+    """Row dots `x[u[j]] . x[v[j]]` as a column: one tape node with the
+    values and gradient bits of `tsum(mul(take_rows(x, u), take_rows(x,
+    v)), axis=1)`. Each side's gradient is one weighted incidence product,
+    the v side first as the composite adds them; no P x d gradient is
+    built."""
+    x = _as_tensor(x)
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+    xu, xv = x.values[u], x.values[v]
+    def bwd(g):
+        w, rows = g.ravel(), x.shape[0]
+        return ((x, _incidence(v, w, rows) @ xu),
+                (x, _incidence(u, w, rows) @ xv))
+    return _make((xu * xv).sum(axis=1, keepdims=True), (x,), bwd, "pair_dot")
 
 
 def concat(parts):

@@ -296,12 +296,11 @@ def contrastive_loss(batches, E, tau, include_positive_in_denominator=False):
 
     def scores(side):
         """s/tau of every batch's `side` nodes against its anchor, and the
-        batch of each row; one gather per side for all batches."""
+        batch of each row; one pair_dot per side for all batches."""
         parts = [getattr(b, side) for b in batches]
         batch = np.repeat(np.arange(len(batches)), [len(p) for p in parts])
-        pairs = ad.mul(ad.take_rows(E.H_d, np.concatenate(parts)),
-                       ad.take_rows(E.H_d, anchors[batch]))
-        return ad.div(ad.tsum(pairs, axis=1), tau), batch
+        dots = ad.pair_dot(E.H_d, np.concatenate(parts), anchors[batch])
+        return ad.div(dots, tau), batch
 
     s_neg, neg_batch = scores("negatives")
     s_pos, pos_batch = scores("positives")

@@ -134,11 +134,9 @@ def link_scores(E, pairs, mlp=None):
     u, v = pairs[:, 0], pairs[:, 1]
     if mlp is not None:
         return mlp.score(E, u, v)
-    hd_u, hd_v = ad.take_rows(E.H_d, u), ad.take_rows(E.H_d, v)
-    zd = ad.sigmoid(ad.tsum(ad.mul(hd_u, hd_v), axis=1))
+    zd = ad.sigmoid(ad.pair_dot(E.H_d, u, v))
     if E.ho.shape[1]:
-        ho_u, ho_v = ad.take_rows(E.H_o, u), ad.take_rows(E.H_o, v)
-        zo = ad.sigmoid(ad.tsum(ad.mul(ho_u, ho_v), axis=1))
+        zo = ad.sigmoid(ad.pair_dot(E.H_o, u, v))
     else:
         zo = ad.constant(np.full((len(pairs), 1), 0.5))
     return ad.mul(zd, zo)

@@ -14,8 +14,9 @@ __all__ = ["clustering_accuracy", "nmi", "MetricsReport"]
 
 
 def _contingency(pred, truth):
-    """k x k counts of (predicted, true) label pairs, pred along rows;
-    entries with truth == -1 are unlabeled and excluded."""
+    """Counts of (predicted, true) label pairs over the labels present,
+    pred along rows; entries with truth == -1 are unlabeled and
+    excluded."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
@@ -26,8 +27,12 @@ def _contingency(pred, truth):
         raise DataError("no labeled nodes to evaluate")
     if pred.min() < 0:
         raise DataError("predicted cluster ids must be >= 0")
-    k = int(max(pred.max(), truth.max())) + 1
-    return np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
+    # dense ids in label order: a monotone remap, so no score moves, and
+    # the table is sized by the labels present, not by the largest one
+    pred_ids, pred = np.unique(pred, return_inverse=True)
+    truth_ids, truth = np.unique(truth, return_inverse=True)
+    kp, kt = pred_ids.size, truth_ids.size
+    return np.bincount(pred * kt + truth, minlength=kp * kt).reshape(kp, kt)
 
 
 def clustering_accuracy(pred, truth):

@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mecole import autodiff as ad
+
+# When a hypothesis test fails, its pytest plugin imports this module to
+# write a patch, and the `libcst` import there raises a
+# DeprecationWarning. Under `filterwarnings = ["error"]` that ends the
+# session with an INTERNALERROR in place of the failure report. Imported
+# once here with that warning ignored, it is cached and warns no more.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no hypothesis, or no libcst
+        pass
 
 
 def finite_diff_check(build_loss, params, h=1e-5):

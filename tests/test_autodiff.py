@@ -289,13 +289,15 @@ def test_take_cols_and_concat_gradients(rng):
     assert finite_diff_check(loss, [a, b]) < 1e-4
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_take_gradients_bit_equal_to_add_at(seed):
+@pytest.mark.parametrize("case", [0, 1, 2, "empty", "one_row"])
+def test_take_gradients_bit_equal_to_add_at(case):
     # 300 picks of 80 rows (or columns): repeats, misses, and magnitudes
-    # far apart, so any other order of the sums would show in the bits
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, 80, size=300)
-    G = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-8, 9, (300, 1))
+    # far apart, so any other order of the sums would show in the bits;
+    # also no pick at all, and 300 picks of one row
+    rng = np.random.default_rng(case if isinstance(case, int) else 3)
+    size = 0 if case == "empty" else 300
+    idx = rng.integers(0, 1 if case == "one_row" else 80, size=size)
+    G = rng.normal(size=(size, 7)) * 10.0 ** rng.integers(-8, 9, (size, 1))
     x = ad.parameter(rng.normal(size=(80, 7)))
     ad.tsum(ad.mul(ad.take_rows(x, idx), ad.constant(G))).backward()
     want = np.zeros_like(x.values)
@@ -306,6 +308,56 @@ def test_take_gradients_bit_equal_to_add_at(seed):
     want = np.zeros_like(y.values)
     np.add.at(want, (slice(None), idx), G.T)
     assert y.grad.tobytes() == want.tobytes()
+
+
+def pair_dot_composite(x, u, v):
+    """What `pair_dot` replaced: two gathers, a product, a row sum."""
+    return ad.tsum(ad.mul(ad.take_rows(x, u), ad.take_rows(x, v)), axis=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("inner", [False, True])
+def test_pair_dot_bit_equal_to_composite(seed, inner):
+    # repeated indices, u == v pairs and magnitudes far apart; x also
+    # feeds a second consumer, and with `inner` it is itself an op
+    # output, so the order in which its gradients are summed shows
+    rng = np.random.default_rng(seed)
+    n, d, P = 40, 6, 500
+    u = rng.integers(0, n, size=P)
+    v = np.where(rng.random(P) < 0.2, u, rng.integers(0, n, size=P))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 5, (n, 1))
+    G = ad.constant(rng.normal(size=(P, 1)) * 10.0 ** rng.integers(-6, 7,
+                                                                   (P, 1)))
+    C = ad.constant(rng.normal(size=(n, d)))
+    runs = []
+    for score in (ad.pair_dot, pair_dot_composite):
+        w = ad.parameter(X)
+        x = ad.mul(ad.tanh(w), 3.0) if inner else w
+        s = score(x, u, v)
+        loss = ad.add(ad.tsum(ad.mul(s, G)), ad.tsum(ad.mul(x, C)))
+        loss.backward()
+        runs.append((s.values.tobytes(), loss.values.tobytes(),
+                     w.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_dot_matches_finite_differences(seed):
+    rng = np.random.default_rng(200 + seed)
+    a = ad.parameter(rng.normal(size=(5, 3)))
+    u, v = np.array([0, 2, 2, 4, 1, 3]), np.array([1, 2, 0, 4, 1, 2])
+
+    def loss():
+        return ad.tmean(ad.log(ad.add(ad.exp(ad.pair_dot(a, u, v)), 1.0)))
+
+    assert finite_diff_check(loss, [a]) < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_pair_dot_overflow_names_the_op():
+    x = ad.parameter([[1e200, 1.0], [1e200, 2.0]])
+    with pytest.raises(NumericError, match="'pair_dot'"):
+        ad.pair_dot(x, [0], [1])
 
 
 def test_binary_backward_computes_only_needed_gradients(rng):

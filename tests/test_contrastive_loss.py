@@ -117,4 +117,4 @@ def test_tape_size_does_not_grow_with_batches(monkeypatch, standard):
     sizes = [count_tensors(monkeypatch, lambda: contrastive_loss(
         all_batches[:k], E, 0.5, include_positive_in_denominator=standard))
         for k in (1, 50)]
-    assert sizes[0] == sizes[1] == (20 if standard else 18)
+    assert sizes[0] == sizes[1] == (14 if standard else 12)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mecole import metrics
 from mecole.errors import DataError
 from mecole.metrics import MetricsReport, clustering_accuracy, nmi
 
@@ -108,6 +109,40 @@ def test_nmi_bit_equal_to_pair_loop(seed):
         truth = rng.integers(-1, rng.integers(1, 9), size=n)
         truth[0] = max(truth[0], 0)  # at least one labeled node
         assert nmi(pred, truth) == ref_nmi(pred, truth)
+
+
+def square_contingency(pred, truth):
+    """The table before labels were remapped: (largest label + 1)^2."""
+    keep = truth >= 0
+    pred, truth = pred[keep], truth[keep]
+    k = int(max(pred.max(), truth.max())) + 1
+    return np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scores_bit_equal_to_square_table(monkeypatch, seed):
+    # sparse label sets with gaps, some unlabeled nodes
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        pred = rng.choice(rng.choice(40, size=rng.integers(1, 9),
+                                     replace=False), size=n)
+        truth = rng.choice(np.append(rng.choice(40, size=rng.integers(1, 9),
+                                                replace=False), -1), size=n)
+        truth[0] = max(truth[0], 0)  # at least one labeled node
+        cases.append((pred, truth))
+    remapped = [(clustering_accuracy(p, t), nmi(p, t)) for p, t in cases]
+    monkeypatch.setattr(metrics, "_contingency", square_contingency)
+    assert remapped == [(clustering_accuracy(p, t), nmi(p, t))
+                        for p, t in cases]
+
+
+def test_scores_of_a_huge_label_need_no_huge_table():
+    pred, truth = np.array([0, 1, 1]), np.array([0, 10**9, 10**9])
+    assert clustering_accuracy(pred, truth) == 1.0
+    assert nmi(pred, truth) == 1.0
+    assert metrics._contingency(pred, truth).shape == (2, 2)
 
 
 def test_nmi_rejects_what_accuracy_rejects():
