@@ -22,6 +22,7 @@ __all__ = [
     "soft_modularity",
     "init_assignments",
     "init_objective",
+    "modularity_init_loss",
     "update_assignments",
 ]
 
@@ -173,18 +174,19 @@ def init_assignments(bundle, X, K, cfg: ModularityInitConfig, seed):
     for _ in range(cfg.epochs):
         step()
         opt.step()
-    return Assignment(R=forward()[1], relevant=np.ones(n, dtype=bool))
+    return Assignment(R=forward(), relevant=np.ones(n, dtype=bool))
 
 
 def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
-    """The init's GCN, C = softmax(Â tanh(Â X W1) W2), off the tape.
+    """The init's GCN, C = softmax(Â (tanh(Â X W1) W2)), off the tape.
 
-    Returns `forward()` -> (Â H1, C) and `step()`, which sets `w1.grad`
-    and `w2.grad` to the gradient of `init_objective` at C. X=None means
-    identity features (Â W1 in place of Â X W1). The gradient is written
-    out by hand with the tape's NumPy operations in the tape's order, so it
-    equals what `backward()` would give, bit for bit. The n x hidden
-    buffers are allocated once, here.
+    Returns `forward()` -> C and `step()`, which sets `w1.grad` and
+    `w2.grad` to the gradient of `init_objective` at C. X=None means
+    identity features (Â W1 in place of Â X W1). W2 acts before Â, so the
+    output layer's sparse products are K columns wide, not hidden. The
+    gradient is written out by hand with the tape's NumPy operations in
+    the tape's order, so it equals what `backward()` would give, bit for
+    bit. The n x hidden buffers are allocated once, here.
     """
     A = graph.adjacency
     deg_row = graph.weighted_degrees[None, :]
@@ -194,7 +196,7 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
     # Â is symmetric only up to rounding on weighted graphs: keep Âᵀ
     a_hat_t = a_hat.T
     P = None if X is None else ad.spmm(a_hat, X).values
-    z1, h1, dtanh, g_q = (np.empty((n, w1.shape[1])) for _ in range(4))
+    z1, h1, g_h1 = (np.empty((n, w1.shape[1])) for _ in range(3))
     finite = np.empty(z1.shape, dtype=bool)
 
     def forward():
@@ -206,11 +208,10 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
         if not np.isfinite(z1, out=finite).all():
             raise NumericError("modularity init diverged (non-finite layer)")
         np.tanh(z1, out=h1)
-        q = a_hat @ h1
-        return q, ad.softmax_array(q @ w2.values)
+        return ad.softmax_array(a_hat @ (h1 @ w2.values))
 
     def step():
-        q, C = forward()
+        C = forward()
         ac = A @ C
         dc = deg_row @ C
         col = C.sum(axis=0, keepdims=True)
@@ -222,23 +223,21 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
             raise NumericError("modularity init diverged (non-finite loss)")
 
         # dL/dC: the collapse term, the degree term, then the two terms of
-        # tr(Cᵀ A C), added in the order the tape's backward adds them
+        # tr(Cᵀ A C), added in the order the tape's backward adds them (A
+        # is exactly symmetric, indices sorted: A @ Y has Aᵀ @ Y's bits)
         g_trace = -1.0 / two_m
         g_col = collapse_weight * collapse_scale * 0.5 / norm * col
         g_dc = -g_trace / two_m * dc
         g_c = g_col + g_col + deg_row.T @ (g_dc + g_dc)
         g_c += g_trace * ac
-        g_c += A.T @ (g_trace * C)
-        g_z2 = C * (g_c - (g_c * C).sum(axis=1, keepdims=True))
-        w2.grad = q.T @ g_z2
-        # one n x hidden temporary alive at a time: the allocator then
-        # reuses its block rather than handing it back to the OS and
-        # faulting it in again every epoch
-        del q
-        g_h1 = a_hat_t @ np.matmul(g_z2, w2.values.T, out=g_q)
-        np.multiply(h1, h1, out=dtanh)
-        np.subtract(1.0, dtanh, out=dtanh)
-        g_h1 *= dtanh
+        g_c += A @ (g_trace * C)
+        g_z2 = a_hat_t @ (C * (g_c - (g_c * C).sum(axis=1, keepdims=True)))
+        w2.grad = h1.T @ g_z2
+        np.matmul(g_z2, w2.values.T, out=g_h1)
+        # z1 is spent once h1 is taken: it holds tanh's derivative
+        np.multiply(h1, h1, out=z1)
+        np.subtract(1.0, z1, out=z1)
+        np.multiply(g_h1, z1, out=g_h1)
         w1.grad = (a_hat_t if P is None else P.T) @ g_h1
 
     return forward, step

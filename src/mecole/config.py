@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -86,29 +87,34 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ConfigError("K must be >= 2")
+        # a NaN fails no comparison below, so it would pass every range
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "float" in str(f.type) and value is not None \
+                    and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("eta", "tau", "lr", "init_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.alpha_ce < 0:
-            raise ConfigError("alpha_ce must be >= 0")
         for name in ("hidden", "per_class_anchors", "positives",
                      "negatives_m", "pool_factor", "virtual_per_anchor",
                      "assign_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("epochs", "dim_o", "knn_k", "assign_warmup"):
+        for name in ("alpha_ce", "disc_weight", "epochs", "dim_o", "knn_k",
+                     "assign_warmup"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("p_ce_start", "p_ce_end"):
+        for name in ("p_ce_start", "p_ce_end", "q_confidence"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
-        if not 0.0 < self.q_confidence <= 1.0:
-            raise ConfigError("q_confidence must lie in (0, 1]")
         if not -1.0 <= self.eta_sim <= 1.0:
             raise ConfigError("eta_sim must lie in [-1, 1]")
         if self.relevance_floor is None:
             self.relevance_floor = 1.2 / self.K
+        if not 0.0 <= self.relevance_floor <= 1.0:
+            raise ConfigError("relevance_floor must lie in [0, 1]")
 
     @property
     def uses_sbm(self):

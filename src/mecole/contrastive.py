@@ -22,6 +22,7 @@ __all__ = [
     "uniform_negatives",
     "sample_positives",
     "contrastive_loss",
+    "anchor_weights",
 ]
 
 

@@ -16,6 +16,8 @@ __all__ = [
     "DecoupledEncoder",
     "DISCREPANCY_METRICS",
     "predict_link",
+    "predict_links_against",
+    "MlpPredictor",
     "link_scores",
     "reconstruction_loss",
     "discrepancy_loss",

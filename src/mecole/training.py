@@ -26,7 +26,8 @@ from .metrics import MetricsReport, clustering_accuracy, nmi
 logger = logging.getLogger("mecole.training")
 
 __all__ = ["Dataset", "sbm_config", "load_dataset", "run_training",
-           "sparse_eval", "run_ablation_grid", "export_assignments"]
+           "sparse_eval", "run_ablation_grid", "export_assignments",
+           "write_report", "write_grid_csv"]
 
 
 @dataclass

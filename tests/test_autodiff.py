@@ -246,6 +246,33 @@ def test_softmax_array_bit_equal_to_inline_form(shape, scale):
     assert ad.softmax_rows(x).values.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 32, 64])
+def test_softmax_array_bit_equal_to_row_max_form(K):
+    """The row maxima taken down a transposed copy give the bits of
+    `x.max(axis=1)`, also with infinities, all -inf rows and NaNs."""
+    rng = np.random.default_rng(K)
+    x = rng.normal(scale=30.0, size=(2000, K))
+    x[1] = -np.inf
+    x[2, 0] = np.inf
+    x[3, -1] = -np.inf
+    x[4, K // 2] = np.nan
+    x[5] = 0.0
+    x[5, ::2] = -0.0
+    x[6] = np.nan
+    x[7, 0], x[7, -1] = np.inf, -np.inf
+    x[8, -1], x[8, 0] = np.inf, np.nan
+    x[9] = np.inf
+    x[10:20] = np.where(rng.random((10, K)) < 0.3, np.inf, x[10:20])
+    x[20:30] = np.where(rng.random((10, K)) < 0.3, -np.inf, x[20:30])
+    x[30:40] = np.where(rng.random((10, K)) < 0.3, np.nan, x[30:40])
+    with np.errstate(invalid="ignore"):
+        want = softmax_inline(x)
+        got = ad.softmax_array(x)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[1]).all() and np.isnan(got[6]).all()
+    assert ad.softmax_array(x[:0]).shape == (0, K)
+
+
 # the grad flag: ops on constants keep no tape ----------------------------
 
 def test_op_on_constants_keeps_no_tape(rng):
@@ -410,8 +437,10 @@ def gcn_layer(a_hat, h, w, activation="identity"):
     return ad.tanh(out) if activation == "tanh" else out
 
 
-def init_assignments_with_gcn_layer(graph, X, K, cfg, seed):
-    """`init_assignments` as written with `gcn_layer`; returns R."""
+def init_assignments_with_gcn_layer(graph, X, K, cfg, seed,
+                                    propagate_first=False):
+    """`init_assignments` as written with `gcn_layer`; returns R. The
+    output layer is `Â(H1 W2)`, or `(Â H1) W2` with `propagate_first`."""
     rng = np.random.default_rng(seed)
     a_hat = ad.normalize_adjacency(graph)
     glorot = glorot_closure(rng)
@@ -429,7 +458,9 @@ def init_assignments_with_gcn_layer(graph, X, K, cfg, seed):
             h1 = gcn_layer(a_hat, h0, w1, activation="tanh")
         else:
             h1 = ad.tanh(ad.spmm(a_hat, w1))
-        return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
+        if propagate_first:
+            return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
+        return ad.softmax_rows(ad.spmm(a_hat, ad.matmul(h1, w2)))
 
     for _ in range(cfg.epochs):
         opt.zero_grad()
@@ -543,6 +574,24 @@ def test_init_gcn_matches_gcn_layer_forward(with_x):
     got = init_assignments(weighted, X, 3, cfg, seed=5).R
     want = init_assignments_with_gcn_layer(weighted, X, 3, cfg, seed=5)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("with_x", [True, False])
+def test_init_gcn_close_to_propagating_first(with_x, weighted):
+    """`Â(H1 W2)` and `(Â H1) W2` are one product in two associations:
+    trained R differs only by rounding, with the same hard labels."""
+    graph, X, _ = sbm_graph(1)
+    if weighted:
+        graph = graph.with_weights(
+            np.random.default_rng(3).random(graph.num_edges) + 0.1)
+    X = X if with_x else None
+    cfg = ModularityInitConfig(epochs=100, hidden=16)
+    got = init_assignments(graph, X, 3, cfg, seed=5).R
+    want = init_assignments_with_gcn_layer(graph, X, 3, cfg, seed=5,
+                                           propagate_first=True)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
 @pytest.mark.parametrize("dim_o", [0, 3])

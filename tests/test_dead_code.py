@@ -1,5 +1,6 @@
 """Every name a mecole module imports, and its module-level `logger`, is
-read somewhere in that module."""
+read somewhere in that module; a module's `__all__` lists exactly its
+public top-level functions and classes, plus names it binds."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,45 @@ def test_check_flags_unread_import_and_logger():
     source = ("import logging\nimport os\nfrom x import a, b as c\n"
               "logger = logging.getLogger('m')\nprint(os.sep, c)\n")
     assert unread_names(source) == [(3, "a"), (4, "logger")]
+
+
+def export_mismatches(source):
+    """(names in `__all__` the module never binds, public top-level defs
+    and classes missing from `__all__`); a module without `__all__`
+    exports every public name, so it has neither."""
+    tree = ast.parse(source)
+    listed, bound, public = None, set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        listed = ast.literal_eval(node.value)
+    if listed is None:
+        return [], []
+    return ([name for name in listed if name not in bound],
+            [name for name in public if name not in listed])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_matches_public_defs(path):
+    assert export_mismatches(path.read_text(encoding="utf-8")) == ([], [])
+
+
+def test_check_flags_missing_and_unlisted_exports():
+    source = ("from x import y\n__all__ = ['f', 'LIMIT', 'y', 'gone']\n"
+              "LIMIT = 3\ndef f(): pass\ndef g(): pass\n"
+              "def _h(): pass\nclass C: pass\n")
+    assert export_mismatches(source) == (["gone"], ["g", "C"])
+    assert export_mismatches("def g(): pass\n") == ([], [])

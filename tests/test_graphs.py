@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mecole.clustering import Assignment
 from mecole.errors import ConfigError, DataError
@@ -108,6 +110,73 @@ def test_adjacency_symmetry_exhaustive(rng):
     dense = g.adjacency.toarray()
     assert np.array_equal(dense, dense.T)
     assert g.degrees.sum() == 2 * g.num_edges
+
+
+def assert_exactly_symmetric(graph):
+    """What the modularity init's gradient relies on to use `A @ Y` for
+    `Aᵀ @ Y`: equal entries, sorted indices, so both products add the
+    same terms in the same order."""
+    A = graph.adjacency
+    assert (A != A.T).nnz == 0
+    assert A.has_canonical_format
+    rng = np.random.default_rng(graph.num_edges)
+    # magnitudes far apart, so a change of summation order shows
+    Y = rng.normal(size=(graph.n, 3)) * 10.0 ** rng.uniform(
+        -8, 8, size=(graph.n, 1))
+    assert (A @ Y).tobytes() == (A.T @ Y).tobytes()
+
+
+@st.composite
+def weighted_edge_lists(draw):
+    n = draw(st.integers(2, 30))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]),
+        min_size=1, max_size=80, unique_by=lambda p: (min(p), max(p))))
+    weights = draw(st.lists(st.floats(0.0, 1e6), min_size=len(pairs),
+                            max_size=len(pairs)))
+    return n, pairs, weights
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=weighted_edge_lists(), data=st.data())
+def test_adjacency_exactly_symmetric_from_every_builder(tmp_path, edges,
+                                                        data):
+    n, pairs, weights = edges
+    g = Graph.from_pairs(n, pairs)
+    assert_exactly_symmetric(g)
+    assert_exactly_symmetric(Graph(n, [(u, v, w) for (u, v), w in
+                                       zip(pairs, weights)]))
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+    assert_exactly_symmetric(load_edge_list(str(path)))
+    weighted = g.with_weights(weights)
+    assert_exactly_symmetric(weighted)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
+    assert_exactly_symmetric(weighted.keep_edges(np.array(mask, dtype=bool)))
+    keep = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    assert_exactly_symmetric(weighted.subgraph(keep))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 15), min_size=1, max_size=4),
+       p_in=st.floats(0.0, 1.0), ratio=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sbm_adjacency_exactly_symmetric(sizes, p_in, ratio, seed):
+    graph, _, _ = generate_sbm(SBMConfig(
+        blocks=len(sizes), block_sizes=tuple(sizes), p_in=p_in,
+        p_out=p_in * ratio, seed=seed))
+    assert_exactly_symmetric(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=arrays(np.float64, st.tuples(st.integers(2, 25), st.integers(1, 5)),
+                elements=st.floats(-100.0, 100.0, allow_subnormal=False)),
+       k=st.integers(1, 6), eta_sim=st.floats(-1.0, 1.0))
+def test_knn_adjacency_exactly_symmetric(X, k, eta_sim):
+    assert_exactly_symmetric(build_knn_similarity_graph(X, k, eta_sim))
 
 
 def test_bundle_node_space_mismatch():

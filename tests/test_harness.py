@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -439,6 +439,43 @@ def test_cli_negative_sbm_setting_is_config_error(tmp_path, capsys, key):
     assert "config error" in err and "must be >= 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
+              if "float" in str(f.type)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_cli_non_finite_setting_is_config_error(tmp_path, capsys, key,
+                                                value):
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
+                                       extra=["--set", f"{key}={value}"]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key} must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("item, message", [
+    ("disc_weight=-1", "disc_weight must be >= 0"),
+    ("relevance_floor=1.5", "relevance_floor must lie in [0, 1]"),
+    ("relevance_floor=-0.1", "relevance_floor must lie in [0, 1]"),
+])
+def test_cli_out_of_range_setting_is_config_error(tmp_path, capsys, item,
+                                                  message):
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run",
+                                       extra=["--set", item]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_config_bounds_are_inclusive():
+    for floor in (0.0, 1.0):
+        assert ExperimentConfig(relevance_floor=floor).relevance_floor == floor
+    assert ExperimentConfig(disc_weight=0.0).disc_weight == 0.0
 
 
 def test_cli_exit_code_data_error(tmp_path, capsys):
