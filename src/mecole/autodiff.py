@@ -415,11 +415,9 @@ def row_norm2(x):
 
 # GCN building blocks -----------------------------------------------
 
-def normalize_adjacency(graph_or_adj):
+def normalize_adjacency(graph):
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-    adj = graph_or_adj if sp.issparse(graph_or_adj) else graph_or_adj.adjacency
-    n = adj.shape[0]
-    a_hat = sp.csr_matrix(adj, dtype=np.float64) + sp.identity(n, format="csr")
+    a_hat = graph.adjacency + sp.identity(graph.n, format="csr")
     deg = np.asarray(a_hat.sum(axis=1)).ravel()
     d_inv_sqrt = 1.0 / np.sqrt(deg)
     d_mat = sp.diags(d_inv_sqrt)

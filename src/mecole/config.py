@@ -98,11 +98,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0")
         for name in ("hidden", "per_class_anchors", "positives",
                      "negatives_m", "pool_factor", "virtual_per_anchor",
-                     "assign_every"):
+                     "assign_every", "init_epochs", "neg_ratio", "dim_d",
+                     "disc_pairs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("alpha_ce", "disc_weight", "epochs", "dim_o", "knn_k",
-                     "assign_warmup"):
+                     "assign_warmup", "collapse_weight", "sbm_confound"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("p_ce_start", "p_ce_end", "q_confidence"):

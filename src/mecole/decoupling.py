@@ -136,12 +136,9 @@ def link_scores(E, pairs, mlp=None):
     u, v = pairs[:, 0], pairs[:, 1]
     if mlp is not None:
         return mlp.score(E, u, v)
-    zd = ad.sigmoid(ad.pair_dot(E.H_d, u, v))
-    if E.ho.shape[1]:
-        zo = ad.sigmoid(ad.pair_dot(E.H_o, u, v))
-    else:
-        zo = ad.constant(np.full((len(pairs), 1), 0.5))
-    return ad.mul(zd, zo)
+    # a zero-width H_o (no_decouple) scores sigmoid(0) = 0.5 exactly
+    return ad.mul(ad.sigmoid(ad.pair_dot(E.H_d, u, v)),
+                  ad.sigmoid(ad.pair_dot(E.H_o, u, v)))
 
 
 class MlpPredictor:
@@ -159,10 +156,8 @@ class MlpPredictor:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def score(self, E, u, v):
-        cols = [ad.take_rows(E.H_d, u), ad.take_rows(E.H_d, v)]
-        if E.ho.shape[1]:
-            cols += [ad.take_rows(E.H_o, u), ad.take_rows(E.H_o, v)]
-        feat = ad.concat(cols)
+        feat = ad.concat([ad.take_rows(E.H_d, u), ad.take_rows(E.H_d, v),
+                          ad.take_rows(E.H_o, u), ad.take_rows(E.H_o, v)])
         h = ad.tanh(ad.add(ad.matmul(feat, self.w1), self.b1))
         return ad.sigmoid(ad.add(ad.matmul(h, self.w2), self.b2))
 

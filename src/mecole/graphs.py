@@ -39,21 +39,52 @@ __all__ = [
 class Graph:
     """Immutable sparse undirected graph with optional edge weights.
 
-    Each edge is stored once: endpoint arrays `u < v`, sorted by `(u, v)`,
-    with weights `w`. `adjacency` is the symmetric CSR matrix built from
-    them. Graphs derived from a validated one (`with_weights`, `subgraph`,
-    `keep_edges`) reuse its arrays without re-sorting or re-validating.
+    Each edge is stored once: int64 endpoint arrays `u < v`, sorted by
+    `(u, v)` without repeats, with float64 weights `w`. `adjacency` is the
+    symmetric CSR matrix built from them. `Graph(n, u, v, w)` is the one
+    constructor and takes the arrays in that canonical form only, checked
+    in O(E); `from_arrays` and `from_pairs` orient and sort any edge list
+    first, and derived graphs (`with_weights`, `keep_edges`, `subgraph`)
+    pass their arrays straight to it.
     """
 
     __slots__ = ("n", "u", "v", "w", "adjacency")
 
-    def __init__(self, n, edges):
-        """`edges`: (u, v, w) triples in any order and orientation."""
-        edges = list(edges)
-        self._set(int(n), *_canonical_edges(
-            n, np.array([e[0] for e in edges], dtype=np.int64),
-            np.array([e[1] for e in edges], dtype=np.int64),
-            np.array([e[2] for e in edges], dtype=np.float64)))
+    def __init__(self, n, u, v, w):
+        """Graph on canonical edge arrays, which become read-only; any
+        other arrays are a `DataError`."""
+        n = int(n)
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if not u.shape == v.shape == w.shape == (len(u),):
+            raise DataError("edge arrays differ in length")
+        loop = np.flatnonzero(u == v)
+        if loop.size:
+            i = u[loop[0]]
+            raise DataError(f"self-loop ({i},{i}) in edge list")
+        bad = np.flatnonzero((u < 0) | (v >= n))
+        if bad.size:
+            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) out of range "
+                            f"for n={n}")
+        bad = np.flatnonzero(u > v)
+        if bad.size:
+            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) not stored "
+                            "as u < v")
+        du, dv = np.diff(u), np.diff(v)
+        bad = np.flatnonzero((du < 0) | ((du == 0) & (dv <= 0)))
+        if bad.size:
+            i = bad[0]
+            what = "duplicate edge" if du[i] == dv[i] == 0 else \
+                "edge out of (u, v) order:"
+            raise DataError(f"{what} ({u[i + 1]},{v[i + 1]})")
+        for arr in (u, v, w):
+            arr.flags.writeable = False
+        self.n = n
+        self.u, self.v, self.w = u, v, w
+        self.adjacency = sp.csr_matrix(
+            (np.concatenate([w, w]),
+             (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
 
     @classmethod
     def from_arrays(cls, n, u, v, w=None):
@@ -65,33 +96,15 @@ class Graph:
             np.asarray(w, dtype=np.float64).reshape(-1)
         if not len(u) == len(v) == len(w):
             raise DataError("edge arrays differ in length")
-        return cls._trusted(int(n), *_canonical_edges(n, u, v, w))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))
+        return cls(n, lo[order], hi[order], w[order])
 
     @classmethod
     def from_pairs(cls, n, pairs, weight=1.0):
         pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
         return cls.from_arrays(n, pairs[:, 0], pairs[:, 1],
                                np.full(len(pairs), float(weight)))
-
-    @classmethod
-    def _trusted(cls, n, u, v, w):
-        """Graph on arrays that are already canonical and valid."""
-        g = cls.__new__(cls)
-        g._set(n, u, v, w)
-        return g
-
-    def _set(self, n, u, v, w):
-        for arr in (u, v, w):
-            arr.flags.writeable = False
-        self.n = n
-        self.u, self.v, self.w = u, v, w
-        if len(u):
-            rows = np.concatenate([u, v])
-            cols = np.concatenate([v, u])
-            data = np.concatenate([w, w])
-            self.adjacency = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        else:
-            self.adjacency = sp.csr_matrix((n, n), dtype=np.float64)
 
     @property
     def edges(self):
@@ -125,15 +138,12 @@ class Graph:
 
     def with_weights(self, weights):
         """Same topology with new per-edge weights (in edge order)."""
-        w = np.array(weights, dtype=np.float64)
-        if w.shape != self.w.shape:
-            raise DataError("weight count does not match edge count")
-        return Graph._trusted(self.n, self.u, self.v, w)
+        return Graph(self.n, self.u, self.v,
+                     np.array(weights, dtype=np.float64))
 
     def keep_edges(self, mask):
         """Same nodes with only the edges where boolean `mask` holds."""
-        return Graph._trusted(self.n, self.u[mask], self.v[mask],
-                              self.w[mask])
+        return Graph(self.n, self.u[mask], self.v[mask], self.w[mask])
 
     def subgraph(self, keep):
         """Induced subgraph on sorted node ids `keep`, reindexed densely."""
@@ -143,27 +153,7 @@ class Graph:
         u, v = remap[self.u], remap[self.v]
         inside = (u >= 0) & (v >= 0)
         # the remap is increasing, so the kept edges stay canonical
-        return Graph._trusted(len(keep), u[inside], v[inside],
-                              self.w[inside])
-
-
-def _canonical_edges(n, u, v, w):
-    """Validate endpoint arrays; return them as u < v sorted by (u, v)."""
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    loop = np.flatnonzero(lo == hi)
-    if loop.size:
-        i = lo[loop[0]]
-        raise DataError(f"self-loop ({i},{i}) in edge list")
-    bad = np.flatnonzero((lo < 0) | (hi >= n))
-    if bad.size:
-        raise DataError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range "
-                        f"for n={n}")
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
-    if dup.size:
-        raise DataError(f"duplicate edge ({lo[dup[0]]},{hi[dup[0]]})")
-    return lo, hi, w
+        return Graph(len(keep), u[inside], v[inside], self.w[inside])
 
 
 @dataclass(frozen=True)
@@ -350,7 +340,7 @@ def build_knn_similarity_graph(X, k, eta_sim):
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k == 0 or n < 2:
-        return Graph(n, [])
+        return Graph.from_arrays(n, [], [])
     norms = np.linalg.norm(X, axis=1)
     zero_rows = int((norms == 0).sum())
     if zero_rows:

@@ -367,6 +367,8 @@ def run_ablation_grid(cfg: ExperimentConfig):
             continue
         cells.append((f"disc_{metric}", replace(cfg, disc_metric=metric)))
 
+    if cfg.uses_sbm:
+        sbm_config(cfg)  # a bad synthetic config fails the run, not each cell
     datasets, inits = {}, {}
     reports = []
     for name, cell_cfg in cells:

@@ -110,7 +110,7 @@ def test_spmm_gradient():
 # normalize_adjacency -------------------------------------------------
 
 def test_normalize_isolated_node():
-    g = Graph(1, [])
+    g = Graph.from_pairs(1, [])
     a_hat = ad.normalize_adjacency(g)
     assert np.allclose(a_hat.toarray(), [[1.0]])
 

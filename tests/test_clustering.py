@@ -82,7 +82,7 @@ def test_soft_modularity_bounded_by_best_hard_on_4clique(rng):
 
 def test_modularity_empty_graph_errors():
     with pytest.raises(DataError):
-        modularity(Graph(3, []), np.zeros(3, dtype=int))
+        modularity(Graph.from_pairs(3, []), np.zeros(3, dtype=int))
 
 
 # assignment container -----------------------------------------------------

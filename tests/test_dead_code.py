@@ -1,6 +1,7 @@
 """Every name a mecole module imports, and its module-level `logger`, is
 read somewhere in that module; a module's `__all__` lists exactly its
-public top-level functions and classes, plus names it binds."""
+public top-level functions and classes, plus names it binds; every private
+top-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,47 @@ def test_check_flags_missing_and_unlisted_exports():
               "def _h(): pass\nclass C: pass\n")
     assert export_mismatches(source) == (["gone"], ["g", "C"])
     assert export_mismatches("def g(): pass\n") == ([], [])
+
+
+def unreferenced_private_names(sources):
+    """(module, name) of each private top-level function, class and
+    `_NAME` binding in `sources` (module name -> source) that no module
+    reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_private_names_are_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in Path(mecole.__file__).parent.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_check_flags_unreferenced_private_names():
+    sources = {
+        "a.py": ("__all__ = []\n_LIMIT = 3\n_SPARE = 4\n"
+                 "def _used(): return _LIMIT\ndef _dead(): pass\n"
+                 "class _Kept: pass\nclass _Gone: pass\n"),
+        "b.py": "from . import a\nprint(a._used(), a._Kept)\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", "_SPARE"), ("a.py", "_dead"), ("a.py", "_Gone")]

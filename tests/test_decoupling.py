@@ -62,6 +62,26 @@ def test_predict_link_symmetry_and_factorization(rng):
             assert abs(z_uv - zd * zo) < 1e-12
 
 
+def test_undecoupled_link_scores_match_constant_half(rng):
+    """With a zero-width H_o (no_decouple) the general path scores
+    sigmoid(0) = 0.5 for Z_o, bit for bit the constant it replaced, and
+    the H_d gradient through the scores is the same."""
+    n, P = 40, 300
+    pairs = rng.integers(0, n, size=(P, 2))
+    weights = ad.constant(rng.normal(size=(P, 1)))
+    hd = rng.normal(size=(n, 6))
+    old = ad.parameter(hd.copy())
+    z_old = ad.mul(ad.sigmoid(ad.pair_dot(old, pairs[:, 0], pairs[:, 1])),
+                   ad.constant(np.full((P, 1), 0.5)))
+    ad.tsum(ad.mul(z_old, weights)).backward()
+    E = DecoupledEmbeddings(ad.parameter(hd.copy()),
+                            ad.constant(np.zeros((n, 0))))
+    z_new = dc.link_scores(E, pairs)
+    ad.tsum(ad.mul(z_new, weights)).backward()
+    assert z_new.values.tobytes() == z_old.values.tobytes()
+    assert E.H_d.grad.tobytes() == old.grad.tobytes()
+
+
 # reconstruction loss ---------------------------------------------------
 
 def test_reconstruction_perfect_predictor():

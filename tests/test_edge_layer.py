@@ -89,6 +89,13 @@ edge_lists = st.integers(1, 12).flatmap(lambda n: st.tuples(
                        st.floats(0.1, 10.0)), max_size=40)))
 
 
+def graph_of(n, edges):
+    """`Graph.from_arrays` on (u, v, w) triples in any order and
+    orientation."""
+    return Graph.from_arrays(n, [e[0] for e in edges], [e[1] for e in edges],
+                             [e[2] for e in edges])
+
+
 def _clean(edges):
     """Drop self-loops and repeated pairs (either orientation)."""
     seen, out = set(), []
@@ -105,7 +112,7 @@ def _clean(edges):
 def test_graph_matches_tuple_view(case):
     n, raw = case
     edges = _clean(raw)
-    g = Graph(n, edges)
+    g = graph_of(n, edges)
     assert g.edges == reference_edges(edges)
     assert g.num_edges == len(edges)
     assert g.degrees.sum() == 2 * g.num_edges
@@ -113,9 +120,9 @@ def test_graph_matches_tuple_view(case):
     dense = g.adjacency.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.all(g.u < g.v)
-    same = Graph.from_arrays(n, [e[0] for e in edges], [e[1] for e in edges],
-                             [e[2] for e in edges])
+    same = Graph(n, g.u, g.v, g.w)  # canonical arrays pass the checks
     assert same.edges == g.edges
+    assert_same_csr(same.adjacency, g.adjacency)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,25 +146,25 @@ def test_graph_rejects_bad_edge_lists(case, data):
     pos = data.draw(st.integers(0, len(edges) - 1))
     edges.insert(pos, edges.pop())
     with pytest.raises(DataError):
-        Graph(n, edges)
+        graph_of(n, edges)
 
 
 def test_derived_graphs_match_rebuilds(rng):
     g = random_graph(30, 80, 1)
     w = rng.uniform(0.5, 2.0, size=g.num_edges)
-    rebuilt = Graph(g.n, [(u, v, x) for (u, v, _), x in zip(g.edges, w)])
+    rebuilt = graph_of(g.n, [(u, v, x) for (u, v, _), x in zip(g.edges, w)])
     assert g.with_weights(w).edges == rebuilt.edges
     assert_same_csr(g.with_weights(w).adjacency, rebuilt.adjacency)
 
     keep = rng.random(g.num_edges) < 0.5
-    kept = Graph(g.n, [e for e, k in zip(g.edges, keep) if k])
+    kept = graph_of(g.n, [e for e, k in zip(g.edges, keep) if k])
     assert g.keep_edges(keep).edges == kept.edges
     assert_same_csr(g.keep_edges(keep).adjacency, kept.adjacency)
 
     nodes = sorted(rng.choice(30, size=18, replace=False).tolist())
     remap = {old: new for new, old in enumerate(nodes)}
-    sub = Graph(18, [(remap[u], remap[v], x) for u, v, x in g.edges
-                     if u in remap and v in remap])
+    sub = graph_of(18, [(remap[u], remap[v], x) for u, v, x in g.edges
+                        if u in remap and v in remap])
     assert g.subgraph(nodes).edges == sub.edges
     assert_same_csr(g.subgraph(nodes).adjacency, sub.adjacency)
 

@@ -103,6 +103,63 @@ def test_graph_rejects_self_loops():
         Graph.from_pairs(2, [(0, 0)])
 
 
+@pytest.mark.parametrize("u, v, message", [
+    ([1], [0], r"edge \(1,0\) not stored as u < v"),
+    ([0, 0], [2, 1], r"edge out of \(u, v\) order: \(0,1\)"),
+    ([1, 0], [2, 1], r"edge out of \(u, v\) order: \(0,1\)"),
+    ([0, 0], [1, 1], r"duplicate edge \(0,1\)"),
+    ([0, 1], [1, 1], r"self-loop \(1,1\)"),
+    ([0, 1], [1, 3], r"edge \(1,3\) out of range for n=3"),
+    ([-1, 0], [0, 1], r"edge \(-1,0\) out of range for n=3"),
+    # several faults: self-loop, then out of range, then duplicate
+    ([0, 0, 2, 2], [1, 1, 2, 5], r"self-loop \(2,2\)"),
+    ([0, 0, 1], [1, 1, 7], r"edge \(1,7\) out of range"),
+    ([0], [1, 2], "differ in length"),
+])
+def test_graph_constructor_rejects_non_canonical_arrays(u, v, message):
+    with pytest.raises(DataError, match=message):
+        Graph(3, np.array(u), np.array(v), np.ones(len(u)))
+
+
+def test_graph_constructor_takes_canonical_arrays():
+    g = Graph(4, np.array([0, 0, 2]), np.array([1, 3, 3]),
+              np.array([1.0, 2.0, 3.0]))
+    assert g.edges == ((0, 1, 1.0), (0, 3, 2.0), (2, 3, 3.0))
+    assert g.edges == Graph.from_arrays(4, [3, 1, 2], [0, 0, 3],
+                                        [2.0, 1.0, 3.0]).edges
+    assert Graph(2, [], [], []).adjacency.nnz == 0
+
+
+def test_every_graph_is_built_by_the_constructor(tmp_path, monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    g = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    path = write(tmp_path, "e.txt", "0 1\n1 2\n")
+    X = np.eye(4) + 0.1
+    builders = {
+        "from_arrays": lambda: Graph.from_arrays(3, [0], [1]),
+        "from_pairs": lambda: Graph.from_pairs(3, [(0, 1)]),
+        "with_weights": lambda: g.with_weights([1.0, 2.0, 3.0]),
+        "keep_edges": lambda: g.keep_edges(np.array([True, False, True])),
+        "subgraph": lambda: g.subgraph([0, 1, 3]),
+        "load_edge_list": lambda: load_edge_list(path),
+        "generate_sbm": lambda: generate_sbm(SBMConfig(
+            blocks=2, block_sizes=(5, 5), p_in=0.5, p_out=0.1)),
+        "knn": lambda: build_knn_similarity_graph(X, 2, 0.0),
+        "knn_empty": lambda: build_knn_similarity_graph(X, 0, 0.0),
+    }
+    for name, build in builders.items():
+        built.clear()
+        build()
+        assert len(built) == 1, name
+
+
 def test_adjacency_symmetry_exhaustive(rng):
     pairs = {(int(min(u, v)), int(max(u, v)))
              for u, v in rng.integers(0, 200, size=(500, 2)) if u != v}
@@ -146,8 +203,8 @@ def test_adjacency_exactly_symmetric_from_every_builder(tmp_path, edges,
     n, pairs, weights = edges
     g = Graph.from_pairs(n, pairs)
     assert_exactly_symmetric(g)
-    assert_exactly_symmetric(Graph(n, [(u, v, w) for (u, v), w in
-                                       zip(pairs, weights)]))
+    u, v = np.array(pairs).T
+    assert_exactly_symmetric(Graph.from_arrays(n, u, v, weights))
     path = tmp_path / "edges.txt"
     path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
     assert_exactly_symmetric(load_edge_list(str(path)))

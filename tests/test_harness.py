@@ -416,7 +416,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 COUNT_FLOORS = {"negatives_m": 1, "pool_factor": 1, "positives": 1,
                 "virtual_per_anchor": 1, "per_class_anchors": 1,
                 "assign_every": 1, "hidden": 1, "epochs": 0, "dim_o": 0,
-                "knn_k": 0, "assign_warmup": 0}
+                "knn_k": 0, "assign_warmup": 0, "init_epochs": 1,
+                "neg_ratio": 1, "dim_d": 1, "disc_pairs": 1}
 
 
 @pytest.mark.parametrize("key", list(COUNT_FLOORS))
@@ -428,6 +429,34 @@ def test_cli_count_below_one_is_config_error(tmp_path, capsys, key):
     assert rc == 1
     assert f"{key} must be >= {floor}" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("key", ["init_epochs", "neg_ratio", "dim_d",
+                                 "disc_pairs"])
+def test_cli_ablate_count_below_one_is_config_error(tmp_path, capsys, key):
+    rc = cli_main(["ablate"] + sbm_args(tmp_path / "grid",
+                                        extra=["--set", f"{key}=0"]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key} must be >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "grid" / "ablation.csv").exists()
+
+
+@pytest.mark.parametrize("sets, code, message", [
+    ([], 2, "SBM config incomplete"),
+    (["sbm_blocks=2", "sbm_block_size=15", "sbm_dep_dim=1"], 1,
+     "dep_dim must be >= number of blocks"),
+])
+def test_cli_ablate_bad_sbm_config_fails_the_run(tmp_path, capsys, sets,
+                                                 code, message):
+    argv = ["ablate", "--out", str(tmp_path / "grid")]
+    for item in sets:
+        argv += ["--set", item]
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()
 
 
 @pytest.mark.parametrize("key", ["sbm_inv_dim", "sbm_noise_sigma"])
@@ -459,6 +488,8 @@ def test_cli_non_finite_setting_is_config_error(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("item, message", [
     ("disc_weight=-1", "disc_weight must be >= 0"),
+    ("collapse_weight=-1", "collapse_weight must be >= 0"),
+    ("sbm_confound=-2", "sbm_confound must be >= 0"),
     ("relevance_floor=1.5", "relevance_floor must lie in [0, 1]"),
     ("relevance_floor=-0.1", "relevance_floor must lie in [0, 1]"),
 ])
