@@ -1,5 +1,5 @@
-"""Cluster assignments: modularity-regularized GCN init and per-class
-logistic-regression updates on class-dependent features.
+"""Cluster assignments: modularity-regularized GCN init and one-vs-rest
+logistic-probe updates on class-dependent features.
 
 The iterative updater deliberately never sees the graph; only the init
 stage optimizes a modularity objective.
@@ -147,14 +147,13 @@ def init_objective(graph, C, collapse_weight):
     return ad.add(ad.mul(q_soft, -1.0), ad.mul(collapse, collapse_weight))
 
 
-def init_assignments(bundle, X, K, cfg: ModularityInitConfig, seed):
+def init_assignments(graph, X, K, cfg: ModularityInitConfig, seed):
     """Soft assignments from a GCN trained on soft modularity plus a
     collapse regularizer; all nodes start relevant.
 
     With X=None the first layer acts on implicit identity features, i.e.
     a free per-node embedding propagated through the adjacency.
     """
-    graph = bundle.primary if hasattr(bundle, "primary") else bundle
     if graph.num_edges == 0:
         raise DataError("cannot initialize assignments on an empty graph")
     if K < 2:
@@ -252,54 +251,38 @@ def modularity_init_loss(graph, C_values, collapse_weight=1.0):
     return -soft_modularity(graph, C) + collapse_weight * collapse
 
 
-def _fit_logistic(X, y, steps=500, lr=0.5, l2=1e-4):
-    """One-vs-rest logistic regression by full-batch gradient descent.
+def _fit_logistic(X, Y, steps=500, lr=0.5, l2=1e-4):
+    """One-vs-rest logistic regression by full-batch gradient descent: one
+    probe per column of the n x K 0/1 matrix `Y`, all fit together.
 
-    Zero init keeps the fit deterministic and label-permutation
-    equivariant (no RNG involved).
+    Returns `(W, b)` of shapes d x K and K. Zero init keeps the fit
+    deterministic and label-permutation equivariant (no RNG involved).
     """
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    # z holds the logits, then p, then err = p - y, in place; the
-    # operations and their order are those of the plain expression
-    # 1 / (1 + exp(-clip(X w + b, -500, 500))) - y, so the bits are too
-    z = np.empty(n)
-    gw = np.empty(d)
+    W = np.zeros((d, Y.shape[1]))
+    b = np.zeros(Y.shape[1])
     for _ in range(steps):
-        np.matmul(X, w, out=z)
-        z += b
-        np.maximum(z, -500, out=z)
-        np.minimum(z, 500, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        np.add(1.0, z, out=z)
-        np.divide(1.0, z, out=z)
-        z -= y
-        np.matmul(X.T, z, out=gw)
-        gw /= n
-        gw += l2 * w
-        gb = np.add.reduce(z) / n
-        w -= lr * gw
-        b -= lr * gb
-    return w, b
+        err = ad.sigmoid_array(X @ W + b) - Y
+        W -= lr * (X.T @ err / n + l2 * W)
+        b -= lr * err.sum(axis=0) / n
+    return W, b
 
 
 def update_assignments(E, prev: Assignment, q, relevance_floor,
                        prev_weights=None):
-    """Self-training step: fit per-class logistic regressors on the most
+    """Self-training step: fit one-vs-rest logistic probes on the most
     confident pseudo-labeled nodes, then re-score every node.
 
-    Returns the new `Assignment` and the per-class `(w, b)` list; passed
-    back as `prev_weights`, it lets a class that momentarily has no
-    pseudo-labels keep its previous regressor.
+    Returns the new `Assignment` and the probes `(W, b)`, of shapes d x K
+    and K. Passed back as `prev_weights`, they let a class that momentarily
+    has no pseudo-labels keep its previous probe; a class that never had
+    one keeps a zero probe, which scores every node 0.
     """
     if not 0.0 < q <= 1.0:
         raise ConfigError("confidence quantile q must lie in (0, 1]")
     hd = E.hd
-    n, K = prev.R.shape
+    K = prev.K
     hard = prev.hard
-    weights = list(prev_weights) if prev_weights is not None else [None] * K
 
     pseudo = []
     for k in range(K):
@@ -311,17 +294,11 @@ def update_assignments(E, prev: Assignment, q, relevance_floor,
         pseudo.append(members[np.argsort(-conf, kind="stable")[:take]])
     pseudo = np.sort(np.concatenate(pseudo)) if pseudo else np.array([], int)
 
-    for k in range(K):
-        if not np.any(hard[pseudo] == k):
-            continue
-        y = (hard[pseudo] == k).astype(np.float64)
-        weights[k] = _fit_logistic(hd[pseudo], y)
-
-    scores = np.zeros((n, K))
-    for k in range(K):
-        if weights[k] is None:
-            continue  # uniform contribution (score 0)
-        w, b = weights[k]
-        scores[:, k] = hd @ w + b
-    R = ad.softmax_array(scores)
-    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), weights
+    Y = hard[pseudo, None] == np.arange(K)
+    W, b = _fit_logistic(hd[pseudo], Y)
+    present = Y.any(axis=0)
+    W_prev, b_prev = prev_weights or (0.0, 0.0)
+    W = np.where(present, W, W_prev)
+    b = np.where(present, b, b_prev)
+    R = ad.softmax_array(hd @ W + b)
+    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), (W, b)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .decoupling import DISCREPANCY_METRICS
 from .errors import ConfigError
 
 __all__ = ["ExperimentConfig", "parse_config_file", "apply_overrides"]
@@ -103,13 +104,17 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("alpha_ce", "disc_weight", "epochs", "dim_o", "knn_k",
-                     "assign_warmup", "collapse_weight", "sbm_confound"):
+                     "assign_warmup", "collapse_weight", "sbm_confound",
+                     "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("p_ce_start", "p_ce_end", "q_confidence"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        if self.disc_metric not in DISCREPANCY_METRICS:
+            raise ConfigError(f"unknown discrepancy metric "
+                              f"'{self.disc_metric}'")
         if not -1.0 <= self.eta_sim <= 1.0:
             raise ConfigError("eta_sim must lie in [-1, 1]")
         if self.relevance_floor is None:

@@ -188,7 +188,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
     dim_o = 0 if cfg.no_decouple else cfg.dim_o
     assignment = init if init is not None else init_assignments(
-        bundle, X, *_init_settings(cfg))
+        graph, X, *_init_settings(cfg))
     init_acc = None
     if labels is not None:
         init_acc = clustering_accuracy(assignment.hard, labels)
@@ -380,7 +380,7 @@ def run_ablation_grid(cfg: ExperimentConfig):
             init_key = _init_settings(cell_cfg)
             if init_key not in inits:
                 inits[init_key] = init_assignments(
-                    dataset.bundle, dataset.X, *init_key)
+                    dataset.bundle.primary, dataset.X, *init_key)
             reports.append(run_training(cell_cfg, dataset, variant=name,
                                         init=inits[init_key]))
         except MecoleError as exc:

@@ -138,7 +138,7 @@ def test_init_accepts_features_and_bundle():
     bundle = GraphBundle(primary=g, auxiliary={})
     X = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
     cfg = ModularityInitConfig(epochs=150, lr=0.05, hidden=8)
-    a = init_assignments(bundle, X, 2, cfg, seed=1)
+    a = init_assignments(bundle.primary, X, 2, cfg, seed=1)
     assert accuracy_of(a, np.array([0] * 4 + [1] * 4)) == 1.0
 
 
@@ -290,25 +290,88 @@ def _fit_logistic_reference(X, y, steps=500, lr=0.5, l2=1e-4):
 
 
 @pytest.mark.parametrize("trial", range(12))
-def test_fit_logistic_matches_reference_bits(trial):
+def test_fit_logistic_matches_reference_columns(trial):
+    # each column of the d x K fit is the one-class fit of that column;
+    # only rounding separates them (sigmoid form, gemm against gemv)
     rng = np.random.default_rng(trial)
     n = int(rng.integers(1, 200))
     d = int(rng.integers(1, 20))
-    # scales up to 1e4 drive logits far beyond the +-500 clip
-    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4)
-    y = (rng.random(n) < 0.4).astype(np.float64)
-    steps = int(rng.integers(1, 60))
-    lr = float(rng.uniform(0.05, 2.0))
-    w, b = _fit_logistic(X, y, steps=steps, lr=lr)
-    w_ref, b_ref = _fit_logistic_reference(X, y, steps=steps, lr=lr)
-    assert w.tobytes() == w_ref.tobytes()
-    assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+    K = int(rng.integers(1, 8))
+    X = rng.normal(size=(n, d))
+    Y = rng.integers(0, K, size=n)[:, None] == np.arange(K)
+    W, b = _fit_logistic(X, Y)
+    assert W.shape == (d, K) and b.shape == (K,)
+    for k in range(K):
+        w_ref, b_ref = _fit_logistic_reference(X, Y[:, k].astype(float))
+        np.testing.assert_allclose(W[:, k], w_ref, rtol=0, atol=1e-12)
+        assert abs(b[k] - b_ref) <= 1e-12
 
 
-def test_fit_logistic_clips_extreme_logits_like_reference():
+def test_fit_logistic_stays_finite_on_extreme_logits():
     X = np.array([[1e6, 0.0], [-1e6, 1.0], [3.0, -2.0]])
-    y = np.array([1.0, 0.0, 1.0])
-    w, b = _fit_logistic(X, y, steps=5)
-    w_ref, b_ref = _fit_logistic_reference(X, y, steps=5)
-    assert np.abs(X @ w_ref).max() > 500
-    assert w.tobytes() == w_ref.tobytes() and b == b_ref
+    Y = np.array([[1, 0], [0, 1], [1, 0]], dtype=bool)
+    with np.errstate(all="raise"):
+        W, b = _fit_logistic(X, Y, steps=5)
+    assert np.isfinite(W).all() and np.isfinite(b).all()
+    assert np.abs(X @ W + b).max() > 500
+
+
+def _update_assignments_reference(E, prev, q, relevance_floor,
+                                  prev_weights=None):
+    """`update_assignments` written per class: one `_fit_logistic_reference`
+    fit and one score column per class, the probes kept as a list of
+    `(w, b)`, or None for a class never fit."""
+    hd = E.hd
+    n, K = prev.R.shape
+    hard = prev.hard
+    weights = list(prev_weights) if prev_weights is not None else [None] * K
+    pseudo = []
+    for k in range(K):
+        members = np.flatnonzero(hard == k)
+        if members.size == 0:
+            continue
+        take = max(1, int(np.ceil(q * members.size)))
+        order = np.argsort(-prev.R[members, k], kind="stable")
+        pseudo.append(members[order[:take]])
+    pseudo = np.sort(np.concatenate(pseudo))
+    for k in range(K):
+        if np.any(hard[pseudo] == k):
+            y = (hard[pseudo] == k).astype(np.float64)
+            weights[k] = _fit_logistic_reference(hd[pseudo], y)
+    scores = np.zeros((n, K))
+    for k in range(K):
+        if weights[k] is not None:
+            w, b = weights[k]
+            scores[:, k] = hd @ w + b
+    R = ad.softmax_array(scores)
+    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), weights
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("K", range(2, 8))
+def test_update_matches_per_class_reference(K, q):
+    rng = np.random.default_rng(10 * K + int(2 * q))
+    n, d = 20 * K, 6
+    hd = rng.normal(size=(n, d)) + 2.0 * rng.normal(size=(K, d))[
+        rng.integers(0, K, size=n)]
+    E = DecoupledEmbeddings.from_arrays(hd, np.zeros((n, 1)))
+    prev = Assignment(R=rng.dirichlet(np.ones(K), size=n),
+                      relevant=np.ones(n, dtype=bool))
+    floor = 1.2 / K
+    got, weights = update_assignments(E, prev, q, floor)
+    want, ref_weights = _update_assignments_reference(E, prev, q, floor)
+    # then empty the last class: its probe is carried over, not refit
+    R = got.R.copy()
+    R[:, -1] = 0.0
+    R /= R.sum(axis=1, keepdims=True)
+    emptied = Assignment(R=R, relevant=got.relevant)
+    got2, weights2 = update_assignments(E, emptied, q, floor,
+                                        prev_weights=weights)
+    want2, _ = _update_assignments_reference(E, emptied, q, floor,
+                                             prev_weights=ref_weights)
+    for a, b in ((got, want), (got2, want2)):
+        assert np.array_equal(a.hard, b.hard)
+        assert np.array_equal(a.relevant, b.relevant)
+        np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-12)
+    assert weights2[0][:, -1].tobytes() == weights[0][:, -1].tobytes()
+    assert weights2[1][-1] == weights[1][-1]

@@ -503,6 +503,29 @@ def test_cli_out_of_range_setting_is_config_error(tmp_path, capsys, item,
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
+INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "int"]
+BAD_SETTINGS = [("train", ["--set", f"{key}=-1"]) for key in INT_KEYS] + [
+    ("train", ["--seed", "-1"]),
+    ("train", ["--set", "disc_metric=foo"]),
+    ("train", ["--set", "disc_metric=foo", "--set", "no_decouple=true"]),
+    ("ablate", ["--set", "disc_metric=foo"]),
+]
+
+
+@pytest.mark.parametrize("command, extra", BAD_SETTINGS,
+                         ids=["_".join([command] + [a for a in extra
+                                                    if a != "--set"])
+                              for command, extra in BAD_SETTINGS])
+def test_cli_bad_setting_fails_without_outputs(tmp_path, capsys, command,
+                                               extra):
+    rc = cli_main([command] + sbm_args(tmp_path / "run", extra=extra))
+    err = capsys.readouterr().err
+    assert rc in (1, 2)
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+    assert not (tmp_path / "run" / "ablation.csv").exists()
+
+
 def test_config_bounds_are_inclusive():
     for floor in (0.0, 1.0):
         assert ExperimentConfig(relevance_floor=floor).relevance_floor == floor
