@@ -1,8 +1,8 @@
 """MeCoLe: unsupervised node clustering via counterfactual contrastive
 pairs over decoupled class-dependent / class-invariant embeddings."""
 
-from .clustering import Assignment, ModularityInitConfig, init_assignments, \
-    modularity, update_assignments
+from .clustering import Assignment, init_assignments, modularity, \
+    update_assignments
 from .config import ExperimentConfig
 from .contrastive import ContrastiveBatch, VirtualNode, contrastive_loss, \
     sample_anchors, sample_negatives, synthesize_virtual_node

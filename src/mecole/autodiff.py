@@ -459,15 +459,14 @@ def gcn(a_hats, X, w1, w2, mix=None):
 # optimizer ---------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction and a global gradient-norm clip."""
+    """Adam with bias correction (betas 0.9 and 0.999, eps 1e-8) and a
+    global gradient-norm clip at 5."""
 
-    def __init__(self, params, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
-                 clip_norm=5.0):
+    beta1, beta2, eps, clip_norm = 0.9, 0.999, 1e-8, 5.0
+
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -481,11 +480,10 @@ class Adam:
             if p.grad is None:
                 raise NumericError("parameter registered with Adam has no gradient")
         grads = [p.grad for p in self.params]
-        if self.clip_norm is not None:
-            total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = [g * scale for g in grads]
+        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+        if total > self.clip_norm:
+            scale = self.clip_norm / total
+            grads = [g * scale for g in grads]
         self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):

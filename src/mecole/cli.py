@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -15,12 +16,10 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_overrides, parse_config_file
 from .errors import ConfigError, DataError, NumericError
-from .graphs import generate_sbm, load_labels, read_lines
+from .graphs import _data_lines, generate_sbm, load_labels
 from .metrics import clustering_accuracy, nmi
 from .training import run_ablation_grid, run_training, sbm_config, \
     sparse_eval, write_grid_csv, write_report
-
-logger = logging.getLogger("mecole")
 
 
 def _setup_logging():
@@ -39,14 +38,31 @@ def _common_flags(p):
                    help="override a single config value (repeatable)")
 
 
+@contextlib.contextmanager
+def _writing(out_dir):
+    """An `OSError` while creating or writing `out_dir` is a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _build_config(args):
+    """The run's config, with its synthetic settings checked and its output
+    directory created, so neither fails after the work is done."""
     values = parse_config_file(args.config) if args.config else {}
     apply_overrides(values, args.set)
     if args.seed is not None:
         values["seed"] = args.seed
     if args.out is not None:
         values["out_dir"] = args.out
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    if cfg.uses_sbm or args.command == "gen-sbm":
+        sbm_config(cfg)
+    with _writing(cfg.out_dir):
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    return cfg
 
 
 def make_parser():
@@ -78,7 +94,8 @@ def make_parser():
 def _cmd_train(args):
     cfg = _build_config(args)
     report = run_training(cfg)
-    write_report(cfg.out_dir, report)
+    with _writing(cfg.out_dir):
+        write_report(cfg.out_dir, report)
     print(report.to_json())
     return 0
 
@@ -86,10 +103,11 @@ def _cmd_train(args):
 def _cmd_ablate(args):
     cfg = _build_config(args)
     reports = run_ablation_grid(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_grid_csv(os.path.join(cfg.out_dir, "ablation.csv"), reports)
+    with _writing(cfg.out_dir):
+        write_grid_csv(os.path.join(cfg.out_dir, "ablation.csv"), reports)
+        for r in reports:
+            write_report(cfg.out_dir, r, name=f"metrics_{r.variant}")
     for r in reports:
-        write_report(cfg.out_dir, r, name=f"metrics_{r.variant}")
         print(f"{r.variant}: accuracy={r.accuracy} error={r.error or '-'}")
     return 0
 
@@ -97,7 +115,8 @@ def _cmd_ablate(args):
 def _cmd_sparse(args):
     cfg = _build_config(args)
     report = sparse_eval(cfg, args.fraction)
-    write_report(cfg.out_dir, report, name="metrics_sparse")
+    with _writing(cfg.out_dir):
+        write_report(cfg.out_dir, report, name="metrics_sparse")
     print(report.to_json())
     return 0
 
@@ -105,27 +124,29 @@ def _cmd_sparse(args):
 def _cmd_gen_sbm(args):
     cfg = _build_config(args)
     graph, X, labels = generate_sbm(sbm_config(cfg))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    np.savetxt(os.path.join(cfg.out_dir, "edges.txt"),
-               np.column_stack([graph.u, graph.v]), fmt="%d", delimiter="\t",
-               header="generated planted-partition graph")
-    np.savetxt(os.path.join(cfg.out_dir, "features.csv"), X, delimiter=",")
-    np.savetxt(os.path.join(cfg.out_dir, "labels.txt"), labels, fmt="%d")
+    with _writing(cfg.out_dir):
+        np.savetxt(os.path.join(cfg.out_dir, "edges.txt"),
+                   np.column_stack([graph.u, graph.v]), fmt="%d",
+                   delimiter="\t", header="generated planted-partition graph")
+        np.savetxt(os.path.join(cfg.out_dir, "features.csv"), X,
+                   delimiter=",")
+        np.savetxt(os.path.join(cfg.out_dir, "labels.txt"), labels,
+                   fmt="%d")
     print(f"wrote {graph.n} nodes, {graph.num_edges} edges to {cfg.out_dir}")
     return 0
 
 
 def _cmd_eval(args):
     pred = []
-    lines = read_lines(args.assignments)
-    if not lines or not lines[0].startswith("node_id"):
+    rows = _data_lines(args.assignments)
+    if not next(rows, (0, ""))[1].startswith("node_id"):
         raise DataError(f"{args.assignments}: not an assignment export")
-    for line in lines[1:]:
-        parts = line.strip().split(",")
+    for lineno, line in rows:
         try:
-            pred.append(int(parts[1]))
+            pred.append(int(line.split(",")[1]))
         except (IndexError, ValueError):
-            raise DataError(f"{args.assignments}: malformed row {line!r}")
+            raise DataError(f"{args.assignments}:{lineno}: malformed row "
+                            f"{line!r}")
     truth = load_labels(args.labels)
     pred = np.asarray(pred)
     if len(pred) != len(truth):
@@ -150,15 +171,12 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        logger.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
-        logger.error("data error: %s", exc)
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        logger.error("numeric failure: %s", exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

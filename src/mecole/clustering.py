@@ -17,7 +17,6 @@ from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "Assignment",
-    "ModularityInitConfig",
     "modularity",
     "soft_modularity",
     "init_assignments",
@@ -79,23 +78,9 @@ class Assignment:
             pool.flags.writeable = False
         return pools
 
-    def members(self, k, relevant_only=True):
-        mask = self.hard == k
-        if relevant_only:
-            mask &= self.relevant
-        return np.flatnonzero(mask)
-
-
-@dataclass(frozen=True)
-class ModularityInitConfig:
-    epochs: int = 300
-    lr: float = 0.01
-    collapse_weight: float = 1.0
-    hidden: int = 64
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("init epochs must be >= 1")
+    def members(self, k):
+        """Ascending ids of the relevant nodes whose hard label is k."""
+        return np.flatnonzero((self.hard == k) & self.relevant)
 
 
 def modularity(graph, labels):
@@ -147,30 +132,30 @@ def init_objective(graph, C, collapse_weight):
     return ad.add(ad.mul(q_soft, -1.0), ad.mul(collapse, collapse_weight))
 
 
-def init_assignments(graph, X, K, cfg: ModularityInitConfig, seed):
+def init_assignments(graph, X, cfg):
     """Soft assignments from a GCN trained on soft modularity plus a
     collapse regularizer; all nodes start relevant.
 
+    Of the run's `ExperimentConfig` it reads `K`, `init_epochs`, `init_lr`,
+    `collapse_weight`, `hidden` and `seed`, which the config has checked.
     With X=None the first layer acts on implicit identity features, i.e.
     a free per-node embedding propagated through the adjacency.
     """
     if graph.num_edges == 0:
         raise DataError("cannot initialize assignments on an empty graph")
-    if K < 2:
-        raise ConfigError("K must be >= 2")
     n = graph.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     a_hat = ad.normalize_adjacency(graph)
     if X is not None:
         X = ad.constant(X)
         w1 = ad.glorot(rng, X.shape[1], cfg.hidden)
     else:
         w1 = ad.glorot(rng, n, cfg.hidden)
-    w2 = ad.glorot(rng, cfg.hidden, K)
-    opt = ad.Adam([w1, w2], lr=cfg.lr)
+    w2 = ad.glorot(rng, cfg.hidden, cfg.K)
+    opt = ad.Adam([w1, w2], lr=cfg.init_lr)
     forward, step = _init_gcn_step(graph, a_hat, X, w1, w2,
                                    cfg.collapse_weight)
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.init_epochs):
         step()
         opt.step()
     return Assignment(R=forward(), relevant=np.ones(n, dtype=bool))

@@ -101,10 +101,10 @@ class Graph:
         return cls(n, lo[order], hi[order], w[order])
 
     @classmethod
-    def from_pairs(cls, n, pairs, weight=1.0):
+    def from_pairs(cls, n, pairs):
+        """Graph from `(u, v)` pairs, each of weight 1.0."""
         pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(n, pairs[:, 0], pairs[:, 1],
-                               np.full(len(pairs), float(weight)))
+        return cls.from_arrays(n, pairs[:, 0], pairs[:, 1])
 
     @property
     def edges(self):

@@ -13,8 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import contrastive as ct
 from . import decoupling as dc
-from .clustering import ModularityInitConfig, init_assignments, modularity, \
-    update_assignments
+from .clustering import init_assignments, modularity, update_assignments
 from .config import ExperimentConfig
 from .errors import DataError, MecoleError
 from .graphs import AttributeBag, GraphBundle, SBMConfig, \
@@ -160,20 +159,13 @@ def _build_augment_batches(cfg, assignment, E, graph, rng):
     return batches
 
 
-def _init_settings(cfg: ExperimentConfig):
-    """`(K, init config, seed)`: what the modularity init reads of a
-    config. It also reads the primary graph and X, nothing else."""
-    return cfg.K, ModularityInitConfig(
-        epochs=cfg.init_epochs, lr=cfg.init_lr,
-        collapse_weight=cfg.collapse_weight, hidden=cfg.hidden), cfg.seed
-
-
 def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
                  variant="baseline", init=None):
     """Execute the full iteration loop and return a MetricsReport.
 
-    `init`, when given, is the `Assignment` the modularity init of `cfg`
-    on `dataset` would train; the ablation grid passes one shared init.
+    `init`, when given, is the `Assignment` that `init_assignments` would
+    train from `cfg` on the dataset's primary graph and X; the ablation
+    grid passes one init to all its cells.
     """
     t0 = time.time()
     # separate streams so contrastive sampling cannot perturb the loss
@@ -187,8 +179,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
     graph = bundle.primary
 
     dim_o = 0 if cfg.no_decouple else cfg.dim_o
-    assignment = init if init is not None else init_assignments(
-        graph, X, *_init_settings(cfg))
+    assignment = init if init is not None else init_assignments(graph, X, cfg)
     init_acc = None
     if labels is not None:
         init_acc = clustering_accuracy(assignment.hard, labels)
@@ -350,10 +341,11 @@ def run_ablation_grid(cfg: ExperimentConfig):
     """Baseline + one-flag variants + the discrepancy-metric grid.
 
     The cells share their inputs: the dataset is loaded once per
-    `(drop_gv, drop_gx)` and the modularity init trained once per
-    `_init_settings`, since no flag touches the primary graph, X or the
-    init. Only successes are kept, so a cell whose load or init fails records
-    the error and the next cell that needs it tries again.
+    `(drop_gv, drop_gx)`, and the modularity init is trained once, from
+    `cfg`, by the first cell whose dataset loads. No flag or metric touches
+    the primary graph, X or the config fields the init reads. Only
+    successes are kept, so a cell whose load or init fails records the
+    error and the next cell that needs it tries again.
     """
     cells = [("baseline", cfg)]
     for flag in ABLATION_FLAGS:
@@ -369,7 +361,7 @@ def run_ablation_grid(cfg: ExperimentConfig):
 
     if cfg.uses_sbm:
         sbm_config(cfg)  # a bad synthetic config fails the run, not each cell
-    datasets, inits = {}, {}
+    datasets, init = {}, None
     reports = []
     for name, cell_cfg in cells:
         try:
@@ -377,12 +369,10 @@ def run_ablation_grid(cfg: ExperimentConfig):
             if data_key not in datasets:
                 datasets[data_key] = load_dataset(cell_cfg)
             dataset = datasets[data_key]
-            init_key = _init_settings(cell_cfg)
-            if init_key not in inits:
-                inits[init_key] = init_assignments(
-                    dataset.bundle.primary, dataset.X, *init_key)
+            if init is None:
+                init = init_assignments(dataset.bundle.primary, dataset.X, cfg)
             reports.append(run_training(cell_cfg, dataset, variant=name,
-                                        init=inits[init_key]))
+                                        init=init))
         except MecoleError as exc:
             logger.warning("ablation cell '%s' failed: %s", name, exc)
             failed = MetricsReport(seed=cell_cfg.seed,

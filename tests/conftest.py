@@ -3,8 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mecole import autodiff as ad
-
 # When a hypothesis test fails, its pytest plugin imports this module to
 # write a patch, and the `libcst` import there raises a
 # DeprecationWarning. Under `filterwarnings = ["error"]` that ends the

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from conftest import finite_diff_check
 from mecole import autodiff as ad
-from mecole.clustering import ModularityInitConfig, init_assignments, \
-    init_objective
+from mecole.clustering import init_assignments, init_objective
+from mecole.config import ExperimentConfig
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
     MlpPredictor
 from mecole.errors import NumericError
@@ -437,11 +437,10 @@ def gcn_layer(a_hat, h, w, activation="identity"):
     return ad.tanh(out) if activation == "tanh" else out
 
 
-def init_assignments_with_gcn_layer(graph, X, K, cfg, seed,
-                                    propagate_first=False):
+def init_assignments_with_gcn_layer(graph, X, cfg, propagate_first=False):
     """`init_assignments` as written with `gcn_layer`; returns R. The
     output layer is `Â(H1 W2)`, or `(Â H1) W2` with `propagate_first`."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     a_hat = ad.normalize_adjacency(graph)
     glorot = glorot_closure(rng)
     if X is not None:
@@ -450,8 +449,8 @@ def init_assignments_with_gcn_layer(graph, X, K, cfg, seed,
     else:
         w1 = glorot(graph.n, cfg.hidden)
         h0 = None
-    w2 = glorot(cfg.hidden, K)
-    opt = ad.Adam([w1, w2], lr=cfg.lr)
+    w2 = glorot(cfg.hidden, cfg.K)
+    opt = ad.Adam([w1, w2], lr=cfg.init_lr)
 
     def forward():
         if h0 is not None:
@@ -462,7 +461,7 @@ def init_assignments_with_gcn_layer(graph, X, K, cfg, seed,
             return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
         return ad.softmax_rows(ad.spmm(a_hat, ad.matmul(h1, w2)))
 
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.init_epochs):
         opt.zero_grad()
         loss = init_objective(graph, forward(), cfg.collapse_weight)
         loss.backward()
@@ -544,9 +543,10 @@ def test_gcn_matches_selector_branch(n_channels, with_x):
 def test_init_gcn_matches_gcn_layer_forward(with_x):
     graph, X, _ = sbm_graph(1)
     X = X if with_x else None
-    cfg = ModularityInitConfig(epochs=15, hidden=8)
-    got = init_assignments(graph, X, 3, cfg, seed=5).R
-    want = init_assignments_with_gcn_layer(graph, X, 3, cfg, seed=5)
+    cfg = ExperimentConfig(K=3, init_epochs=15, init_lr=0.01, hidden=8,
+                           collapse_weight=1.0, seed=5)
+    got = init_assignments(graph, X, cfg).R
+    want = init_assignments_with_gcn_layer(graph, X, cfg)
     assert got.tobytes() == want.tobytes()
 
     a_hat = ad.normalize_adjacency(graph)
@@ -570,9 +570,10 @@ def test_init_gcn_matches_gcn_layer_forward(with_x):
         np.random.default_rng(3).random(graph.num_edges) + 0.1)
     a_hat = ad.normalize_adjacency(weighted)
     assert (a_hat != a_hat.T).nnz > 0
-    cfg = ModularityInitConfig(epochs=15, hidden=8, collapse_weight=0.5)
-    got = init_assignments(weighted, X, 3, cfg, seed=5).R
-    want = init_assignments_with_gcn_layer(weighted, X, 3, cfg, seed=5)
+    cfg = ExperimentConfig(K=3, init_epochs=15, init_lr=0.01, hidden=8,
+                           collapse_weight=0.5, seed=5)
+    got = init_assignments(weighted, X, cfg).R
+    want = init_assignments_with_gcn_layer(weighted, X, cfg)
     assert got.tobytes() == want.tobytes()
 
 
@@ -586,9 +587,10 @@ def test_init_gcn_close_to_propagating_first(with_x, weighted):
         graph = graph.with_weights(
             np.random.default_rng(3).random(graph.num_edges) + 0.1)
     X = X if with_x else None
-    cfg = ModularityInitConfig(epochs=100, hidden=16)
-    got = init_assignments(graph, X, 3, cfg, seed=5).R
-    want = init_assignments_with_gcn_layer(graph, X, 3, cfg, seed=5,
+    cfg = ExperimentConfig(K=3, init_epochs=100, init_lr=0.01, hidden=16,
+                           collapse_weight=1.0, seed=5)
+    got = init_assignments(graph, X, cfg).R
+    want = init_assignments_with_gcn_layer(graph, X, cfg,
                                            propagate_first=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))

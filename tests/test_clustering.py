@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mecole import autodiff as ad
-from mecole.clustering import Assignment, ModularityInitConfig, \
-    _fit_logistic, init_assignments, modularity, modularity_init_loss, \
-    soft_modularity, update_assignments
+from mecole.clustering import Assignment, _fit_logistic, \
+    init_assignments, modularity, modularity_init_loss, soft_modularity, \
+    update_assignments
+from mecole.config import ExperimentConfig
 from mecole.decoupling import DecoupledEmbeddings
 from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, GraphBundle
@@ -96,7 +97,6 @@ def test_assignment_members_respects_relevance():
     R = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
     a = Assignment(R=R, relevant=np.array([True, False, True]))
     assert a.members(0).tolist() == [0]
-    assert a.members(0, relevant_only=False).tolist() == [0, 1]
 
 
 def test_assignment_arrays_are_read_only_copies():
@@ -125,8 +125,9 @@ def test_init_separates_two_cliques(seed):
     g = Graph.from_pairs(20, clique(range(10)) + clique(range(10, 20)) +
                          [(9, 10)])
     labels = np.array([0] * 10 + [1] * 10)
-    cfg = ModularityInitConfig(epochs=200, lr=0.05, hidden=16)
-    a = init_assignments(g, None, 2, cfg, seed)
+    cfg = ExperimentConfig(K=2, init_epochs=200, init_lr=0.05, hidden=16,
+                           collapse_weight=1.0, seed=seed)
+    a = init_assignments(g, None, cfg)
     assert np.allclose(a.R.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(a.R >= 0)
     assert accuracy_of(a, labels) == 1.0
@@ -137,22 +138,24 @@ def test_init_accepts_features_and_bundle():
                          [(3, 4)])
     bundle = GraphBundle(primary=g, auxiliary={})
     X = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-    cfg = ModularityInitConfig(epochs=150, lr=0.05, hidden=8)
-    a = init_assignments(bundle.primary, X, 2, cfg, seed=1)
+    cfg = ExperimentConfig(K=2, init_epochs=150, init_lr=0.05, hidden=8,
+                           collapse_weight=1.0, seed=1)
+    a = init_assignments(bundle.primary, X, cfg)
     assert accuracy_of(a, np.array([0] * 4 + [1] * 4)) == 1.0
 
 
 def test_init_objective_improves():
     g = two_triangles()
-    cfg = ModularityInitConfig(epochs=200, lr=0.05, hidden=8)
-    a = init_assignments(g, None, 2, cfg, seed=3)
+    cfg = ExperimentConfig(K=2, init_epochs=200, init_lr=0.05, hidden=8,
+                           collapse_weight=1.0, seed=3)
+    a = init_assignments(g, None, cfg)
     uniform = np.full((6, 2), 0.5)
     assert modularity_init_loss(g, a.R) < modularity_init_loss(g, uniform)
 
 
 def test_init_k_validation():
-    with pytest.raises(ConfigError):
-        init_assignments(two_triangles(), None, 1, ModularityInitConfig(), 0)
+    with pytest.raises(ConfigError, match="K must be >= 2"):
+        ExperimentConfig(K=1)
 
 
 def test_init_stays_off_the_tape(monkeypatch):
@@ -177,15 +180,18 @@ def test_init_stays_off_the_tape(monkeypatch):
     made = []
     for epochs in (5, 50):
         counts.update(tensors=0, backward=0)
-        init_assignments(g, X, 2, ModularityInitConfig(epochs=epochs,
-                                                       hidden=4), seed=0)
+        init_assignments(g, X, ExperimentConfig(
+            K=2, init_epochs=epochs, init_lr=0.01, hidden=4,
+            collapse_weight=1.0, seed=0))
         made.append(counts["tensors"])
         assert counts["backward"] == 0
     assert made[0] == made[1]
 
     X[2, 1] = np.nan
     with pytest.raises(NumericError):
-        init_assignments(g, X, 2, ModularityInitConfig(epochs=5), seed=0)
+        init_assignments(g, X, ExperimentConfig(
+            K=2, init_epochs=5, init_lr=0.01, hidden=64, collapse_weight=1.0,
+            seed=0))
 
 
 # self-training update --------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Every name a mecole module imports, and its module-level `logger`, is
-read somewhere in that module; a module's `__all__` lists exactly its
-public top-level functions and classes, plus names it binds; every private
-top-level name is read somewhere in the package."""
+"""Every name a mecole module or test file imports, and its module-level
+`logger`, is read somewhere in that file; a module's `__all__` lists
+exactly its public top-level functions and classes, plus names it binds;
+every private top-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import mecole
 
 MODULES = sorted(p for p in Path(mecole.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unread_names(source):
@@ -35,7 +36,9 @@ def unread_names(source):
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] +
+                         [f"tests/{p.name}" for p in TESTS])
 def test_imports_and_logger_are_read(path):
     assert unread_names(path.read_text(encoding="utf-8")) == []
 

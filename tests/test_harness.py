@@ -1,15 +1,15 @@
 import json
-import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mecole import graphs, training
+from mecole import cli, graphs, training
 from mecole.cli import main as cli_main
 from mecole.config import ExperimentConfig, apply_overrides, \
     parse_config_file
 from mecole.errors import ConfigError, DataError
+from mecole.metrics import MetricsReport, clustering_accuracy, nmi
 from mecole.training import ABLATION_FLAGS, load_dataset, run_ablation_grid, \
     run_training, sparse_eval
 
@@ -353,15 +353,32 @@ def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
     assert shared.relevant.tobytes() == relevant_bytes
 
 
-def test_init_settings_track_the_init_only():
-    cfg = fast_cfg()
-    key = training._init_settings(cfg)
-    for change in (dict(K=3), dict(init_epochs=7), dict(init_lr=0.5),
-                   dict(collapse_weight=2.0), dict(hidden=8), dict(seed=1)):
-        assert training._init_settings(replace(cfg, **change)) != key, change
-    for flag in ABLATION_FLAGS:
-        assert training._init_settings(replace(cfg, **{flag: True})) == key
-    assert training._init_settings(replace(cfg, disc_metric="l2")) == key
+INIT_FIELDS = ("K", "init_epochs", "init_lr", "collapse_weight", "hidden",
+               "seed")
+
+
+def test_ablation_cells_keep_the_init_settings(monkeypatch):
+    """The grid trains one init from `cfg` for all its cells, which holds
+    only if no cell changes a config field `init_assignments` reads."""
+    cfg = fast_cfg(aux_edge_path="aux.txt", knn_k=3)
+    graph = graphs.Graph.from_pairs(2, [(0, 1)])
+    dataset = training.Dataset(bundle=graphs.GraphBundle(primary=graph),
+                               X=None, labels=None)
+    monkeypatch.setattr(training, "load_dataset", lambda c: dataset)
+    shared = object()
+    monkeypatch.setattr(training, "init_assignments",
+                        lambda g, X, c: shared if c is cfg else None)
+    cells = []
+    monkeypatch.setattr(
+        training, "run_training",
+        lambda c, data, variant, init: cells.append((variant, c, init)) or
+        MetricsReport(seed=c.seed, config={}, variant=variant))
+    run_ablation_grid(cfg)
+    assert [name for name, _, _ in cells] == GRID_CELLS
+    for name, cell, init in cells:
+        assert init is shared, name
+        for field in INIT_FIELDS:
+            assert getattr(cell, field) == getattr(cfg, field), (name, field)
 
 
 def test_ablation_grid_unreadable_aux_fails_all_but_drop_gv(grid_files,
@@ -598,6 +615,62 @@ def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
                        "--labels", str(tmp_path / "labels.txt")])
         assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_eval_skips_blank_lines(tmp_path, capsys):
+    (tmp_path / "labels.txt").write_text("0\n1\n0\n")
+    export = "node_id,class,r0,r1,relevant\n0,0,0.9,0.1,1\n" \
+        "1,1,0.2,0.8,1\n2,1,0.4,0.6,0\n"
+    outputs = []
+    for name, text in (("plain.csv", export), ("blank.csv", export + "\n")):
+        (tmp_path / name).write_text(text)
+        rc = cli_main(["eval", "--assignments", str(tmp_path / name),
+                       "--labels", str(tmp_path / "labels.txt")])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    pred, truth = [0, 1, 1], [0, 1, 0]
+    assert outputs[0].splitlines() == [
+        f"accuracy {clustering_accuracy(pred, truth):.4f}",
+        f"nmi {nmi(pred, truth):.4f}"]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran with an unusable --out")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sparse-eval",
+                                     "gen-sbm"])
+def test_cli_unusable_out_fails_before_any_work(tmp_path, capsys,
+                                                monkeypatch, command):
+    for name in ("run_training", "run_ablation_grid", "sparse_eval",
+                 "generate_sbm"):
+        monkeypatch.setattr(cli, name, _no_work)
+    monkeypatch.setattr(training, "run_training", _no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli_main([command] + sbm_args(blocker / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: cannot write to {blocker / 'out'}: ")
+
+
+@pytest.mark.parametrize("command, path", [
+    ("train", "metrics.json"), ("ablate", "ablation.csv"),
+    ("sparse-eval", "metrics_sparse.json"), ("gen-sbm", "edges.txt")])
+def test_cli_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
+                                               command, path):
+    report = MetricsReport(seed=0, config={})
+    monkeypatch.setattr(cli, "run_training", lambda cfg: report)
+    monkeypatch.setattr(cli, "run_ablation_grid", lambda cfg: [report])
+    monkeypatch.setattr(cli, "sparse_eval", lambda cfg, fraction: report)
+    (tmp_path / "run" / path).mkdir(parents=True)
+    rc = cli_main([command] + sbm_args(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: cannot write to {tmp_path / 'run'}: ")
 
 
 def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
