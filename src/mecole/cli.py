@@ -22,11 +22,19 @@ from .training import run_ablation_grid, run_training, sbm_config, \
     sparse_eval, write_grid_csv, write_report
 
 
+_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
+               "info": logging.INFO, "debug": logging.DEBUG}
+
+
 def _setup_logging():
-    level = os.environ.get("MECOLE_LOG", "warn").lower()
-    levels = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.WARNING),
+    """Log at the `MECOLE_LOG` level (default warn); any other value is a
+    config error."""
+    value = os.environ.get("MECOLE_LOG", "warn")
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        raise ConfigError(f"MECOLE_LOG must be one of "
+                          f"{', '.join(_LOG_LEVELS)}, not {value!r}")
+    logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -166,9 +174,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _setup_logging()
     args = make_parser().parse_args(argv)
     try:
+        _setup_logging()
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,5 +1,10 @@
 """Anchor selection, counterfactual virtual-node synthesis, hard-negative
 sampling, and the contrastive loss over class-dependent embeddings.
+
+Hard negatives are drawn first and scored after: a caller draws each
+virtual node and, when its pool is larger than the draw, the uniforms of
+its weighted draw; `hard_negatives` then scores all the rows at once and
+draws nothing.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from .errors import ConfigError, DataError, NumericError
 __all__ = [
     "VirtualNode",
     "ContrastiveBatch",
-    "NegativeRows",
     "sample_anchors",
     "synthesize_virtual_node",
+    "pool_size",
+    "hard_negatives",
     "sample_negatives",
     "uniform_negatives",
     "sample_positives",
@@ -155,111 +161,79 @@ def _hard_pools(z, anchors, graph, c):
     return pool, np.take_along_axis(z, pool, axis=1)
 
 
-# the sigmoid of a dot product above this is at least about 5e-131, so a
-# product of two such sigmoids is a normal number, never 0
-SAFE_DOT = -300.0
 ROW_BLOCK = 32
 
 
-class NegativeRows:
-    """The negatives of an epoch's virtual nodes, one row per virtual node
-    in the order they were added.
-
-    A hard-negative row is queued with the random draws it needs (the
-    uniforms of its weighted draw), made when the per-node sampler would
-    have made them. Queued rows are scored in blocks of `ROW_BLOCK` rows
-    with one pool size, each block once it fills and the rest in
-    `resolve`; scoring draws nothing. The dot products are one
-    matrix-vector product per virtual node, and every sum adds its terms
-    in the order of a row scored alone, so no row depends on its block.
-    """
-
-    def __init__(self, E, graph, m, pool_factor):
-        self.E, self.graph = E, graph
-        self.m, self.pool_factor = m, pool_factor
-        self.rows = []  # (nodes, p); None while a queued row waits
-        self._queued = {}  # pool size -> [(row, anchor, dots, zo, uniforms)]
-        # anchor -> (sigmoid of its H_o dots, their minimum); a virtual
-        # node keeps its anchor's H_o row
-        self._zo = {}
-
-    def __len__(self):
-        return len(self.rows)
-
-    def append(self, nodes, p):
-        """A row whose negatives are already drawn."""
-        self.rows.append((nodes, p))
-
-    def queue(self, virt, rng):
-        """Queue a hard-negative row for `virt` and draw its uniforms.
-
-        Raises before any draw, so the generator does not move, when the
-        anchor has no candidate or too few candidates score above 0.
-        """
-        v = virt.anchor
-        nbrs = self.graph.neighbors(v)
-        candidates = self.graph.n - 1 - nbrs.size
-        if candidates == 0:
-            raise DataError("no candidate negatives: anchor neighborhood is "
-                            "full")
-        c = min(self.pool_factor * self.m, candidates)
-        dd = self.E.hd @ virt.h_d
-        if v not in self._zo:
-            do = self.E.ho @ virt.h_o
-            self._zo[v] = ad.sigmoid_array(do), do.min()
-        zo, do_min = self._zo[v]
-        # scores are products of two clipped sigmoids and can underflow to
-        # 0; a draw needs m of them above 0, and the probabilities need one
-        need = self.m if c > self.m else 1
-        if min(dd.min(), do_min) <= SAFE_DOT:
-            z = ad.sigmoid_array(dd) * zo
-            z[nbrs] = 0.0
-            z[v] = 0.0
-            nonzero = min(np.count_nonzero(z), c)
-            if nonzero < need:
-                raise NumericError(
-                    f"hard-negative pool of anchor {v} has {nonzero} "
-                    f"nonzero scores; the draw needs {need}")
-        u = rng.random(self.m) if c > self.m else None
-        block = self._queued.setdefault(c, [])
-        block.append((len(self.rows), v, dd, zo, u))
-        self.rows.append(None)
-        if len(block) == ROW_BLOCK:
-            self._score(c, self._queued.pop(c))
-
-    def resolve(self):
-        """Score the rows still queued; returns all rows."""
-        for c in list(self._queued):
-            self._score(c, self._queued.pop(c))
-        return self.rows
-
-    def _score(self, c, block):
-        """Pools of size `c` and their draws for a block of queued rows."""
-        ids, anchors, dd, zo, u = zip(*block)
-        z = ad.sigmoid_array(np.stack(dd)) * np.stack(zo)
-        pool, pool_z = _hard_pools(z, np.array(anchors), self.graph, c)
-        if c > self.m:
-            pick = _weighted_draw_without_replacement(pool_z, np.stack(u))
-            pool = np.take_along_axis(pool, pick, axis=1)
-            pool_z = np.take_along_axis(pool_z, pick, axis=1)
-        p = pool_z / pool_z.sum(axis=1, keepdims=True)
-        for r, nodes, pr in zip(ids, pool, p):
-            self.rows[r] = (nodes, pr)
-
-
-def sample_negatives(virt, E, graph, m, rng, pool_factor=10, uniform=False):
-    """Hard negatives: the virtual node's likeliest interaction partners
-    outside the anchor's neighborhood, drawn proportionally to Z."""
+def pool_size(graph, v, m, pool_factor):
+    """Size of anchor `v`'s hard-negative pool: `pool_factor * m`, cut to
+    the candidates outside its closed neighborhood. The rows of a pool
+    larger than `m` draw `m` uniforms."""
     if m < 1:
         raise ConfigError("m must be >= 1")
     if pool_factor < 1:
         raise ConfigError("pool_factor must be >= 1")
-    if uniform:
-        # ablation: any non-neighbor, no hardness ranking
-        return uniform_negatives(graph, virt.anchor, m, rng)
-    rows = NegativeRows(E, graph, m, pool_factor)
-    rows.queue(virt, rng)
-    return rows.resolve()[0]
+    candidates = graph.n - 1 - graph.neighbors(v).size
+    if candidates == 0:
+        raise DataError("no candidate negatives: anchor neighborhood is full")
+    return min(pool_factor * m, candidates)
+
+
+def hard_negatives(virts, uniforms, E, graph, m, pool_factor):
+    """The hard negatives of each virtual node in `virts`: per row, the
+    nodes drawn from its pool (`pool_size`) with the row's `m` uniforms
+    (`None` for a pool no larger than `m`, taken whole), and their
+    probabilities in proportion to Z.
+
+    A row is `None` when fewer of its pool's scores are above 0 than its
+    draw needs (`m`, or one for a whole pool): the scores are products of
+    two clipped sigmoids and can underflow. Rows are scored in blocks of
+    `ROW_BLOCK` rows with one pool size. The dot products are one
+    matrix-vector product per virtual node, and every sum adds its terms
+    in the order of a row scored alone, so no row depends on its block.
+    """
+    sizes = np.array([pool_size(graph, virt.anchor, m, pool_factor)
+                      for virt in virts])
+    # anchor -> sigmoid of its H_o dots; a virtual node keeps its
+    # anchor's H_o row
+    zo = {}
+    for virt in virts:
+        if virt.anchor not in zo:
+            zo[virt.anchor] = ad.sigmoid_array(E.ho @ virt.h_o)
+    rows = [None] * len(virts)
+    for c in dict.fromkeys(sizes.tolist()):
+        same = np.flatnonzero(sizes == c)
+        for block in np.split(same, range(ROW_BLOCK, same.size, ROW_BLOCK)):
+            anchors = [virts[r].anchor for r in block]
+            dd = np.stack([E.hd @ virts[r].h_d for r in block])
+            z = ad.sigmoid_array(dd) * np.stack([zo[v] for v in anchors])
+            pool, pool_z = _hard_pools(z, np.array(anchors), graph, c)
+            ok = np.count_nonzero(pool_z, axis=1) >= (m if c > m else 1)
+            block, pool, pool_z = block[ok], pool[ok], pool_z[ok]
+            if c > m and block.size:
+                pick = _weighted_draw_without_replacement(
+                    pool_z, np.stack([uniforms[r] for r in block]))
+                pool = np.take_along_axis(pool, pick, axis=1)
+                pool_z = np.take_along_axis(pool_z, pick, axis=1)
+            p = pool_z / pool_z.sum(axis=1, keepdims=True)
+            for r, nodes, pr in zip(block, pool, p):
+                rows[r] = (nodes, pr)
+    return rows
+
+
+def sample_negatives(virt, E, graph, m, rng, pool_factor=10):
+    """Hard negatives: the virtual node's likeliest interaction partners
+    outside the anchor's neighborhood, drawn proportionally to Z.
+
+    The one-row case of `hard_negatives`; its uniforms are drawn before
+    the pool is scored, so a pool that underflows has moved `rng`.
+    """
+    c = pool_size(graph, virt.anchor, m, pool_factor)
+    u = rng.random(m) if c > m else None
+    row, = hard_negatives([virt], [u], E, graph, m, pool_factor)
+    if row is None:
+        raise NumericError(f"hard-negative pool of anchor {virt.anchor} "
+                           "has too few nonzero scores for its draw")
+    return row
 
 
 def uniform_negatives(graph, v, count, rng):

@@ -97,40 +97,43 @@ def _drop_edges(graph, rate, rng):
 def _build_batches(cfg, assignment, E, graph, p_ce, rng):
     """Virtual-node pipeline: anchors -> virtual nodes -> hard negatives.
 
-    The random draws come in the per-node order: the anchors, then per
-    virtual node its synthesis and its negatives' draws, then the anchor's
-    positives. The hard negatives are scored apart from the draws, in
-    blocks of virtual nodes (`ct.NegativeRows`).
+    The epoch's random draws come first, in the per-node order: the
+    anchors, then per kept anchor, per virtual node, its synthesis and
+    the uniforms of its negatives' weighted draw, then the anchor's
+    positives. An anchor with no neighbor, no non-neighbor or no node of
+    another class is skipped before it draws. Then one pass scores every
+    virtual node's hard negatives (`ct.hard_negatives`), which draws
+    nothing; a row whose pool underflows is dropped, and an anchor left
+    with no row gets no batch.
     """
+    m = cfg.negatives_m
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
-    negatives = ct.NegativeRows(E, graph, cfg.negatives_m, cfg.pool_factor)
-    plan = []
+    kept, virts, uniforms, rows = [], [], [], []
     for v in anchors:
-        if graph.neighbors(v).size == 0:
+        degree = graph.neighbors(v).size
+        if degree in (0, graph.n - 1) or \
+                assignment.opposing[assignment.hard[v]].size == 0:
             continue
-        first = len(negatives)
+        draws = ct.pool_size(graph, v, m, cfg.pool_factor) > m
         for _ in range(cfg.virtual_per_anchor):
-            try:
-                virt = ct.synthesize_virtual_node(v, assignment, E, p_ce, rng)
-            except MecoleError:
-                break
-            try:
-                if cfg.neg_uniform:
-                    negatives.append(*ct.sample_negatives(
-                        virt, E, graph, cfg.negatives_m, rng,
-                        pool_factor=cfg.pool_factor, uniform=True))
-                else:
-                    negatives.queue(virt, rng)
-            except MecoleError:
-                continue
-        if len(negatives) == first:
-            continue
-        pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
-        plan.append((v, pos, pos_p, first, len(negatives)))
-    rows = negatives.resolve()
+            virts.append(ct.synthesize_virtual_node(v, assignment, E, p_ce,
+                                                    rng))
+            if cfg.neg_uniform:
+                rows.append(ct.uniform_negatives(graph, v, m, rng))
+            else:
+                uniforms.append(rng.random(m) if draws else None)
+        kept.append((v, *ct.sample_positives(v, graph, cfg.positives, rng)))
+    if not cfg.neg_uniform:
+        rows = ct.hard_negatives(virts, uniforms, E, graph, m,
+                                 cfg.pool_factor)
     batches = []
-    for v, pos, pos_p, first, stop in plan:
-        nodes, p = zip(*rows[first:stop])
+    per_anchor = cfg.virtual_per_anchor
+    for i, (v, pos, pos_p) in enumerate(kept):
+        own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]
+               if r is not None]
+        if not own:
+            continue
+        nodes, p = zip(*own)
         neg_p = np.concatenate(p)
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
@@ -140,19 +143,19 @@ def _build_batches(cfg, assignment, E, graph, p_ce, rng):
 
 def _build_augment_batches(cfg, assignment, E, graph, rng):
     """Graph-augmentation ablation: positives from an edge-dropped view,
-    negatives uniform outside the neighborhood."""
+    negatives uniform outside the neighborhood. An anchor with no
+    neighbor in the view, or adjacent to every node, is skipped before it
+    draws."""
     view = _drop_edges(graph, 0.2, rng)
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
     batches = []
     for v in anchors:
-        if view.neighbors(v).size == 0:
+        if view.neighbors(v).size == 0 or \
+                graph.neighbors(v).size == graph.n - 1:
             continue
         pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
-        try:
-            negs, neg_p = ct.uniform_negatives(
-                graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
-        except MecoleError:
-            continue
+        negs, neg_p = ct.uniform_negatives(
+            graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
             negatives=negs, neg_p=neg_p))

@@ -6,7 +6,7 @@ from mecole import autodiff as ad
 from mecole.clustering import Assignment
 from mecole.contrastive import ContrastiveBatch, anchor_weights, \
     contrastive_loss, sample_anchors, sample_negatives, sample_positives, \
-    synthesize_virtual_node
+    synthesize_virtual_node, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, predict_links_against
 from mecole.errors import DataError
 from mecole.graphs import Graph
@@ -183,9 +183,8 @@ def test_negatives_uniform_ablation(rng):
     g, E, virt = star_fixture(rng)
     counts = np.zeros(8)
     for seed in range(3000):
-        chosen, p = sample_negatives(virt, E, g, 1,
-                                     np.random.default_rng(seed),
-                                     uniform=True)
+        chosen, p = uniform_negatives(g, virt.anchor, 1,
+                                      np.random.default_rng(seed))
         assert np.allclose(p, 1.0)
         counts[chosen[0]] += 1
     assert counts[:3].sum() == 0

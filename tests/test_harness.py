@@ -673,6 +673,19 @@ def test_cli_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"config error: cannot write to {tmp_path / 'run'}: ")
 
 
+def test_cli_unknown_log_level_fails_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("MECOLE_LOG", "verbose")
+    monkeypatch.setattr(cli, "run_training", _no_work)
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("config error: MECOLE_LOG must be one of ")
+    assert all(level in err for level in ("error", "warn", "info", "debug"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
     rc = cli_main(["train", "--config", str(tmp_path / "none.cfg")])
     assert rc == 1

@@ -4,6 +4,9 @@ per-node code it replaced.
 Each reference below is a copy of the earlier implementation; the array
 versions must reproduce it exactly (same nodes, same probabilities to the
 bit, same generator state afterwards), so seeded runs stay byte-identical.
+The references make their draws in the order of the batch builder: a row
+draws its uniforms before its pool is scored, and an anchor draws its
+positives whether or not its rows underflow.
 """
 
 import numpy as np
@@ -13,9 +16,9 @@ from mecole import contrastive as ct
 from mecole.clustering import Assignment
 from mecole.config import ExperimentConfig
 from mecole.contrastive import VirtualNode, sample_negatives, \
-    synthesize_virtual_node
+    synthesize_virtual_node, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, predict_links_against
-from mecole.errors import ConfigError, DataError, MecoleError, NumericError
+from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, SBMConfig, generate_sbm
 from mecole.training import _build_augment_batches, _build_batches, \
     _drop_edges, run_training
@@ -73,10 +76,13 @@ def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
     pool_idx = np.argsort(-z, kind="stable")[:c]
     pool = candidates[pool_idx]
     pool_z = z[pool_idx]
-    # scores can underflow to 0: raise, before drawing, when fewer than m
-    # are above 0 (fewer than one if the pool is taken whole)
+    # scores can underflow to 0: raise when fewer than m are above 0
+    # (fewer than one if the pool is taken whole), after the draw's
+    # uniforms are used up
     need = m if pool.size > m else 1
     if np.count_nonzero(pool_z) < need:
+        if pool.size > m:
+            rng.random(m)  # one uniform per rng.choice(size, p=p)
         raise NumericError("hard-negative pool underflows")
     if pool.size <= m:
         chosen = [int(u) for u in pool]
@@ -90,28 +96,26 @@ def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
 
 def ref_build_batches(cfg, assignment, E, graph, p_ce, rng):
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
+    hard = assignment.R.argmax(axis=1)
     batches = []
     for v in anchors:
-        if graph.neighbors(v).size == 0:
+        if graph.neighbors(v).size in (0, graph.n - 1) or \
+                (hard == hard[v]).all():
             continue
         neg_nodes, neg_scores = [], []
         for _ in range(cfg.virtual_per_anchor):
-            try:
-                virt = ref_synthesize_virtual_node(v, assignment, E, p_ce,
-                                                   rng)
-            except MecoleError:
-                break
+            virt = ref_synthesize_virtual_node(v, assignment, E, p_ce, rng)
             try:
                 nodes, p = ref_sample_negatives(
                     virt, E, graph, cfg.negatives_m, rng,
                     pool_factor=cfg.pool_factor, uniform=cfg.neg_uniform)
-            except MecoleError:
+            except NumericError:
                 continue
             neg_nodes.extend(int(u) for u in nodes)
             neg_scores.extend(p.tolist())
+        pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
         if not neg_nodes:
             continue
-        pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
         neg_p = np.asarray(neg_scores)
         batches.append(ct.ContrastiveBatch(
             anchor=int(v), positives=pos, pos_p=pos_p,
@@ -125,14 +129,12 @@ def ref_build_augment_batches(cfg, assignment, E, graph, rng):
     batches = []
     for v in anchors:
         nbrs = view.neighbors(v)
-        if nbrs.size == 0:
-            continue
-        pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
         excluded = set(graph.neighbors(v).tolist()) | {v}
         candidates = np.array([u for u in range(graph.n)
                                if u not in excluded])
-        if candidates.size == 0:
+        if nbrs.size == 0 or candidates.size == 0:
             continue
+        pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
         take = min(cfg.negatives_m * cfg.virtual_per_anchor, candidates.size)
         negs = np.asarray(sorted(int(u) for u in
                                  rng.choice(candidates, size=take,
@@ -210,7 +212,7 @@ def test_uniform_path_matches_reference(seed, m):
     graph, E, a = fixture(seed)
     for virt in virtual_nodes(graph, a, E, np.random.default_rng(seed)):
         new_rng, ref_rng = pair_rngs(seed + 200)
-        got = sample_negatives(virt, E, graph, m, new_rng, uniform=True)
+        got = uniform_negatives(graph, virt.anchor, m, new_rng)
         want = ref_sample_negatives(virt, E, graph, m, ref_rng, uniform=True)
         assert same_result(got, want)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -430,6 +432,42 @@ def test_build_batches_matches_reference(case, neg_uniform):
                    for b in got)
 
 
+def test_one_scoring_pass_matches_rows_sampled_alone():
+    # the ragged fixture's pools range from 3 (taken whole) to 47 nodes
+    graph, E, a = ragged_fixture()
+    m, pool_factor = 5, 10
+    virts = virtual_nodes(graph, a, E, np.random.default_rng(0), count=48)
+    sizes = {ct.pool_size(graph, virt.anchor, m, pool_factor)
+             for virt in virts}
+    assert min(sizes) <= m and len(sizes) > 3
+    new_rng, ref_rng = pair_rngs(1)
+    uniforms = [new_rng.random(m) if
+                ct.pool_size(graph, virt.anchor, m, pool_factor) > m
+                else None for virt in virts]
+    rows = ct.hard_negatives(virts, uniforms, E, graph, m, pool_factor)
+    for virt, row in zip(virts, rows):
+        assert same_result(row, sample_negatives(virt, E, graph, m, ref_rng,
+                                                 pool_factor=pool_factor))
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_builders_skip_an_anchor_adjacent_to_every_node():
+    graph, E, a = fixture(4)
+    pairs = set(zip(graph.u.tolist(), graph.v.tolist()))
+    graph = Graph.from_pairs(graph.n, sorted(
+        pairs | {(0, u) for u in range(1, graph.n)}))
+    # every node is an anchor, the hub 0 included
+    cfg = ExperimentConfig(K=4, seed=4, per_class_anchors=graph.n)
+    new_rng, ref_rng = pair_rngs(4)
+    got = _build_batches(cfg, a, E, graph, 0.5, new_rng)
+    got_aug = _build_augment_batches(cfg, a, E, graph, new_rng)
+    want = ref_build_batches(cfg, a, E, graph, 0.5, ref_rng)
+    want_aug = ref_build_augment_batches(cfg, a, E, graph, ref_rng)
+    assert got and got_aug and 0 not in {b.anchor for b in got + got_aug}
+    assert same_batches(got, want) and same_batches(got_aug, want_aug)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("case", [0, "ragged", "underflow", "cora"])
 def test_hard_negatives_lie_outside_the_closed_neighborhood(case):
     graph, E, a, overrides = batch_case(case)
@@ -494,11 +532,12 @@ def underflow_fixture():
 def test_all_zero_pool_raises_numeric_error(m):
     graph, E, virt = underflow_fixture()
     assert not predict_links_against(virt.h_d, virt.h_o, E).any()
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
+    rng, ref_rng = pair_rngs(0)
     with pytest.raises(NumericError):
         sample_negatives(virt, E, graph, m, rng)
-    assert rng.bit_generator.state == before
+    if m < 4:  # the pool of 4 candidates is drawn from: m uniforms
+        ref_rng.random(m)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pool_with_fewer_nonzero_scores_than_m_raises_numeric_error():
@@ -508,11 +547,11 @@ def test_pool_with_fewer_nonzero_scores_than_m_raises_numeric_error():
     E = DecoupledEmbeddings.from_arrays(hd, E.ho)
     z = predict_links_against(virt.h_d, virt.h_o, E)
     assert np.count_nonzero(z) == 1
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
+    rng, ref_rng = pair_rngs(0)
     with pytest.raises(NumericError):
         sample_negatives(virt, E, graph, 2, rng)
-    assert rng.bit_generator.state == before
+    ref_rng.random(2)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     chosen, p = sample_negatives(virt, E, graph, 1, rng)
     assert chosen.tolist() == [3] and p.tolist() == [1.0]
 
