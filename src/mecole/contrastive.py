@@ -2,9 +2,9 @@
 sampling, and the contrastive loss over class-dependent embeddings.
 
 Hard negatives are drawn first and scored after: a caller draws each
-virtual node and, when its pool is larger than the draw, the uniforms of
-its weighted draw; `hard_negatives` then scores all the rows at once and
-draws nothing.
+virtual node's donor and mask and, when its pool is larger than the draw,
+the uniforms of its weighted draw; `hard_negatives` then scores all the
+rows at once, given as arrays, and draws nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "VirtualNode",
     "ContrastiveBatch",
     "sample_anchors",
+    "draw_virtual_node",
     "synthesize_virtual_node",
     "pool_size",
     "hard_negatives",
@@ -93,19 +94,25 @@ def anchor_weights(assignment, k):
     return members, _boundary_weights(assignment.R[members, k])
 
 
-def synthesize_virtual_node(v, assignment, E, p_ce, rng):
-    """Blend the anchor's class-dependent dims toward a donor drawn
-    uniformly from the opposing classes; invariant dims stay the anchor's."""
+def draw_virtual_node(v, assignment, dim_d, p_ce, rng):
+    """The donor (uniform over the opposing classes) and the mask of the
+    `dim_d` class-dependent dims it gives (Bernoulli(p_ce), none empty)."""
     if not 0.0 < p_ce <= 1.0:
         raise ConfigError("p_ce must lie in (0, 1]")
     opposing = assignment.opposing[assignment.hard[v]]
     if opposing.size == 0:
         raise DataError("no opposing class to draw a donor from")
-    donor = int(rng.choice(opposing))
-    dim_d = E.hd.shape[1]
+    donor = int(opposing[rng.integers(0, opposing.size)])  # as rng.choice
     mask = rng.random(dim_d) < p_ce
     while not mask.any():
         mask = rng.random(dim_d) < p_ce
+    return donor, mask
+
+
+def synthesize_virtual_node(v, assignment, E, p_ce, rng):
+    """Blend the anchor's class-dependent dims toward the donor of
+    `draw_virtual_node`; invariant dims stay the anchor's."""
+    donor, mask = draw_virtual_node(v, assignment, E.hd.shape[1], p_ce, rng)
     h_d = np.where(mask, E.hd[donor], E.hd[v])
     return VirtualNode(h_d=h_d, h_o=E.ho[v].copy(), anchor=int(v),
                        donor=donor, mask=mask)
@@ -161,57 +168,54 @@ def _hard_pools(z, anchors, graph, c):
     return pool, np.take_along_axis(z, pool, axis=1)
 
 
-ROW_BLOCK = 32
+SCORE_BUDGET = 2 ** 17  # scores per block in `hard_negatives`: 1 MiB
 
 
 def pool_size(graph, v, m, pool_factor):
-    """Size of anchor `v`'s hard-negative pool: `pool_factor * m`, cut to
-    the candidates outside its closed neighborhood. The rows of a pool
-    larger than `m` draw `m` uniforms."""
+    """Size of the hard-negative pool of anchor `v` (or of each anchor in
+    an array): `pool_factor * m`, cut to the candidates outside its closed
+    neighborhood. The rows of a pool larger than `m` draw `m` uniforms."""
     if m < 1:
         raise ConfigError("m must be >= 1")
     if pool_factor < 1:
         raise ConfigError("pool_factor must be >= 1")
-    candidates = graph.n - 1 - graph.neighbors(v).size
-    if candidates == 0:
+    candidates = graph.n - 1 - graph.degrees[v]
+    if (candidates == 0).any():
         raise DataError("no candidate negatives: anchor neighborhood is full")
-    return min(pool_factor * m, candidates)
+    return np.minimum(pool_factor * m, candidates)
 
 
-def hard_negatives(virts, uniforms, E, graph, m, pool_factor):
-    """The hard negatives of each virtual node in `virts`: per row, the
-    nodes drawn from its pool (`pool_size`) with the row's `m` uniforms
-    (`None` for a pool no larger than `m`, taken whole), and their
-    probabilities in proportion to Z.
+def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, pool_factor):
+    """Per virtual node r (anchor `anchors[r]`, rows `h_d[r]`, `h_o[r]`),
+    its pool (`pool_size`) drawn from with the next row of `uniforms`, or
+    whole if no larger than `m`, and the probabilities in proportion to Z.
 
     A row is `None` when fewer of its pool's scores are above 0 than its
     draw needs (`m`, or one for a whole pool): the scores are products of
-    two clipped sigmoids and can underflow. Rows are scored in blocks of
-    `ROW_BLOCK` rows with one pool size. The dot products are one
-    matrix-vector product per virtual node, and every sum adds its terms
-    in the order of a row scored alone, so no row depends on its block.
+    two clipped sigmoids and can underflow. Rows of one pool size are
+    scored in blocks of `max(32, SCORE_BUDGET // n)` rows. The dot products
+    are one matrix-vector product per row for `H_d` and per distinct anchor
+    (its first row) for `H_o`, and every sum adds its terms in the order
+    of a row scored alone, so no row depends on its block.
     """
-    sizes = np.array([pool_size(graph, virt.anchor, m, pool_factor)
-                      for virt in virts])
-    # anchor -> sigmoid of its H_o dots; a virtual node keeps its
-    # anchor's H_o row
-    zo = {}
-    for virt in virts:
-        if virt.anchor not in zo:
-            zo[virt.anchor] = ad.sigmoid_array(E.ho @ virt.h_o)
-    rows = [None] * len(virts)
+    sizes = pool_size(graph, anchors, m, pool_factor)
+    slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
+    _, first, which = np.unique(anchors, return_index=True,
+                                return_inverse=True)
+    zo = ad.sigmoid_array(np.array([E.ho @ h_o[r] for r in first]))
+    step = max(32, SCORE_BUDGET // graph.n)
+    rows = [None] * anchors.size
     for c in dict.fromkeys(sizes.tolist()):
         same = np.flatnonzero(sizes == c)
-        for block in np.split(same, range(ROW_BLOCK, same.size, ROW_BLOCK)):
-            anchors = [virts[r].anchor for r in block]
-            dd = np.stack([E.hd @ virts[r].h_d for r in block])
-            z = ad.sigmoid_array(dd) * np.stack([zo[v] for v in anchors])
-            pool, pool_z = _hard_pools(z, np.array(anchors), graph, c)
+        for block in np.split(same, range(step, same.size, step)):
+            dd = np.stack([E.hd @ h_d[r] for r in block])
+            z = ad.sigmoid_array(dd) * zo[which[block]]
+            pool, pool_z = _hard_pools(z, anchors[block], graph, c)
             ok = np.count_nonzero(pool_z, axis=1) >= (m if c > m else 1)
             block, pool, pool_z = block[ok], pool[ok], pool_z[ok]
             if c > m and block.size:
                 pick = _weighted_draw_without_replacement(
-                    pool_z, np.stack([uniforms[r] for r in block]))
+                    pool_z, uniforms[slot[block]])
                 pool = np.take_along_axis(pool, pick, axis=1)
                 pool_z = np.take_along_axis(pool_z, pick, axis=1)
             p = pool_z / pool_z.sum(axis=1, keepdims=True)
@@ -228,8 +232,9 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10):
     the pool is scored, so a pool that underflows has moved `rng`.
     """
     c = pool_size(graph, virt.anchor, m, pool_factor)
-    u = rng.random(m) if c > m else None
-    row, = hard_negatives([virt], [u], E, graph, m, pool_factor)
+    u = rng.random((int(c > m), m))
+    row, = hard_negatives(np.array([virt.anchor]), virt.h_d[None],
+                          virt.h_o[None], u, E, graph, m, pool_factor)
     if row is None:
         raise NumericError(f"hard-negative pool of anchor {virt.anchor} "
                            "has too few nonzero scores for its draw")

@@ -117,9 +117,8 @@ class Graph:
 
     @property
     def degrees(self):
-        """Number of stored neighbors per node."""
-        return np.bincount(self.u, minlength=self.n) + \
-            np.bincount(self.v, minlength=self.n)
+        """Number of stored neighbors per node, from the CSR row pointers."""
+        return np.diff(self.adjacency.indptr)
 
     @property
     def weighted_degrees(self):
@@ -273,7 +272,8 @@ def load_edge_list(path, n_hint=None):
 
 
 def _numeric_rows(path):
-    """Rows of comma- or whitespace-separated numbers, all one length."""
+    """Rows of comma- or whitespace-separated finite numbers, all one
+    length."""
     rows = []
     for lineno, line in _data_lines(path):
         toks = line.replace(",", " ").split()
@@ -283,19 +283,22 @@ def _numeric_rows(path):
             raise DataError(f"{path}:{lineno}: non-numeric token")
     if len({len(r) for r in rows}) > 1:
         raise DataError(f"{path}: rows differ in length")
-    return np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise DataError(f"{path}: non-finite value (nan or inf)")
+    return rows
 
 
 def load_features(path, n):
     X = _numeric_rows(path)
     if len(X) != n:
         raise DataError(f"{path}: row count mismatch (got {len(X)}, want {n})")
-    if not np.all(np.isfinite(X)):
-        raise DataError(f"{path}: non-finite feature value")
     return X
 
 
 def load_labels(path):
+    """One integer label per line; -1 marks an unlabeled node, and a label
+    below -1 is a data error."""
     labels = []
     for lineno, line in _data_lines(path):
         try:
@@ -303,9 +306,14 @@ def load_labels(path):
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer label")
     try:
-        return np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
     except OverflowError:
         raise DataError(f"{path}: label outside the int64 range")
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        raise DataError(f"{path}: label {labels[below[0]]} below -1, the "
+                        "one mark of an unlabeled node")
+    return labels
 
 
 def load_attribute_bags(path):

@@ -97,37 +97,39 @@ def _drop_edges(graph, rate, rng):
 def _build_batches(cfg, assignment, E, graph, p_ce, rng):
     """Virtual-node pipeline: anchors -> virtual nodes -> hard negatives.
 
-    The epoch's random draws come first, in the per-node order: the
-    anchors, then per kept anchor, per virtual node, its synthesis and
-    the uniforms of its negatives' weighted draw, then the anchor's
-    positives. An anchor with no neighbor, no non-neighbor or no node of
-    another class is skipped before it draws. Then one pass scores every
-    virtual node's hard negatives (`ct.hard_negatives`), which draws
-    nothing; a row whose pool underflows is dropped, and an anchor left
-    with no row gets no batch.
+    The loop only draws, in the per-node order: the anchors, then per kept
+    anchor, per virtual node, its donor and mask and its negatives'
+    uniforms, then the anchor's positives. An anchor with no neighbor, no
+    non-neighbor or no node of another class is skipped before it draws.
+    Then the virtual nodes' `H_d` rows are built as one matrix and scored
+    in one pass (`ct.hard_negatives`); a row whose pool underflows is
+    dropped, and an anchor left with no row gets no batch.
     """
-    m = cfg.negatives_m
-    anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
-    kept, virts, uniforms, rows = [], [], [], []
-    for v in anchors:
-        degree = graph.neighbors(v).size
-        if degree in (0, graph.n - 1) or \
-                assignment.opposing[assignment.hard[v]].size == 0:
-            continue
-        draws = ct.pool_size(graph, v, m, cfg.pool_factor) > m
-        for _ in range(cfg.virtual_per_anchor):
-            virts.append(ct.synthesize_virtual_node(v, assignment, E, p_ce,
-                                                    rng))
+    m, per_anchor = cfg.negatives_m, cfg.virtual_per_anchor
+    anchors = np.array(ct.sample_anchors(assignment, cfg.per_class_anchors,
+                                         rng), dtype=np.int64)
+    anchors = anchors[~np.isin(graph.degrees[anchors], (0, graph.n - 1))]
+    if anchors.size == 0 or np.ptp(assignment.hard) == 0:
+        return []  # no anchor left, or no other class to give a donor
+    draws = ct.pool_size(graph, anchors, m, cfg.pool_factor) > m
+    kept, drawn, uniforms, rows = [], [], [], []
+    for v, draw in zip(anchors.tolist(), draws.tolist()):
+        for _ in range(per_anchor):
+            drawn.append(ct.draw_virtual_node(v, assignment, E.hd.shape[1],
+                                              p_ce, rng))
             if cfg.neg_uniform:
                 rows.append(ct.uniform_negatives(graph, v, m, rng))
-            else:
-                uniforms.append(rng.random(m) if draws else None)
+            elif draw:
+                uniforms.append(rng.random(m))
         kept.append((v, *ct.sample_positives(v, graph, cfg.positives, rng)))
     if not cfg.neg_uniform:
-        rows = ct.hard_negatives(virts, uniforms, E, graph, m,
+        donors, masks = map(np.array, zip(*drawn))
+        owners = np.repeat(anchors, per_anchor)
+        h_d = np.where(masks, E.hd[donors], E.hd[owners])
+        rows = ct.hard_negatives(owners, h_d, E.ho[owners],
+                                 np.reshape(uniforms, (-1, m)), E, graph, m,
                                  cfg.pool_factor)
     batches = []
-    per_anchor = cfg.virtual_per_anchor
     for i, (v, pos, pos_p) in enumerate(kept):
         own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]
                if r is not None]

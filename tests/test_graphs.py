@@ -84,6 +84,21 @@ def test_load_vocabulary(tmp_path):
         load_vocabulary(write(tmp_path, "v.txt", "1 0\nx 1\n"))
 
 
+@pytest.mark.parametrize("row", ["nan 1", "1 inf", "-inf 0"])
+def test_load_vocabulary_rejects_non_finite_entries(tmp_path, row):
+    path = write(tmp_path, "v.txt", f"1 0\n{row}\n")
+    with pytest.raises(DataError, match="non-finite") as info:
+        load_vocabulary(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_labels_accepts_minus_one_and_rejects_below(tmp_path):
+    assert load_labels(write(tmp_path, "l.txt", "0\n-1\n2\n")).tolist() \
+        == [0, -1, 2]
+    with pytest.raises(DataError, match="label -3 below -1"):
+        load_labels(write(tmp_path, "l.txt", "0\n-1\n-3\n-2\n"))
+
+
 def test_loaders_map_unreadable_files_to_data_error(tmp_path):
     missing = tmp_path / "missing.txt"
     for load in (load_edge_list, load_labels, load_attribute_bags,

@@ -718,6 +718,30 @@ def test_cli_gen_sbm_train_eval_roundtrip(tmp_path, capsys):
     assert "accuracy" in text and "nmi" in text
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_label_below_minus_one_is_data_error(tmp_path, capsys, command):
+    data_dir = tmp_path / "data"
+    assert cli_main(["gen-sbm"] + sbm_args(data_dir)) == 0
+    labels = (data_dir / "labels.txt").read_text().split()
+    labels[:10] = ["-3"] * 10
+    (data_dir / "labels.txt").write_text("\n".join(labels) + "\n")
+    if command == "train":
+        argv = ["train"] + sbm_args(tmp_path / "run", extra=[
+            "--set", f"edge_path={data_dir / 'edges.txt'}",
+            "--set", f"label_path={data_dir / 'labels.txt'}"])
+    else:
+        export = "node_id,class,r0,r1,relevant\n" + "".join(
+            f"{i},0,1.0,0.0,1\n" for i in range(len(labels)))
+        (tmp_path / "assign.csv").write_text(export)
+        argv = ["eval", "--assignments", str(tmp_path / "assign.csv"),
+                "--labels", str(data_dir / "labels.txt")]
+    capsys.readouterr()
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "below -1" in err and "Traceback" not in err
+
+
 def test_cli_gen_sbm_without_sbm_settings_is_data_error(tmp_path, capsys):
     rc = cli_main(["gen-sbm", "--out", str(tmp_path / "data")])
     err = capsys.readouterr().err

@@ -336,6 +336,19 @@ def test_virtual_node_matches_reference(seed):
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 300, 2708])
+def test_donor_draw_equals_choice(size):
+    # draw_virtual_node draws its donor as pool[rng.integers(0, pool.size)]
+    # in place of rng.choice(pool): same value, same generator state
+    pool = np.arange(size, dtype=np.int64) * 3 + 1
+    new_rng, ref_rng = pair_rngs(size)
+    for _ in range(200):
+        got = pool[new_rng.integers(0, pool.size)]
+        want = ref_rng.choice(pool)
+        assert got == want and type(got) is type(want)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # batch builders --------------------------------------------------------------
 
 def noisy_assignment(labels, rng):
@@ -394,8 +407,8 @@ def batch_case(case):
     """Graph, embeddings, assignment and config overrides of one input."""
     if case == "ragged":
         return (*ragged_fixture(), dict(K=4, per_class_anchors=12))
-    if case == "blocks":
-        # 4 classes x 20 anchors x 6 virtual nodes: many row blocks
+    if case in ("blocks", "many_blocks"):
+        # 4 classes x 20 anchors x 6 virtual nodes: 480 rows of one size
         return (*fixture(3), dict(K=4, per_class_anchors=20,
                                   virtual_per_anchor=6))
     if case == "underflow":
@@ -405,11 +418,15 @@ def batch_case(case):
     return (*fixture(case), dict(K=4))
 
 
-@pytest.mark.parametrize("case", [0, 1, 2, "ragged", "blocks", "underflow",
-                                  "cora"])
+@pytest.mark.parametrize("case", [0, 1, 2, "ragged", "blocks", "many_blocks",
+                                  "underflow", "cora"])
 @pytest.mark.parametrize("neg_uniform", [False, True])
-def test_build_batches_matches_reference(case, neg_uniform):
+def test_build_batches_matches_reference(case, neg_uniform, monkeypatch):
     graph, E, a, overrides = batch_case(case)
+    if case == "many_blocks":
+        # blocks of 100 rows, so the epoch spans at least 3 of them
+        monkeypatch.setattr(ct, "SCORE_BUDGET", 100 * graph.n)
+    block = max(32, ct.SCORE_BUDGET // graph.n)
     seed = case if isinstance(case, int) else 5
     cfg = ExperimentConfig(seed=seed, neg_uniform=neg_uniform, **overrides)
     new_rng, ref_rng = pair_rngs(seed)
@@ -425,7 +442,10 @@ def test_build_batches_matches_reference(case, neg_uniform):
         # pools of every size from the hubs' 3 up to the 47 of the others
         assert min(counts) < full
     if case == "blocks":
-        assert sum(counts) > 2 * ct.ROW_BLOCK * cfg.negatives_m
+        # one block per epoch, as on small graphs
+        assert sum(counts) <= block * cfg.negatives_m
+    if case == "many_blocks":
+        assert sum(counts) > 2 * block * cfg.negatives_m
     if case == "underflow":
         # a class-0 anchor lost the rows of its class-1 donors
         assert any(b.anchor in (0, 1) and 0 < len(b.negatives) < full
@@ -437,14 +457,14 @@ def test_one_scoring_pass_matches_rows_sampled_alone():
     graph, E, a = ragged_fixture()
     m, pool_factor = 5, 10
     virts = virtual_nodes(graph, a, E, np.random.default_rng(0), count=48)
-    sizes = {ct.pool_size(graph, virt.anchor, m, pool_factor)
-             for virt in virts}
-    assert min(sizes) <= m and len(sizes) > 3
+    anchors = np.array([virt.anchor for virt in virts])
+    sizes = ct.pool_size(graph, anchors, m, pool_factor)
+    assert min(sizes) <= m and len(set(sizes.tolist())) > 3
     new_rng, ref_rng = pair_rngs(1)
-    uniforms = [new_rng.random(m) if
-                ct.pool_size(graph, virt.anchor, m, pool_factor) > m
-                else None for virt in virts]
-    rows = ct.hard_negatives(virts, uniforms, E, graph, m, pool_factor)
+    uniforms = new_rng.random((np.count_nonzero(sizes > m), m))
+    rows = ct.hard_negatives(anchors, np.array([virt.h_d for virt in virts]),
+                             np.array([virt.h_o for virt in virts]),
+                             uniforms, E, graph, m, pool_factor)
     for virt, row in zip(virts, rows):
         assert same_result(row, sample_negatives(virt, E, graph, m, ref_rng,
                                                  pool_factor=pool_factor))
