@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+PAIR_BUDGET = 2 ** 16  # gathered entries per block in `pair_dot`: 512 KiB
+
+
 def _check_finite(values, op):
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite values produced by '{op}'")
@@ -330,20 +333,42 @@ def take_cols(x, idx):
     return _make(x.values[:, idx], (x,), bwd, "take_cols")
 
 
+def _pair_grad(rows, cols, w, xs):
+    """`_incidence(rows, w) @ xs[cols]` without gathering `xs[cols]`: in
+    CSR form the incidence keeps each row's pairs in ascending j (SciPy's
+    counting sort keeps explicit zeros), so with its columns pointed at
+    `cols[j]` one product adds the same terms in the same axpy order."""
+    n = xs.shape[0]
+    t = _incidence(rows, w, n).tocsr()
+    return sp.csr_matrix((t.data, cols[t.indices], t.indptr),
+                         shape=(n, n)) @ xs
+
+
 def pair_dot(x, u, v):
     """Row dots `x[u[j]] . x[v[j]]` as a column: one tape node with the
     values and gradient bits of `tsum(mul(take_rows(x, u), take_rows(x,
-    v)), axis=1)`. Each side's gradient is one weighted incidence product,
-    the v side first as the composite adds them; no P x d gradient is
-    built."""
+    v)), axis=1)`, and no P x d array in either direction.
+
+    The forward takes `PAIR_BUDGET // d` pairs (at least one) at a time:
+    both gathers of a block, their product in place, and its row sums
+    written into the output. Every row gets the composite's product and
+    pairwise row sum, so the values are bit-equal. The backward returns the v side,
+    then the u side, as the composite adds them; each is one sparse
+    product with `x` (`_pair_grad`), bit-equal to scattering the
+    gathered rows."""
     x = _as_tensor(x)
     u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    xu, xv = x.values[u], x.values[v]
+    xs = x.values
+    out = np.empty((u.size, 1))
+    step = max(PAIR_BUDGET // max(xs.shape[1], 1), 1)
+    for lo in range(0, u.size, step):
+        block = np.take(xs, u[lo:lo + step], axis=0)
+        block *= np.take(xs, v[lo:lo + step], axis=0)
+        block.sum(axis=1, out=out[lo:lo + step, 0])
     def bwd(g):
-        w, rows = g.ravel(), x.shape[0]
-        return ((x, _incidence(v, w, rows) @ xu),
-                (x, _incidence(u, w, rows) @ xv))
-    return _make((xu * xv).sum(axis=1, keepdims=True), (x,), bwd, "pair_dot")
+        w = g.ravel()
+        return ((x, _pair_grad(v, u, w, xs)), (x, _pair_grad(u, v, w, xs)))
+    return _make(out, (x,), bwd, "pair_dot")
 
 
 def concat(parts):

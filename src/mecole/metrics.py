@@ -16,12 +16,15 @@ __all__ = ["clustering_accuracy", "nmi", "MetricsReport"]
 def _contingency(pred, truth):
     """Counts of (predicted, true) label pairs over the labels present,
     pred along rows; entries with truth == -1 are unlabeled and
-    excluded."""
+    excluded, and a truth below -1 is an error."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise DataError("prediction/truth length mismatch")
-    keep = truth >= 0
+    if truth.size and truth.min() < -1:
+        raise DataError(f"true label {truth.min()} below -1, the one mark "
+                        "of an unlabeled node")
+    keep = truth != -1
     pred, truth = pred[keep], truth[keep]
     if pred.size == 0:
         raise DataError("no labeled nodes to evaluate")

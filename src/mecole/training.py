@@ -164,6 +164,38 @@ def _build_augment_batches(cfg, assignment, E, graph, rng):
     return batches
 
 
+def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
+    """One epoch's loss on the tape over the embeddings `E`, and the
+    values of its L1, weighted L2 and LCE terms."""
+    l1 = dc.reconstruction_loss(graph, E, cfg.neg_ratio, rng, mlp=mlp)
+    loss = l1
+    l2_val = 0.0
+    if E.ho.shape[1] > 0:
+        nonempty = sum(assignment.members(k).size > 0 for k in range(cfg.K))
+        if nonempty >= 2:
+            l2 = dc.discrepancy_loss(E, assignment, cfg.disc_metric,
+                                     cfg.disc_pairs, rng)
+            loss = ad.add(loss, ad.mul(l2, cfg.disc_weight))
+            l2_val = l2.item() * cfg.disc_weight
+
+    lce_val = 0.0
+    if not cfg.no_cl:
+        if cfg.graph_augment:
+            batches = _build_augment_batches(cfg, assignment, E, graph,
+                                             rng_cl)
+        else:
+            batches = _build_batches(cfg, assignment, E, graph,
+                                     cfg.p_ce_at(epoch), rng_cl)
+        if batches:
+            lce = ct.contrastive_loss(
+                batches, E, cfg.tau,
+                include_positive_in_denominator=cfg.infonce_standard)
+            lce_val = lce.item()
+            if cfg.alpha_ce > 0:
+                loss = ad.add(loss, ad.mul(lce, cfg.alpha_ce))
+    return loss, l1.item(), l2_val, lce_val
+
+
 def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
                  variant="baseline", init=None):
     """Execute the full iteration loop and return a MetricsReport.
@@ -225,40 +257,15 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
         if cfg.graph_augment and X is not None:
             X_in = _mask_features(X, 0.2, rng_cl)
         E = encoder.encode(hats_d, raw_hats, X_in)
-
-        l1 = dc.reconstruction_loss(graph, E, cfg.neg_ratio, rng, mlp=mlp)
-        loss = l1
-        l2_val = 0.0
-        if dim_o > 0:
-            nonempty = sum(assignment.members(k).size > 0
-                           for k in range(cfg.K))
-            if nonempty >= 2:
-                l2 = dc.discrepancy_loss(E, assignment, cfg.disc_metric,
-                                         cfg.disc_pairs, rng)
-                loss = ad.add(loss, ad.mul(l2, cfg.disc_weight))
-                l2_val = l2.item() * cfg.disc_weight
-
-        lce_val = 0.0
-        if not cfg.no_cl:
-            if cfg.graph_augment:
-                batches = _build_augment_batches(cfg, assignment, E, graph,
-                                                 rng_cl)
-            else:
-                batches = _build_batches(cfg, assignment, E, graph,
-                                         cfg.p_ce_at(epoch), rng_cl)
-            if batches:
-                lce = ct.contrastive_loss(
-                    batches, E, cfg.tau,
-                    include_positive_in_denominator=cfg.infonce_standard)
-                lce_val = lce.item()
-                if cfg.alpha_ce > 0:
-                    loss = ad.add(loss, ad.mul(lce, cfg.alpha_ce))
-
+        loss, l1_val, l2_val, lce_val = _epoch_loss(
+            cfg, epoch, graph, E, assignment, mlp, rng, rng_cl)
         opt.zero_grad()
         loss.backward()
         opt.step()
+        # free this epoch's tape before the next encode records another:
+        # the refit and the next rewire read only the H_d/H_o arrays
+        loss, E = None, dc.DecoupledEmbeddings.from_arrays(E.hd, E.ho)
 
-        l1_val = l1.item()
         total = l1_val + l2_val + cfg.alpha_ce * lce_val
         report.epoch_losses.append(
             {"epoch": epoch, "L1": l1_val, "L2": l2_val,

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,14 +343,22 @@ def pair_dot_composite(x, u, v):
     return ad.tsum(ad.mul(ad.take_rows(x, u), ad.take_rows(x, v)), axis=1)
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "blocks", "one_pair_blocks",
+                                  "zero_width"])
 @pytest.mark.parametrize("inner", [False, True])
-def test_pair_dot_bit_equal_to_composite(seed, inner):
+def test_pair_dot_bit_equal_to_composite(case, inner, monkeypatch):
     # repeated indices, u == v pairs and magnitudes far apart; x also
     # feeds a second consumer, and with `inner` it is itself an op
-    # output, so the order in which its gradients are summed shows
-    rng = np.random.default_rng(seed)
-    n, d, P = 40, 6, 500
+    # output, so the order in which its gradients are summed shows;
+    # also a forward over 4 blocks, the last one short, one over blocks
+    # of one pair (a budget below d), and a zero-width x (no_decouple's
+    # H_o)
+    rng = np.random.default_rng(case if isinstance(case, int) else 4)
+    n, d, P = 40, 0 if case == "zero_width" else 6, 500
+    if case == "blocks":
+        monkeypatch.setattr(ad, "PAIR_BUDGET", 160 * d)
+    elif case == "one_pair_blocks":
+        monkeypatch.setattr(ad, "PAIR_BUDGET", d - 1)
     u = rng.integers(0, n, size=P)
     v = np.where(rng.random(P) < 0.2, u, rng.integers(0, n, size=P))
     X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 5, (n, 1))
@@ -366,6 +375,23 @@ def test_pair_dot_bit_equal_to_composite(seed, inner):
         runs.append((s.values.tobytes(), loss.values.tobytes(),
                      w.grad.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_pair_dot_builds_no_pair_by_dim_array():
+    # sbm1600's link loss: 10,304 edges and as many non-edges at d = 32;
+    # one P x d gather alone would take twice the bound
+    rng = np.random.default_rng(0)
+    n, d, P = 1600, 32, 20_608
+    x = ad.parameter(rng.normal(size=(n, d)))
+    u, v = rng.integers(0, n, size=P), rng.integers(0, n, size=P)
+    tracemalloc.start()
+    try:
+        ad.tsum(ad.pair_dot(x, u, v)).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == (n, d)
+    assert peak < P * d * 8 / 2
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -37,6 +37,13 @@ def test_accuracy_excludes_unlabeled():
     assert clustering_accuracy(pred, truth) == 1.0
 
 
+def test_scores_reject_a_truth_below_minus_one():
+    # only -1 marks an unlabeled node, as in load_labels
+    for score in (clustering_accuracy, nmi):
+        with pytest.raises(DataError, match="-3 below -1"):
+            score(np.array([0, 1, 1, 0]), np.array([0, -3, -3, 1]))
+
+
 def test_accuracy_shape_mismatch():
     with pytest.raises(DataError):
         clustering_accuracy(np.array([0, 1]), np.array([0]))
