@@ -237,11 +237,17 @@ def spmm(a_sparse, x):
 
 # elementwise -------------------------------------------------------
 
-def sigmoid_array(x):
+def sigmoid_array(x, out=None):
     """Logistic function of a plain array, stable at both tails:
-    `exp(min(x, 0)) / (1 + exp(-|x|))`, whose `exp`s never overflow."""
-    x = np.clip(x, -500, 500)
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    `exp(min(x, 0)) / (1 + exp(-|x|))`, whose `exp`s never overflow. Given
+    `out`, another array of x's shape, the result goes there and `x` ends
+    as the denominator, so no temporary is made; else `x` is kept."""
+    tmp = None if out is None else x
+    x = np.clip(x, -500, 500, out=tmp)
+    num = np.exp(np.minimum(x, 0.0, out=out), out=out)
+    den = np.add(1.0, np.exp(np.negative(np.abs(x, out=tmp), out=tmp),
+                             out=tmp), out=tmp)
+    return np.divide(num, den, out=out)
 
 
 def sigmoid(x):

@@ -244,10 +244,13 @@ def _fit_logistic(X, Y, steps=500, lr=0.5, l2=1e-4):
     deterministic and label-permutation equivariant (no RNG involved).
     """
     n, d = X.shape
+    Y = Y.astype(np.float64)
     W = np.zeros((d, Y.shape[1]))
     b = np.zeros(Y.shape[1])
+    err = np.empty_like(Y)
     for _ in range(steps):
-        err = ad.sigmoid_array(X @ W + b) - Y
+        ad.sigmoid_array(X @ W + b, out=err)
+        err -= Y
         W -= lr * (X.T @ err / n + l2 * W)
         b -= lr * err.sum(axis=0) / n
     return W, b

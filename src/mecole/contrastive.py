@@ -143,10 +143,14 @@ def _weighted_draw_without_replacement(w, u):
     return picks
 
 
-def _top_stable(keys, c):
+def _top_stable(keys, c, scratch=None):
     """Per row, `np.argsort(keys, kind="stable")[:c]` without sorting every
-    key: ties at the boundary still go to the lowest index."""
-    kth = np.partition(keys, c - 1, axis=1)[:, c - 1:c]
+    key: ties at the boundary still go to the lowest index. The partition
+    runs in `scratch`, an array of keys' shape, when one is given."""
+    part = np.empty_like(keys) if scratch is None else scratch
+    np.copyto(part, keys)
+    part.partition(c - 1, axis=1)
+    kth = part[:, c - 1:c]
     # the keys up to each row's c-th, in row-major order; a stable sort by
     # row, then key, keeps ties in index order
     rows, cols = np.divmod(np.flatnonzero(keys <= kth), keys.shape[1])
@@ -155,17 +159,18 @@ def _top_stable(keys, c):
     return cols[order][first[:, None] + np.arange(c)]
 
 
-def _hard_pools(z, anchors, graph, c):
+def _hard_pools(z, anchors, graph, c, scratch):
     """Per row of link scores `z`, the `c` nodes with the highest score
     outside the closed neighborhood of the row's anchor, highest first
-    with ties to the lowest id, and their scores."""
-    keys = -z
+    with ties to the lowest id, and their scores. `z` becomes the sort
+    keys, its negation; `scratch` is `_top_stable`'s."""
+    keys = np.negative(z, out=z)
     nbrs = [graph.neighbors(v) for v in anchors]
     keys[np.repeat(np.arange(len(nbrs)), [x.size for x in nbrs]),
          np.concatenate(nbrs)] = np.inf
     keys[np.arange(len(nbrs)), anchors] = np.inf
-    pool = _top_stable(keys, c)
-    return pool, np.take_along_axis(z, pool, axis=1)
+    pool = _top_stable(keys, c, scratch)
+    return pool, -np.take_along_axis(keys, pool, axis=1)
 
 
 SCORE_BUDGET = 2 ** 17  # scores per block in `hard_negatives`: 1 MiB
@@ -193,24 +198,29 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, pool_factor):
     A row is `None` when fewer of its pool's scores are above 0 than its
     draw needs (`m`, or one for a whole pool): the scores are products of
     two clipped sigmoids and can underflow. Rows of one pool size are
-    scored in blocks of `max(32, SCORE_BUDGET // n)` rows. The dot products
-    are one matrix-vector product per row for `H_d` and per distinct anchor
-    (its first row) for `H_o`, and every sum adds its terms in the order
-    of a row scored alone, so no row depends on its block.
+    scored in blocks of `max(32, SCORE_BUDGET // n)` rows, in two buffers
+    made once. The dot products are a stacked `np.matmul` of one
+    matrix-vector product per row for `H_d` and per distinct anchor (its
+    first row) for `H_o`, so no row's sums depend on its block.
     """
     sizes = pool_size(graph, anchors, m, pool_factor)
     slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
     _, first, which = np.unique(anchors, return_index=True,
                                 return_inverse=True)
-    zo = ad.sigmoid_array(np.array([E.ho @ h_o[r] for r in first]))
+    zo = np.empty((first.size, graph.n))
+    ad.sigmoid_array(np.matmul(E.ho, h_o[first][:, :, None])[:, :, 0], out=zo)
     step = max(32, SCORE_BUDGET // graph.n)
+    z_buf, scratch = np.empty((2, min(step, anchors.size), graph.n))
     rows = [None] * anchors.size
     for c in dict.fromkeys(sizes.tolist()):
         same = np.flatnonzero(sizes == c)
-        for block in np.split(same, range(step, same.size, step)):
-            dd = np.stack([E.hd @ h_d[r] for r in block])
-            z = ad.sigmoid_array(dd) * zo[which[block]]
-            pool, pool_z = _hard_pools(z, anchors[block], graph, c)
+        for block in (same[i:i + step] for i in range(0, same.size, step)):
+            z, tmp = z_buf[:block.size], scratch[:block.size]
+            np.matmul(E.hd, h_d[block][:, :, None], out=tmp[:, :, None])
+            ad.sigmoid_array(tmp, out=z)
+            # mode "clip" writes straight to `out`; "raise" would buffer it
+            z *= np.take(zo, which[block], axis=0, out=tmp, mode="clip")
+            pool, pool_z = _hard_pools(z, anchors[block], graph, c, tmp)
             ok = np.count_nonzero(pool_z, axis=1) >= (m if c > m else 1)
             block, pool, pool_z = block[ok], pool[ok], pool_z[ok]
             if c > m and block.size:

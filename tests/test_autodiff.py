@@ -220,15 +220,23 @@ def sigmoid_clip_first(x):
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 30.0, 800.0])
 def test_sigmoid_array_bit_equal_to_both_earlier_forms(shape, scale):
     x = np.random.default_rng(0).normal(scale=scale, size=shape)
-    x = np.append(x, [0.0, -0.0, 500.0, -500.0, 1e308, -1e308]) \
-        if x.ndim == 1 else x
+    x = np.append(x, [0.0, -0.0, 500.0, -500.0, 745.0, -745.0, 1e308,
+                      -1e308]) if x.ndim == 1 else x
+    before = x.copy()
     got = ad.sigmoid_array(x)
+    assert x.tobytes() == before.tobytes()  # without `out`, x is kept
     for ref in (sigmoid_three_exp, sigmoid_clip_first):
         want = ref(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert ad.sigmoid(np.atleast_2d(x)).values.tobytes() == \
         np.atleast_2d(sigmoid_three_exp(x)).tobytes()
+    # into a fresh buffer, the same bits; x becomes scratch
+    out = np.empty_like(x)
+    assert ad.sigmoid_array(x.copy(), out=out) is out
+    assert out.tobytes() == got.tobytes()
+    if x.ndim == 0:
+        assert ad.sigmoid_array(float(x)).tobytes() == got.tobytes()
 
 
 def softmax_inline(x):

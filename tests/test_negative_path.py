@@ -9,6 +9,8 @@ draws its uniforms before its pool is scored, and an anchor draws its
 positives whether or not its rows underflow.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,8 +275,12 @@ def test_top_stable_matches_full_stable_sort():
         keys = rng.integers(0, 6, size=(3, size)).astype(np.float64)
         keys[rng.random(keys.shape) < 0.2] = -0.0
         c = int(rng.integers(1, size + 1))
-        for got, row in zip(ct._top_stable(keys, c), keys):
+        want = ct._top_stable(keys, c)
+        for got, row in zip(want, keys):
             assert np.array_equal(got, np.argsort(row, kind="stable")[:c])
+        before = keys.copy()
+        got = ct._top_stable(keys, c, np.empty_like(keys))
+        assert np.array_equal(got, want) and np.array_equal(keys, before)
 
 
 def test_weighted_draw_matches_choice_loop():
@@ -469,6 +475,34 @@ def test_one_scoring_pass_matches_rows_sampled_alone():
         assert same_result(row, sample_negatives(virt, E, graph, m, ref_rng,
                                                  pool_factor=pool_factor))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_scoring_pass_peaks_below_three_blocks_and_the_anchor_scores(
+        monkeypatch):
+    # 30 anchors x 4 virtual nodes, all with pools of pool_factor * m, in
+    # 40-row blocks: the 120 rows span 3 of them
+    graph, E, _ = fixture(0, size=250)
+    m, pool_factor, step = 5, 10, 40
+    monkeypatch.setattr(ct, "SCORE_BUDGET", step * graph.n)
+    rng = np.random.default_rng(0)
+    owners = np.repeat(rng.choice(graph.n, size=30, replace=False), 4)
+    h_d = np.where(rng.random((owners.size, E.hd.shape[1])) < 0.5,
+                   E.hd[rng.integers(0, graph.n, owners.size)], E.hd[owners])
+    h_o = E.ho[owners]
+    sizes = ct.pool_size(graph, owners, m, pool_factor)
+    assert (sizes == pool_factor * m).all()
+    uniforms = rng.random((owners.size, m))
+    block_bytes = min(step, owners.size) * graph.n * 8
+    zo_bytes = np.unique(owners).size * graph.n * 8
+    tracemalloc.start()
+    try:
+        rows = ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m,
+                                 pool_factor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row is not None for row in rows)
+    assert peak < zo_bytes + 3 * block_bytes
 
 
 def test_builders_skip_an_anchor_adjacent_to_every_node():

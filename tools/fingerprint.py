@@ -2,14 +2,18 @@
 change leaves every output byte as it was.
 
     python3 tools/fingerprint.py --workload sbm1600 --seeds 0-9
+    python3 tools/fingerprint.py --workload all --seeds 0-9
 
 Builds each seed's inputs through perfbench/workloads.py, runs the
 workload's operation once with one BLAS thread on this checkout's src/,
-and prints one line per seed: the seed and a SHA-256. For sbm1600 and
-cora_shape it digests the final soft assignment `R`'s bytes followed by
-the repr of the report's `epoch_losses`; for ablate_files, the name and
-bytes of every file the grid writes except the metrics JSONs, which hold
-wall-clock times. Run it at two commits and compare the output.
+and prints one line per seed: the seed and a SHA-256. `--workload all`
+prints `workload seed sha256` lines for sbm1600 and cora_shape over the
+given seeds, and for ablate_files over the first three of them. For
+sbm1600 and cora_shape it digests the final soft assignment `R`'s bytes
+followed by the repr of the report's `epoch_losses`; for ablate_files,
+the name and bytes of every file the grid writes except the metrics
+JSONs, which hold wall-clock times. Run it at two commits and compare
+the output.
 """
 
 import os
@@ -59,13 +63,21 @@ def fingerprint(name, seed, out_dir):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--workload", required=True,
+                   choices=sorted(WORKLOADS) + ["all"])
     p.add_argument("--seeds", required=True, type=parse_seeds,
                    help="one seed N or an inclusive range A-B")
     args = p.parse_args(argv)
-    for seed in args.seeds:
+    if args.workload == "all":
+        runs = [(name, seed) for name in ("sbm1600", "cora_shape")
+                for seed in args.seeds]
+        runs += [("ablate_files", seed) for seed in args.seeds[:3]]
+    else:
+        runs = [(args.workload, seed) for seed in args.seeds]
+    for name, seed in runs:
+        label = f"{name} {seed}" if args.workload == "all" else seed
         with tempfile.TemporaryDirectory() as out_dir:
-            print(seed, fingerprint(args.workload, seed, out_dir), flush=True)
+            print(label, fingerprint(name, seed, out_dir), flush=True)
     return 0
 
 
