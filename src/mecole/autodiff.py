@@ -5,8 +5,10 @@ inputs has ``requires_grad``; its result then has ``requires_grad`` too,
 so the flag means "a gradient flows here". Ops on constants return plain
 constants, and a backward closure returns (and computes) gradients only
 for the parents that have the flag. ``backward`` topologically sorts the
-implicit tape and accumulates gradients exactly once per node. Sparse
-adjacency matrices enter only as constants via ``spmm``.
+implicit tape and accumulates gradients once per node: the first
+contribution is kept as given, the second makes a fresh `a + b` and later
+ones add into that sum in place, so no array a backward returns is ever
+written. Sparse adjacency matrices enter only as constants via ``spmm``.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Add this scalar's gradient into each `requires_grad` leaf's
+        `grad`; only a sum made here is added into in place."""
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar output")
         # iterative post-order walk of the tape (parents first, in parent
@@ -103,6 +107,7 @@ class Tensor:
                 stack.pop()
                 order.append(t)
         grads = {id(self): np.ones_like(self.values)}
+        owned = set()  # nodes whose entry in `grads` was allocated here
         for t in reversed(order):
             g = grads.pop(id(t), None)
             if g is None:
@@ -113,8 +118,11 @@ class Tensor:
                 continue
             for parent, pg in t._backward(g):
                 key = id(parent)
-                if key in grads:
+                if key in owned:
+                    grads[key] += pg
+                elif key in grads:
                     grads[key] = grads[key] + pg
+                    owned.add(key)
                 else:
                     grads[key] = pg
 
@@ -259,11 +267,16 @@ def sigmoid(x):
     return _make(out_vals, (x,), bwd, "sigmoid")
 
 
-def tanh(x):
+def tanh(x, out=None):
+    """Elementwise tanh, into `out` if given (x's buffer if no backward reads
+    x); the backward makes `g * (1 - y**2)` in one buffer, same roundings."""
     x = _as_tensor(x)
-    out_vals = np.tanh(x.values)
+    out_vals = np.tanh(x.values, out=out)
     def bwd(g):
-        return ((x, g * (1.0 - out_vals ** 2)),)
+        dx = np.multiply(out_vals, out_vals)
+        np.subtract(1.0, dx, out=dx)
+        dx *= g
+        return ((x, dx),)
     return _make(out_vals, (x,), bwd, "tanh")
 
 
@@ -480,10 +493,9 @@ def gcn(a_hats, X, w1, w2, mix=None):
             out = term if out is None else add(out, term)
         return out
 
-    if X is None:
-        h1 = tanh(propagate(w1))
-    else:
-        h1 = tanh(matmul(propagate(_as_tensor(X)), w1))
+    z1 = propagate(w1) if X is None else matmul(propagate(_as_tensor(X)), w1)
+    # no backward reads z1's values, and tanh is its only consumer
+    h1 = tanh(z1, out=z1.values)
     return matmul(propagate(h1), w2)
 
 

@@ -207,10 +207,14 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, pool_factor):
     slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
     _, first, which = np.unique(anchors, return_index=True,
                                 return_inverse=True)
-    zo = np.empty((first.size, graph.n))
-    ad.sigmoid_array(np.matmul(E.ho, h_o[first][:, :, None])[:, :, 0], out=zo)
     step = max(32, SCORE_BUDGET // graph.n)
     z_buf, scratch = np.empty((2, min(step, anchors.size), graph.n))
+    zo = np.empty((first.size, graph.n))
+    for lo in range(0, first.size, step):
+        part = first[lo:lo + step]
+        tmp = scratch[:part.size]
+        np.matmul(E.ho, h_o[part][:, :, None], out=tmp[:, :, None])
+        ad.sigmoid_array(tmp, out=zo[lo:lo + step])
     rows = [None] * anchors.size
     for c in dict.fromkeys(sizes.tolist()):
         same = np.flatnonzero(sizes == c)

@@ -274,8 +274,12 @@ def rewire(graph, E, eta):
         raise ConfigError("eta must be > 0")
     if E.ho.shape[1] == 0:
         return graph
-    ho = E.ho
-    # stacked 1x1 products: bit-equal to the scalar ho[u] @ ho[v]
-    dots = np.matmul(ho[graph.u][:, None, :], ho[graph.v][:, :, None])
+    ho, u, v = E.ho, graph.u, graph.v
+    # stacked 1x1 products per block of edges: bit-equal to ho[u] @ ho[v]
+    dots = np.empty((u.size, 1, 1))
+    step = max(ad.PAIR_BUDGET // ho.shape[1], 1)
+    for lo in range(0, u.size, step):
+        np.matmul(ho[u[lo:lo + step]][:, None, :],
+                  ho[v[lo:lo + step]][:, :, None], out=dots[lo:lo + step])
     e_o = ad.sigmoid_array(dots.reshape(-1))
     return graph.with_weights(np.minimum(eta, graph.w / np.maximum(e_o, EPS)))

@@ -37,6 +37,71 @@ def test_fanout_accumulates_once():
     assert x.grad[0, 0] == pytest.approx(2.0)
 
 
+def tape_nodes(out):
+    """Every node `out` depends on, itself included."""
+    seen, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_in_place_accumulation_writes_no_array_another_node_holds():
+    rng = np.random.default_rng(0)
+    p = ad.parameter(rng.normal(size=(4, 3)))
+    q = ad.add(p, p)  # its backward hands one array to both parents
+    r = ad.concat([q, ad.tanh(p), ad.mul(p, 3.0)])  # split views of one g
+    loss = ad.tsum(ad.mul(r, ad.constant(rng.normal(size=(4, 9)))))
+    for _ in range(2):
+        loss = ad.add(loss, ad.tsum(ad.mul(
+            q, ad.constant(rng.normal(size=(4, 3))))))
+    given = {}  # id(node) -> copies of its contributions, in order
+    received = {}  # id(node) -> copy of the gradient its backward got
+    handed = []  # (array, copy) of every gradient passed in or out
+
+    def spy(t):
+        inner = t._backward
+        def bwd(g):
+            received[id(t)] = g.copy()
+            handed.append((g, g.copy()))
+            out = inner(g)
+            for parent, pg in out:
+                given.setdefault(id(parent), []).append(pg.copy())
+                handed.append((pg, pg.copy()))
+            return out
+        t._backward = bwd
+
+    for t in tape_nodes(loss):
+        if t._backward is not None:
+            spy(t)
+    loss.backward()
+
+    def fresh_sum(parts):
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+    # p: both sides of q, tanh and the scaled view; q: its concat split
+    # view and the two products
+    assert len(given[id(p)]) == 4 and len(given[id(q)]) == 3
+    assert p.grad.tobytes() == fresh_sum(given[id(p)]).tobytes()
+    for key, g in received.items():
+        if key in given:
+            assert g.tobytes() == fresh_sum(given[key]).tobytes()
+    assert all(a.tobytes() == copy.tobytes() for a, copy in handed)
+
+
+def test_tanh_backward_bit_equal_to_composite_form(rng):
+    x = ad.parameter(rng.normal(size=(50, 7)) * 3.0)
+    g = rng.normal(size=(50, 7))
+    y = ad.tanh(x)
+    (_, dx), = y._backward(g)
+    assert dx.tobytes() == (g * (1.0 - y.values ** 2)).tobytes()
+
+
 def test_backward_leaves_no_reference_cycles():
     # a tape freed by reference counting alone: nothing for the cyclic GC
     rng = np.random.default_rng(0)
@@ -571,6 +636,60 @@ def test_gcn_matches_selector_branch(n_channels, with_x):
     E = enc.encode(a_hats, a_hats, X)
     assert E.hd.tobytes() == branch_with_selectors(
         a_hats, X, enc.w1_d, enc.w2_d, enc.mix_d).values.tobytes()
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("with_x", [True, False])
+def test_gcn_tanh_overwrites_its_pre_activation(n_channels, with_x,
+                                                monkeypatch):
+    graph, X, _ = sbm_graph()
+    made = []
+    tanh = ad.tanh
+
+    def recording_tanh(x, out=None):
+        made.append(tanh(x, out))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "tanh", recording_tanh)
+    enc = DecoupledEncoder(X.shape[1] if with_x else None, 8, 5, 3,
+                           n_channels, seed=11, n=graph.n)
+    a_hats = [ad.normalize_adjacency(graph)] * n_channels
+    enc.encode(a_hats, a_hats, X if with_x else None)
+    assert len(made) == 2
+    for h1 in made:
+        z1, = h1._parents
+        assert np.shares_memory(h1.values, z1.values)
+
+
+@pytest.mark.parametrize("with_x", [True, False])
+def test_encoder_tape_memory_in_hidden_arrays(with_x):
+    # Cora's size: a tape that keeps tanh's pre-activations and a tanh
+    # backward with three temporaries hold 7.25 n x hidden arrays after
+    # encode (6.75 without X) and peak at 11.0 (11.5) in backward
+    n, hidden = 2708, 64
+    rng = np.random.default_rng(0)
+    ring = np.arange(n)
+    a_hats = [ad.normalize_adjacency(Graph.from_arrays(n, ring,
+                                                       (ring + 1) % n))]
+    X = rng.normal(size=(n, 16)) if with_x else None
+    enc = DecoupledEncoder(16 if with_x else None, hidden, 16, 32, 1,
+                           seed=0, n=n)
+    c_d = ad.constant(rng.normal(size=(n, 16)))
+    c_o = ad.constant(rng.normal(size=(n, 32)))
+    unit = n * hidden * 8
+    tracemalloc.start()
+    try:
+        E = enc.encode(a_hats, a_hats, X)
+        live, _ = tracemalloc.get_traced_memory()
+        loss = ad.add(ad.tsum(ad.mul(E.H_d, c_d)),
+                      ad.tsum(ad.mul(E.H_o, c_o)))
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 6 * unit
+    assert peak < 9 * unit
 
 
 @pytest.mark.parametrize("with_x", [True, False])

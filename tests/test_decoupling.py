@@ -321,6 +321,22 @@ def test_rewire_preserves_topology_and_bounds(rng):
     assert np.array_equal(dense, dense.T)
 
 
+@pytest.mark.parametrize("dim_o", [3, 32])
+def test_rewire_blocks_bit_equal_to_one_stacked_product(dim_o, monkeypatch):
+    rng = np.random.default_rng(dim_o)
+    pairs = {(int(min(u, v)), int(max(u, v)))
+             for u, v in rng.integers(0, 60, size=(200, 2)) if u != v}
+    g = Graph.from_pairs(60, pairs)
+    step = g.num_edges // 3 - 1  # three full blocks and a short fourth
+    monkeypatch.setattr(ad, "PAIR_BUDGET", step * dim_o)
+    assert g.num_edges // step == 3 and g.num_edges % step
+    E = embeddings(rng.normal(size=(60, 4)), rng.normal(size=(60, dim_o)))
+    dots = np.matmul(E.ho[g.u][:, None, :], E.ho[g.v][:, :, None])
+    e_o = ad.sigmoid_array(dots.reshape(-1))
+    want = np.minimum(2.5, g.w / np.maximum(e_o, dc.EPS))
+    assert rewire(g, E, 2.5).w.tobytes() == want.tobytes()
+
+
 # encoder ------------------------------------------------------------------
 
 def test_encoder_zero_weights_zero_embeddings():

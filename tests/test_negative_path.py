@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mecole import autodiff as ad
 from mecole import contrastive as ct
 from mecole.clustering import Assignment
 from mecole.config import ExperimentConfig
@@ -503,6 +504,34 @@ def test_scoring_pass_peaks_below_three_blocks_and_the_anchor_scores(
         tracemalloc.stop()
     assert all(row is not None for row in rows)
     assert peak < zo_bytes + 3 * block_bytes
+
+
+def test_anchor_scores_in_blocks_bit_equal_to_one_product(monkeypatch):
+    # 70 distinct anchors in blocks of 32 rows: two full and a short one
+    graph, E, _ = fixture(2)
+    m, pool_factor = 5, 10
+    monkeypatch.setattr(ct, "SCORE_BUDGET", 32 * graph.n)
+    rng = np.random.default_rng(0)
+    owners = rng.permutation(np.repeat(
+        rng.choice(graph.n, size=70, replace=False), 2))
+    h_d, h_o = E.hd[rng.integers(0, graph.n, owners.size)], E.ho[owners]
+    sizes = ct.pool_size(graph, owners, m, pool_factor)
+    uniforms = rng.random((np.count_nonzero(sizes > m), m))
+    outs = []
+    sigmoid = ad.sigmoid_array
+
+    def recording_sigmoid(x, out=None):
+        outs.append(out)
+        return sigmoid(x, out=out)
+
+    monkeypatch.setattr(ad, "sigmoid_array", recording_sigmoid)
+    ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m, pool_factor)
+    zo = outs[0].base
+    assert zo.shape == (70, graph.n)
+    assert sum(out.base is zo for out in outs) == 3
+    _, first = np.unique(owners, return_index=True)
+    want = sigmoid(np.matmul(E.ho, h_o[first][:, :, None])[:, :, 0])
+    assert zo.tobytes() == want.tobytes()
 
 
 def test_builders_skip_an_anchor_adjacent_to_every_node():
