@@ -126,32 +126,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -169,9 +143,7 @@ def _as_tensor(x):
 
 
 def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    """Sum 2-D `grad` down to 2-D `shape` (reverse of numpy broadcasting)."""
     for ax, size in enumerate(shape):
         if size == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)

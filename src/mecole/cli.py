@@ -177,7 +177,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         _setup_logging()
-        return _COMMANDS[args.command](args)
+        # an overflow is reported once, by mecole's own finiteness checks
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .contrastive import check_mask_rate
 from .decoupling import DISCREPANCY_METRICS
 from .errors import ConfigError
 
@@ -112,6 +113,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        for p_ce in (self.p_ce_start, self.p_ce_end):
+            check_mask_rate(p_ce, self.dim_d)
         if self.disc_metric not in DISCREPANCY_METRICS:
             raise ConfigError(f"unknown discrepancy metric "
                               f"'{self.disc_metric}'")

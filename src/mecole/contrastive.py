@@ -21,6 +21,7 @@ __all__ = [
     "VirtualNode",
     "ContrastiveBatch",
     "sample_anchors",
+    "check_mask_rate",
     "draw_virtual_node",
     "synthesize_virtual_node",
     "pool_size",
@@ -31,6 +32,12 @@ __all__ = [
     "contrastive_loss",
     "anchor_weights",
 ]
+
+# check_mask_rate refuses a mask draw whose chance of keeping a dim is below
+# this per try; draw_virtual_node gives up after MASK_DRAW_BUDGET tries,
+# which all fail at the minimum rate with a chance of about e^-64
+MASK_MIN_RATE = 1 / 1024
+MASK_DRAW_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -94,19 +101,30 @@ def anchor_weights(assignment, k):
     return members, _boundary_weights(assignment.R[members, k])
 
 
+def check_mask_rate(p_ce, dim_d):
+    """A config error when a Bernoulli(p_ce) mask of `dim_d` dims is
+    non-empty with a chance below `MASK_MIN_RATE` per try."""
+    if 1.0 - (1.0 - p_ce) ** dim_d < MASK_MIN_RATE:
+        raise ConfigError(f"p_ce={p_ce} is too small for dim_d={dim_d}: a "
+                          f"virtual node's mask would rarely keep a dim")
+
+
 def draw_virtual_node(v, assignment, dim_d, p_ce, rng):
     """The donor (uniform over the opposing classes) and the mask of the
     `dim_d` class-dependent dims it gives (Bernoulli(p_ce), none empty)."""
     if not 0.0 < p_ce <= 1.0:
         raise ConfigError("p_ce must lie in (0, 1]")
+    check_mask_rate(p_ce, dim_d)
     opposing = assignment.opposing[assignment.hard[v]]
     if opposing.size == 0:
         raise DataError("no opposing class to draw a donor from")
     donor = int(opposing[rng.integers(0, opposing.size)])  # as rng.choice
-    mask = rng.random(dim_d) < p_ce
-    while not mask.any():
+    for _ in range(MASK_DRAW_BUDGET):
         mask = rng.random(dim_d) < p_ce
-    return donor, mask
+        if mask.any():
+            return donor, mask
+    raise ConfigError(f"p_ce={p_ce} with dim_d={dim_d} drew "
+                      f"{MASK_DRAW_BUDGET} empty masks")
 
 
 def synthesize_virtual_node(v, assignment, E, p_ce, rng):

@@ -118,7 +118,7 @@ def predict_link(u, v, E):
     if u == v:
         raise DataError("predict_link requires u != v")
     zd = float(ad.sigmoid_array(E.hd[u] @ E.hd[v]))
-    zo = float(ad.sigmoid_array(E.ho[u] @ E.ho[v])) if E.ho.shape[1] else 0.5
+    zo = float(ad.sigmoid_array(E.ho[u] @ E.ho[v]))  # 0.5 at zero width
     return zd * zo, zd, zo
 
 
@@ -211,9 +211,8 @@ def reconstruction_loss(graph, E, neg_ratio, rng, mlp=None):
     pairs = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])[:, None]
     z = ad.clip(link_scores(E, pairs, mlp=mlp), 1e-7, 1.0 - 1e-7)
-    y_t = ad.constant(y)
-    ll = ad.add(ad.mul(y_t, ad.log(z)),
-                ad.mul(1.0 - y_t, ad.log(ad.sub(1.0, z))))
+    ll = ad.add(ad.mul(y, ad.log(z)),
+                ad.mul(1.0 - y, ad.log(ad.sub(1.0, z))))
     return ad.mul(ad.tmean(ll), -1.0)
 
 

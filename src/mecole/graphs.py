@@ -169,10 +169,6 @@ class GraphBundle:
                     f"auxiliary graph '{name}' has {g.n} nodes, "
                     f"primary has {self.primary.n}")
 
-    @property
-    def n(self):
-        return self.primary.n
-
 
 @dataclass(frozen=True)
 class AttributeBag:

@@ -143,7 +143,7 @@ def _build_batches(cfg, assignment, E, graph, p_ce, rng):
     return batches
 
 
-def _build_augment_batches(cfg, assignment, E, graph, rng):
+def _build_augment_batches(cfg, assignment, graph, rng):
     """Graph-augmentation ablation: positives from an edge-dropped view,
     negatives uniform outside the neighborhood. An anchor with no
     neighbor in the view, or adjacent to every node, is skipped before it
@@ -181,8 +181,7 @@ def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
     lce_val = 0.0
     if not cfg.no_cl:
         if cfg.graph_augment:
-            batches = _build_augment_batches(cfg, assignment, E, graph,
-                                             rng_cl)
+            batches = _build_augment_batches(cfg, assignment, graph, rng_cl)
         else:
             batches = _build_batches(cfg, assignment, E, graph,
                                      cfg.p_ce_at(epoch), rng_cl)

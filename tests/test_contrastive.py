@@ -3,12 +3,13 @@ import pytest
 
 from conftest import finite_diff_check
 from mecole import autodiff as ad
+from mecole import contrastive as ct
 from mecole.clustering import Assignment
 from mecole.contrastive import ContrastiveBatch, anchor_weights, \
-    contrastive_loss, sample_anchors, sample_negatives, sample_positives, \
-    synthesize_virtual_node, uniform_negatives
+    contrastive_loss, draw_virtual_node, sample_anchors, sample_negatives, \
+    sample_positives, synthesize_virtual_node, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, predict_links_against
-from mecole.errors import DataError
+from mecole.errors import ConfigError, DataError
 from mecole.graphs import Graph
 
 
@@ -140,6 +141,27 @@ def test_virtual_node_requires_opposing_class():
     E = embeddings(np.zeros((2, 2)), np.zeros((2, 1)))
     with pytest.raises(DataError):
         synthesize_virtual_node(0, a, E, 0.5, np.random.default_rng(0))
+
+
+def test_virtual_node_mask_draw_has_a_budget(monkeypatch):
+    # one dim at p_ce = 0.001, the lowest rate the floor of 1/1024 admits
+    a = assignment_from_conf([0.9, 0.9], hard=[0, 1])
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    donor, mask = draw_virtual_node(0, a, 1, 0.001, rng)
+    assert (donor, mask.tolist()) == (1, [True])
+    ref.integers(0, 1)  # the donor, the only node of the opposing class
+    tries = 1
+    while not ref.random(1)[0] < 0.001:
+        tries += 1
+    assert tries > 8 and rng.bit_generator.state == ref.bit_generator.state
+    # the same draw with a budget below its tries gives up after the budget
+    monkeypatch.setattr(ct, "MASK_DRAW_BUDGET", 8)
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    with pytest.raises(ConfigError, match="p_ce=0.001 with dim_d=1 drew 8"):
+        draw_virtual_node(0, a, 1, 0.001, rng)
+    ref.integers(0, 1)
+    ref.random(8)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # negative sampling -----------------------------------------------------------

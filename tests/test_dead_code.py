@@ -1,7 +1,8 @@
 """Every name a mecole module or test file imports, and its module-level
 `logger`, is read somewhere in that file; a module's `__all__` lists
 exactly its public top-level functions and classes, plus names it binds;
-every private top-level name is read somewhere in the package."""
+every private top-level name is read somewhere in the package; every
+parameter of a package function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,35 @@ def test_check_flags_unreferenced_private_names():
     }
     assert unreferenced_private_names(sources) == [
         ("a.py", "_SPARE"), ("a.py", "_dead"), ("a.py", "_Gone")]
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a function or
+    method in `source` that its body, nested functions included, never
+    reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(a.lineno, node.name, a.arg) for a in params
+                  if a.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_flags_unread_parameters():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    def g(d):\n        return a + d\n"
+              "    return g(kw)\n"
+              "class C:\n    def m(self, x):\n        return x\n")
+    assert unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "rest"), (6, "m", "self")]

@@ -31,10 +31,12 @@ def hard_assignment(hard, K):
 # predict_link ---------------------------------------------------------
 
 def test_predict_link_zero_embeddings():
-    E = embeddings(np.zeros((2, 3)), np.zeros((2, 2)))
-    z, zd, zo = predict_link(0, 1, E)
-    assert (zd, zo) == (0.5, 0.5)
-    assert z == pytest.approx(0.25)
+    # a zero-width H_o (no_decouple) scores sigmoid(0) = 0.5 as well
+    for dim_o in (2, 0):
+        E = embeddings(np.zeros((2, 3)), np.zeros((2, dim_o)))
+        z, zd, zo = predict_link(0, 1, E)
+        assert (zd, zo) == (0.5, 0.5)
+        assert z == pytest.approx(0.25)
 
 
 def test_predict_link_limit_to_one():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import mecole
 from mecole import cli, graphs, training
 from mecole.cli import main as cli_main
 from mecole.config import ExperimentConfig, apply_overrides, \
@@ -44,6 +48,15 @@ def test_config_validation():
         ExperimentConfig(p_ce_start=0.0)
 
 
+@pytest.mark.parametrize("key", ["p_ce_start", "p_ce_end"])
+def test_config_refuses_p_ce_too_small_for_dim_d(key):
+    with pytest.raises(ConfigError, match="p_ce=1e-09 is too small for "
+                                          "dim_d=4"):
+        ExperimentConfig(dim_d=4, **{key: 1e-9})
+    # the floor of 1/1024 admits one dim at p_ce = 0.001
+    ExperimentConfig(dim_d=1, p_ce_start=0.001, p_ce_end=0.001)
+
+
 def test_p_ce_linear_ramp():
     cfg = ExperimentConfig(epochs=5, p_ce_start=0.5, p_ce_end=0.1)
     assert cfg.p_ce_at(0) == pytest.approx(0.5)
@@ -57,10 +70,11 @@ def test_parse_config_file_sections_and_aliases(tmp_path):
                  "model.k = 3\n"
                  "contrastive.negatives = 7\n"
                  "training.lr = 0.02\n"
-                 "ablation.no_cl = true\n")
+                 "ablation.no_cl = true\n"
+                 "knn.k = 5\n")
     values = parse_config_file(p)
     cfg = ExperimentConfig(**values)
-    assert cfg.K == 3
+    assert cfg.K == 3 and cfg.knn_k == 5
     assert cfg.negatives_m == 7
     assert cfg.lr == pytest.approx(0.02)
     assert cfg.no_cl is True
@@ -422,6 +436,22 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
     assert (run_dir / "metrics.json").exists()
     assert (run_dir / "metrics_losses.csv").exists()
     assert (run_dir / "metrics_assignments.csv").exists()
+
+
+@pytest.mark.parametrize("item", ["lr=1e308", "init_lr=1e308",
+                                  "tau=1e-300"])
+def test_cli_numeric_failure_prints_one_line(tmp_path, item):
+    # in a subprocess numpy's warnings print as they would for a user
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mecole.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "mecole.cli", "train"] +
+        sbm_args(tmp_path / "run", extra=["--set", item]),
+        env=env, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 3
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):

@@ -126,7 +126,7 @@ def ref_build_batches(cfg, assignment, E, graph, p_ce, rng):
     return batches
 
 
-def ref_build_augment_batches(cfg, assignment, E, graph, rng):
+def ref_build_augment_batches(cfg, assignment, graph, rng):
     view = _drop_edges(graph, 0.2, rng)
     anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
     batches = []
@@ -543,9 +543,9 @@ def test_builders_skip_an_anchor_adjacent_to_every_node():
     cfg = ExperimentConfig(K=4, seed=4, per_class_anchors=graph.n)
     new_rng, ref_rng = pair_rngs(4)
     got = _build_batches(cfg, a, E, graph, 0.5, new_rng)
-    got_aug = _build_augment_batches(cfg, a, E, graph, new_rng)
+    got_aug = _build_augment_batches(cfg, a, graph, new_rng)
     want = ref_build_batches(cfg, a, E, graph, 0.5, ref_rng)
-    want_aug = ref_build_augment_batches(cfg, a, E, graph, ref_rng)
+    want_aug = ref_build_augment_batches(cfg, a, graph, ref_rng)
     assert got and got_aug and 0 not in {b.anchor for b in got + got_aug}
     assert same_batches(got, want) and same_batches(got_aug, want_aug)
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -568,8 +568,8 @@ def test_build_augment_batches_matches_reference(seed):
     graph, E, a = fixture(seed)
     cfg = ExperimentConfig(K=4, seed=seed, graph_augment=True)
     new_rng, ref_rng = pair_rngs(seed)
-    got = _build_augment_batches(cfg, a, E, graph, new_rng)
-    want = ref_build_augment_batches(cfg, a, E, graph, ref_rng)
+    got = _build_augment_batches(cfg, a, graph, new_rng)
+    want = ref_build_augment_batches(cfg, a, graph, ref_rng)
     assert got and same_batches(got, want)
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
