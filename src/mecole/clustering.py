@@ -136,56 +136,39 @@ def init_assignments(graph, X, cfg):
     """Soft assignments from a GCN trained on soft modularity plus a
     collapse regularizer; all nodes start relevant.
 
+    The GCN is C = softmax(Â (tanh(P W1) W2)) with P = Â X, computed once;
+    with X=None, P = Â, so W1 is a free per-node embedding propagated
+    through the adjacency. W2 acts before Â, so the output layer's sparse
+    products are K columns wide, not hidden. Each epoch sets `w1.grad` and
+    `w2.grad` to the gradient of `init_objective` at C, written out by hand
+    with the tape's NumPy operations in the tape's order, so it equals what
+    `backward()` would give, bit for bit. The n x hidden buffers are
+    allocated once, here.
+
     Of the run's `ExperimentConfig` it reads `K`, `init_epochs`, `init_lr`,
     `collapse_weight`, `hidden` and `seed`, which the config has checked.
-    With X=None the first layer acts on implicit identity features, i.e.
-    a free per-node embedding propagated through the adjacency.
     """
     if graph.num_edges == 0:
         raise DataError("cannot initialize assignments on an empty graph")
-    n = graph.n
+    n, K, collapse_weight = graph.n, cfg.K, cfg.collapse_weight
     rng = np.random.default_rng(cfg.seed)
     a_hat = ad.normalize_adjacency(graph)
-    if X is not None:
-        X = ad.constant(X)
-        w1 = ad.glorot(rng, X.shape[1], cfg.hidden)
-    else:
-        w1 = ad.glorot(rng, n, cfg.hidden)
-    w2 = ad.glorot(rng, cfg.hidden, cfg.K)
+    # Â is symmetric only up to rounding on weighted graphs: keep Âᵀ
+    a_hat_t = a_hat.T
+    P = a_hat if X is None else a_hat @ X
+    w1 = ad.glorot(rng, P.shape[1], cfg.hidden)
+    w2 = ad.glorot(rng, cfg.hidden, K)
     opt = ad.Adam([w1, w2], lr=cfg.init_lr)
-    forward, step = _init_gcn_step(graph, a_hat, X, w1, w2,
-                                   cfg.collapse_weight)
-    for _ in range(cfg.init_epochs):
-        step()
-        opt.step()
-    return Assignment(R=forward(), relevant=np.ones(n, dtype=bool))
-
-
-def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
-    """The init's GCN, C = softmax(Â (tanh(Â X W1) W2)), off the tape.
-
-    Returns `forward()` -> C and `step()`, which sets `w1.grad` and
-    `w2.grad` to the gradient of `init_objective` at C. X=None means
-    identity features (Â W1 in place of Â X W1). W2 acts before Â, so the
-    output layer's sparse products are K columns wide, not hidden. The
-    gradient is written out by hand with the tape's NumPy operations in
-    the tape's order, so it equals what `backward()` would give, bit for
-    bit. The n x hidden buffers are allocated once, here.
-    """
     A = graph.adjacency
     deg_row = graph.weighted_degrees[None, :]
     two_m = 2.0 * graph.w.sum()
-    n, K = graph.n, w2.shape[1]
     collapse_scale = np.sqrt(K) / n
-    # Â is symmetric only up to rounding on weighted graphs: keep Âᵀ
-    a_hat_t = a_hat.T
-    P = None if X is None else ad.spmm(a_hat, X).values
-    z1, h1, g_h1 = (np.empty((n, w1.shape[1])) for _ in range(3))
+    z1, h1, g_h1 = (np.empty((n, cfg.hidden)) for _ in range(3))
     finite = np.empty(z1.shape, dtype=bool)
 
     def forward():
-        if P is None:
-            z1[...] = a_hat @ w1.values
+        if X is None:  # a sparse product takes no `out`
+            z1[...] = P @ w1.values
         else:
             np.matmul(P, w1.values, out=z1)
         # tanh would hide an overflow here, which the tape reported
@@ -194,7 +177,7 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
         np.tanh(z1, out=h1)
         return ad.softmax_array(a_hat @ (h1 @ w2.values))
 
-    def step():
+    for _ in range(cfg.init_epochs):
         C = forward()
         ac = A @ C
         dc = deg_row @ C
@@ -222,9 +205,9 @@ def _init_gcn_step(graph, a_hat, X, w1, w2, collapse_weight):
         np.multiply(h1, h1, out=z1)
         np.subtract(1.0, z1, out=z1)
         np.multiply(g_h1, z1, out=g_h1)
-        w1.grad = (a_hat_t if P is None else P.T) @ g_h1
-
-    return forward, step
+        w1.grad = P.T @ g_h1
+        opt.step()
+    return Assignment(R=forward(), relevant=np.ones(n, dtype=bool))
 
 
 def modularity_init_loss(graph, C_values, collapse_weight=1.0):

@@ -155,6 +155,8 @@ def _weighted_draw_without_replacement(w, u):
         # searchsorted(cdf, u, side="right") of each row
         i = np.count_nonzero(cdf <= u[:, j:j + 1], axis=1)
         picks[:, j] = left[rows, i]
+        if j == u.shape[1] - 1:  # nothing reads w or left after this
+            break
         keep = np.arange(w.shape[1]) != i[:, None]
         w = w[keep].reshape(rows.size, -1)
         left = left[keep].reshape(rows.size, -1)

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -62,6 +64,9 @@ def test_p_ce_linear_ramp():
     assert cfg.p_ce_at(0) == pytest.approx(0.5)
     assert cfg.p_ce_at(4) == pytest.approx(0.1)
     assert cfg.p_ce_at(2) == pytest.approx(0.3)
+    for epochs in (0, 1):  # no ramp: the start value
+        cfg = ExperimentConfig(epochs=epochs, p_ce_start=0.5, p_ce_end=0.1)
+        assert cfg.p_ce_at(0) == 0.5
 
 
 def test_parse_config_file_sections_and_aliases(tmp_path):
@@ -93,6 +98,8 @@ def test_parse_config_file_errors(tmp_path):
 def test_apply_overrides():
     values = apply_overrides({"K": 2}, ["seed=9", "model.dim_d=4"])
     assert values["seed"] == 9 and values["dim_d"] == 4
+    for raw in ("false", "off", "0"):
+        assert apply_overrides({}, [f"no_cl={raw}"]) == {"no_cl": False}
     with pytest.raises(ConfigError):
         apply_overrides({}, ["no-equals"])
 
@@ -438,6 +445,28 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
     assert (run_dir / "metrics_assignments.csv").exists()
 
 
+def test_cli_ablate_writes_the_grid(tmp_path, capsys):
+    # no aux edges and knn_k=0, so drop_gv and drop_gx are skipped; the
+    # default disc_metric is l1
+    grid = ["baseline", "no_decouple", "neg_uniform", "mlp_predictor",
+            "no_cl", "graph_augment", "disc_l2", "disc_cosine", "disc_l_inf"]
+    rc = cli_main(["ablate"] + sbm_args(tmp_path / "grid"))
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.split(":")[0] for line in lines] == grid
+    for line in lines:
+        assert re.fullmatch(r"\w+: accuracy=[0-9.e-]+ error=-", line), line
+    with open(tmp_path / "grid" / "ablation.csv", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["variant", "seed", "accuracy", "nmi", "modularity",
+                       "error"]
+    assert [row[0] for row in rows[1:]] == grid
+    assert all(row[1] == "0" and row[5] == "" for row in rows[1:])
+    for variant in grid:
+        for suffix in (".json", "_losses.csv", "_assignments.csv"):
+            assert (tmp_path / "grid" / f"metrics_{variant}{suffix}").exists()
+
+
 @pytest.mark.parametrize("item", ["lr=1e308", "init_lr=1e308",
                                   "tau=1e-300"])
 def test_cli_numeric_failure_prints_one_line(tmp_path, item):
@@ -640,11 +669,22 @@ def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
     negative = tmp_path / "negative.csv"
     negative.write_text("node_id,class,r0,r1,relevant\n"
                         "0,-1,0.5,0.5,1\n1,1,0.5,0.5,1\n")
-    for path in (bad, tmp_path / "missing.csv", negative):
+    headless = tmp_path / "headless.csv"
+    headless.write_text("0,1,0.5,0.5,1\n")
+    short = tmp_path / "short.csv"
+    short.write_text("node_id,class,r0,r1,relevant\n0,1,0.5,0.5,1\n")
+    for path, message in ((bad, "malformed row"),
+                          (tmp_path / "missing.csv", "cannot read"),
+                          (negative, "must be >= 0"),
+                          (headless, "not an assignment export"),
+                          (short, "assignment/label length mismatch")):
         rc = cli_main(["eval", "--assignments", str(path),
                        "--labels", str(tmp_path / "labels.txt")])
+        err = capsys.readouterr().err
         assert rc == 2
-    assert "Traceback" not in capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("data error:") and message in err
+        assert len(err.splitlines()) == 1, err
 
 
 def test_cli_eval_skips_blank_lines(tmp_path, capsys):

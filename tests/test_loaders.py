@@ -81,3 +81,9 @@ def test_edge_list_largest_node_id_loads(tmp_path):
     graph = graphs.load_edge_list(str(path))
     assert graph.n == graphs.MAX_NODES and graph.num_edges == 1
     np.testing.assert_array_equal(graph.v, [graphs.MAX_NODES - 1])
+
+
+def test_attribute_bags_skip_comment_lines(tmp_path):
+    path = tmp_path / "bags.txt"
+    path.write_text("# token ids per node\n1 2\n# between rows\n3\n")
+    assert graphs.load_attribute_bags(str(path)) == ((1, 2), (3,))

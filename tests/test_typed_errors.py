@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from mecole import autodiff as ad
-from mecole.clustering import Assignment, init_assignments
-from mecole.config import ExperimentConfig
+from mecole import contrastive as ct
+from mecole.clustering import Assignment, init_assignments, modularity
+from mecole.config import ExperimentConfig, apply_overrides
 from mecole.contrastive import contrastive_loss, draw_virtual_node, \
-    sample_anchors
+    pool_size, sample_anchors, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
-    discrepancy_loss, reconstruction_loss, rewire
+    discrepancy_loss, predict_link, reconstruction_loss, rewire
 from mecole.errors import ConfigError, DataError, NumericError
-from mecole.graphs import Graph
-from mecole.training import _build_batches
+from mecole.graphs import Graph, SBMConfig, build_knn_similarity_graph, \
+    load_edge_list
+from mecole.training import _build_batches, _drop_edges, load_dataset
 
 PATH = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+PAIR = Graph.from_pairs(2, [(0, 1)])  # each node's neighbourhood is full
 E = DecoupledEmbeddings.from_arrays(np.ones((4, 2)), np.ones((4, 2)))
 TWO_CLASSES = Assignment(R=np.array([[0.9, 0.1]] * 2 + [[0.1, 0.9]] * 2),
                          relevant=np.ones(4, dtype=bool))
@@ -23,6 +26,14 @@ TWO_CLASSES = Assignment(R=np.array([[0.9, 0.1]] * 2 + [[0.1, 0.9]] * 2),
 
 def rng():
     return np.random.default_rng(0)
+
+
+def written(name, text):
+    """`name` in the working directory, which the test makes a fresh
+    temporary one, holding `text`."""
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return name
 
 
 def encode_with_two_channels():
@@ -79,15 +90,69 @@ CASES = {
     "virtual_p_ce_too_small": (
         lambda: draw_virtual_node(0, TWO_CLASSES, 2, 1e-9, rng()),
         ConfigError, "p_ce=1e-09 is too small for dim_d=2"),
+    "assignment_one_class": (
+        lambda: Assignment(R=np.ones((4, 1)), relevant=np.ones(4, bool)),
+        DataError, "K >= 2"),
+    "assignment_entry_outside_unit": (
+        lambda: Assignment(R=[[1.5, -0.5]], relevant=[True]),
+        DataError, r"entries must lie in \[0, 1\]"),
+    "assignment_relevant_shape": (
+        lambda: Assignment(R=TWO_CLASSES.R, relevant=np.ones(3, bool)),
+        DataError, "one entry per node"),
+    "modularity_short_labels": (lambda: modularity(PATH, [0, 1]),
+                                DataError, "labels must cover all nodes"),
+    "config_eta_sim_above_one": (
+        lambda: ExperimentConfig(eta_sim=2),
+        ConfigError, r"eta_sim must lie in \[-1, 1\]"),
+    "override_bad_boolean": (lambda: apply_overrides({}, ["no_cl=maybe"]),
+                             ConfigError, "no_cl: expected boolean"),
+    "override_bad_integer": (lambda: apply_overrides({}, ["hidden=1.5"]),
+                             ConfigError, "hidden: expected integer"),
+    "override_bad_float": (lambda: apply_overrides({}, ["tau=warm"]),
+                           ConfigError, "tau: expected number"),
+    "pool_size_m_zero": (lambda: pool_size(PATH, 0, 0, 10), ConfigError,
+                         "m must be >= 1"),
+    "pool_size_full_neighbourhood": (
+        lambda: pool_size(PAIR, 0, 1, 10),
+        DataError, "anchor neighborhood is full"),
+    "uniform_negatives_full_neighbourhood": (
+        lambda: uniform_negatives(PAIR, 0, 1, rng()),
+        DataError, "anchor neighborhood is full"),
+    "predict_link_same_node": (lambda: predict_link(1, 1, E), DataError,
+                               "requires u != v"),
+    "graph_arrays_differ_in_length": (
+        lambda: Graph.from_arrays(3, [0, 1], [1]),
+        DataError, "edge arrays differ in length"),
+    "sbm_block_sizes_length": (
+        lambda: SBMConfig(blocks=3, block_sizes=(5, 5), p_in=0.5, p_out=0.1),
+        ConfigError, "block_sizes length must equal blocks"),
+    "edge_list_negative_id": (
+        lambda: load_edge_list(written("edges.txt", "0 1\n-2 1\n")),
+        DataError, "edges.txt:2: negative node id"),
+    "knn_k_negative": (
+        lambda: build_knn_similarity_graph(np.ones((3, 2)), -1, 0.0),
+        ConfigError, "k must be >= 0"),
+    "knn_eta_sim_out_of_range": (
+        lambda: build_knn_similarity_graph(np.ones((3, 2)), 1, -1.5),
+        ConfigError, r"eta_sim must lie in \[-1, 1\]"),
+    "dataset_bag_count": (
+        lambda: load_dataset(ExperimentConfig(
+            sbm_blocks=2, sbm_block_size=3,
+            bags_path=written("bags.txt", "1 2\n3\n"),
+            vocab_path="vocab.txt")),
+        DataError, "attribute bag count does not match node count"),
 }
 
 
 @pytest.mark.parametrize("call, error, message", CASES.values(),
                          ids=list(CASES))
-def test_bad_input_raises_typed_error(call, error, message):
+def test_bad_input_raises_typed_error(call, error, message, tmp_path,
+                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
     # an overflow on the way to a numeric failure is no warning of its own
     with np.errstate(all="ignore"), pytest.raises(error, match=message):
         call()
+
 
 
 def test_rewire_returns_the_graph_for_zero_width_ho():
@@ -100,3 +165,26 @@ def test_build_batches_is_empty_with_one_class():
                            relevant=np.ones(4, dtype=bool))
     cfg = ExperimentConfig(per_class_anchors=4)
     assert _build_batches(cfg, one_class, E, PATH, 0.5, rng()) == []
+
+
+def test_drop_edges_keeps_the_first_edge_when_all_are_dropped():
+    kept = _drop_edges(PATH, 1.0, rng())
+    assert list(kept.edges) == [(0, 1, 1.0)]
+
+
+def test_build_batches_gives_no_batch_to_an_anchor_whose_rows_underflow(
+        monkeypatch):
+    # anchor 0 is adjacent to all of class 1, so each of its donors gives
+    # h_d = -40 and its candidates 1 and 2 score sigmoid(-500)^2 == 0;
+    # anchor 1's candidates 3, 4 and 5 score about 1
+    graph = Graph.from_pairs(6, [(0, 3), (0, 4), (0, 5), (1, 2)])
+    flat = DecoupledEmbeddings.from_arrays(
+        np.repeat([[20.0], [-40.0]], 3, axis=0),
+        np.array([[-40.0]] + [[20.0]] * 5))
+    labels = np.repeat([0, 1], 3)
+    a = Assignment(R=np.eye(2)[labels] * 0.8 + 0.1,
+                   relevant=np.ones(6, dtype=bool))
+    monkeypatch.setattr(ct, "sample_anchors", lambda *args: [0, 1])
+    cfg = ExperimentConfig(dim_d=1, virtual_per_anchor=2)
+    batches = _build_batches(cfg, a, flat, graph, 0.5, rng())
+    assert [b.anchor for b in batches] == [1]
