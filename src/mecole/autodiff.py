@@ -8,7 +8,10 @@ for the parents that have the flag. ``backward`` topologically sorts the
 implicit tape and accumulates gradients once per node: the first
 contribution is kept as given, the second makes a fresh `a + b` and later
 ones add into that sum in place, so no array a backward returns is ever
-written. Sparse adjacency matrices enter only as constants via ``spmm``.
+written. Sparse adjacency matrices enter only as constants, via ``spmm``
+and ``gcn``. ``gcn`` is one node for the whole two-layer encoder; its
+backward is written out by hand with the operations of the composite it
+replaced, in the order the tape ran them, so its gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "absolute",
     "clip",
     "take_rows",
-    "take_cols",
     "pair_dot",
     "concat",
     "softmax_rows",
@@ -57,7 +59,7 @@ PAIR_BUDGET = 2 ** 16  # gathered entries per block in `pair_dot`: 512 KiB
 
 
 def _check_finite(values, op):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 
@@ -109,14 +111,16 @@ class Tensor:
         grads = {id(self): np.ones_like(self.values)}
         owned = set()  # nodes whose entry in `grads` was allocated here
         for t in reversed(order):
-            g = grads.pop(id(t), None)
-            if g is None:
+            if id(t) not in grads:
                 continue
             if t._backward is None:  # leaf
+                g = grads.pop(id(t))
                 if t.requires_grad:
                     t.grad = g if t.grad is None else t.grad + g
                 continue
-            for parent, pg in t._backward(g):
+            # popped straight into the call, the gradient is referenced only
+            # by the node's backward, which may free it part-way through
+            for parent, pg in t._backward(grads.pop(id(t))):
                 key = id(parent)
                 if key in owned:
                     grads[key] += pg
@@ -125,6 +129,7 @@ class Tensor:
                     owned.add(key)
                 else:
                     grads[key] = pg
+                del pg  # `grads` holds it now, until its node is reached
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -205,11 +210,14 @@ def matmul(a, b):
     return _make(a.values @ b.values, (a, b), bwd, "matmul")
 
 
+def _csr(a):
+    return a if sp.issparse(a) and a.format == "csr" else sp.csr_matrix(a)
+
+
 def spmm(a_sparse, x):
     """Sparse-constant @ dense-tensor product."""
     x = _as_tensor(x)
-    a = a_sparse if sp.issparse(a_sparse) and a_sparse.format == "csr" \
-        else sp.csr_matrix(a_sparse)
+    a = _csr(a_sparse)
     def bwd(g):
         return ((x, a.T @ g),)
     return _make(a @ x.values, (x,), bwd, "spmm")
@@ -315,15 +323,6 @@ def take_rows(x, idx):
     return _make(x.values[idx], (x,), bwd, "take_rows")
 
 
-def take_cols(x, idx):
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    def bwd(g):
-        return ((x, np.ascontiguousarray(
-            _scatter_rows(idx, g.T, x.shape[1]).T)),)
-    return _make(x.values[:, idx], (x,), bwd, "take_cols")
-
-
 def _pair_grad(rows, cols, w, xs):
     """`_incidence(rows, w) @ xs[cols]` without gathering `xs[cols]`: in
     CSR form the incidence keeps each row's pairs in ascending j (SciPy's
@@ -380,12 +379,18 @@ def softmax_array(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _softmax_back(s, g):
+    """Gradient of a row softmax's input, given its output `s` and the
+    output's gradient `g`."""
+    dot = (g * s).sum(axis=1, keepdims=True)
+    return s * (g - dot)
+
+
 def softmax_rows(x):
     x = _as_tensor(x)
     out_vals = softmax_array(x.values)
     def bwd(g):
-        dot = (g * out_vals).sum(axis=1, keepdims=True)
-        return ((x, out_vals * (g - dot)),)
+        return ((x, _softmax_back(out_vals, g)),)
     return _make(out_vals, (x,), bwd, "softmax_rows")
 
 
@@ -447,28 +452,98 @@ def glorot(rng, rows, cols):
     return parameter(rng.uniform(-scale, scale, size=(rows, cols)))
 
 
+def _propagate(a_hats, h, s):
+    """`sum_c s[c] Â_c h` and the products `Â_c h`; one channel's sum is
+    its product. The terms are scaled and added in channel order, as the
+    tape's `mul` and `add` nodes did."""
+    parts = [a @ h for a in a_hats]
+    if len(parts) == 1:
+        return parts[0], parts
+    out = parts[0] * s[:, :1]
+    for c in range(1, len(parts)):
+        out += parts[c] * s[:, c:c + 1]
+    return out, parts
+
+
+def _propagate_back(a_hats, g, s, parts, need_h, need_s):
+    """Gradients of `_propagate`'s `h` and of its 1 x C weights `s`, given
+    the sum's gradient `g` (None where not needed). The tape reached the
+    channels last first: it added each `Âᵀ_c (g s[c])` into the sum of the
+    ones before, and put each `sum(g * Â_c h)` into `s`'s gradient, whose
+    other entries it left zero."""
+    if len(a_hats) == 1:
+        return (a_hats[0].T @ g if need_h else None), None
+    g_h, g_s = None, np.zeros_like(s) if need_s else None
+    for c in reversed(range(len(a_hats))):
+        if need_s:
+            g_s[0, c] += _unbroadcast(g * parts[c], (1, 1))[0, 0]
+        if need_h:
+            term = a_hats[c].T @ (g * s[:, c:c + 1])
+            if g_h is None:
+                g_h = term
+            else:
+                g_h += term
+    return g_h, g_s
+
+
 def gcn(a_hats, X, w1, w2, mix=None):
-    """Two-layer GCN (Kipf & Welling, ICLR 2017): A tanh(A X W1) W2.
+    """Two-layer GCN (Kipf & Welling, ICLR 2017): A tanh(A X W1) W2, as one
+    tape node.
 
     With several adjacency channels, A is their sum weighted by
-    softmax(mix), recomputed at each layer. With X=None the first layer
-    acts on implicit identity features, so `w1` is a free per-node
-    embedding. `X` is an array or a constant tensor.
-    """
-    def propagate(h):
-        if len(a_hats) == 1:
-            return spmm(a_hats[0], h)
-        weights = softmax_rows(mix)
-        out = None
-        for c, a_hat in enumerate(a_hats):
-            term = mul(spmm(a_hat, h), take_cols(weights, [c]))
-            out = term if out is None else add(out, term)
-        return out
+    softmax(mix). With X=None the first layer acts on implicit identity
+    features, so `w1` is a free per-node embedding. `X` is an array or a
+    constant tensor.
 
-    z1 = propagate(w1) if X is None else matmul(propagate(_as_tensor(X)), w1)
-    # no backward reads z1's values, and tanh is its only consumer
-    h1 = tanh(z1, out=z1.values)
-    return matmul(propagate(h1), w2)
+    The forward runs the NumPy and SciPy operations of the composite of
+    `spmm`, `mul`, `add`, `matmul` and `tanh` nodes this replaced, and the
+    backward is theirs written out by hand, in the tape's order, so values
+    and gradients keep their bits. Besides the output, the node keeps H1 =
+    tanh(...), written over its pre-activation, and A H1, and with several
+    channels each channel's products, which the mix's gradient reads.
+    """
+    a_hats = [_csr(a) for a in a_hats]
+    w1, w2 = _as_tensor(w1), _as_tensor(w2)
+    mix = _as_tensor(mix) if len(a_hats) > 1 else None
+    s = None if mix is None else softmax_array(mix.values)
+    if X is None:
+        x1 = None
+        z1, parts1 = _propagate(a_hats, w1.values, s)
+    else:
+        x1, parts1 = _propagate(a_hats, X.values if isinstance(X, Tensor)
+                                else np.asarray(X, dtype=np.float64), s)
+        z1 = x1 @ w1.values
+    _check_finite(z1, "gcn")  # tanh would hide an overflow
+    h1 = np.tanh(z1, out=z1)
+    x2, parts2 = _propagate(a_hats, h1, s)
+    params = (w1, w2) if mix is None else (w1, w2, mix)
+    need_s = mix is not None and mix.requires_grad
+
+    def bwd(g):
+        g_w2 = x2.T @ g if w2.requires_grad else None
+        if not (w1.requires_grad or need_s):
+            return ((w2, g_w2),)
+        g_x2 = g @ w2.values.T
+        del g
+        g_h1, g_s2 = _propagate_back(a_hats, g_x2, s, parts2, True, need_s)
+        # tanh's backward, in the buffer of the spent g_x2
+        g_z1 = np.multiply(h1, h1, out=g_x2)
+        np.subtract(1.0, g_z1, out=g_z1)
+        g_z1 *= g_h1
+        del g_h1
+        if X is None:
+            g_w1, g_s1 = _propagate_back(a_hats, g_z1, s, parts1,
+                                         w1.requires_grad, need_s)
+        else:
+            g_w1 = x1.T @ g_z1 if w1.requires_grad else None
+            g_s1 = _propagate_back(a_hats, g_z1 @ w1.values.T, s, parts1,
+                                   False, True)[1] if need_s else None
+        grads = ((w1, g_w1), (w2, g_w2))
+        if need_s:
+            grads += ((mix, _softmax_back(s, g_s2) + _softmax_back(s, g_s1)),)
+        return tuple((t, pg) for t, pg in grads if t.requires_grad)
+
+    return _make(x2 @ w2.values, params, bwd, "gcn")
 
 
 # optimizer ---------------------------------------------------------

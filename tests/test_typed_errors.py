@@ -42,6 +42,14 @@ def encode_with_two_channels():
         [a_hat, a_hat], [a_hat], np.ones((4, 2)))
 
 
+def encode_with_overflowing_first_layer():
+    # (Â X) W1 overflows to ±inf, which tanh would turn into a finite ±1
+    enc = DecoupledEncoder(2, 3, 2, 2, n_channels=1, seed=0)
+    enc.w1_d.values *= 1e300
+    a_hat = ad.normalize_adjacency(PATH)
+    enc.encode([a_hat], [a_hat], np.full((4, 2), 1e9))
+
+
 CASES = {
     "backward_non_scalar": (
         lambda: ad.parameter(np.ones((2, 2))).backward(),
@@ -78,6 +86,9 @@ CASES = {
         ConfigError, "dim_d must be >= 1"),
     "encoder_channel_mismatch": (encode_with_two_channels, ConfigError,
                                  "channel count mismatch"),
+    "encoder_first_layer_overflow": (encode_with_overflowing_first_layer,
+                                     NumericError,
+                                     "non-finite values produced by 'gcn'"),
     "anchors_per_class_zero": (
         lambda: sample_anchors(TWO_CLASSES, 0, rng()),
         ConfigError, "per_class must be >= 1"),
