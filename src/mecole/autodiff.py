@@ -247,16 +247,20 @@ def sigmoid(x):
     return _make(out_vals, (x,), bwd, "sigmoid")
 
 
-def tanh(x, out=None):
-    """Elementwise tanh, into `out` if given (x's buffer if no backward reads
-    x); the backward makes `g * (1 - y**2)` in one buffer, same roundings."""
+def _tanh_back(y, g, out=None):
+    """tanh's input gradient `(1 - y*y) * g` from its output `y`, in one
+    buffer: `out` if given (`y`'s or any spent one, never `g`'s)."""
+    dx = np.multiply(y, y, out=out)
+    np.subtract(1.0, dx, out=dx)
+    dx *= g
+    return dx
+
+
+def tanh(x):
     x = _as_tensor(x)
-    out_vals = np.tanh(x.values, out=out)
+    out_vals = np.tanh(x.values)
     def bwd(g):
-        dx = np.multiply(out_vals, out_vals)
-        np.subtract(1.0, dx, out=dx)
-        dx *= g
-        return ((x, dx),)
+        return ((x, _tanh_back(out_vals, g)),)
     return _make(out_vals, (x,), bwd, "tanh")
 
 
@@ -437,12 +441,13 @@ def row_norm2(x):
 # GCN building blocks -----------------------------------------------
 
 def normalize_adjacency(graph):
-    """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
+    """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2, the
+    data of A + I scaled by d = diag(D^-1/2) as `(d_i a_ij) d_j`."""
     a_hat = graph.adjacency + sp.identity(graph.n, format="csr")
-    deg = np.asarray(a_hat.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    d_mat = sp.diags(d_inv_sqrt)
-    return sp.csr_matrix(d_mat @ a_hat @ d_mat)
+    d = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    a_hat.data *= np.repeat(d, np.diff(a_hat.indptr))
+    a_hat.data *= d[a_hat.indices]
+    return a_hat
 
 
 def glorot(rng, rows, cols):
@@ -521,15 +526,10 @@ def gcn(a_hats, X, w1, w2, mix=None):
 
     def bwd(g):
         g_w2 = x2.T @ g if w2.requires_grad else None
-        if not (w1.requires_grad or need_s):
-            return ((w2, g_w2),)
         g_x2 = g @ w2.values.T
         del g
         g_h1, g_s2 = _propagate_back(a_hats, g_x2, s, parts2, True, need_s)
-        # tanh's backward, in the buffer of the spent g_x2
-        g_z1 = np.multiply(h1, h1, out=g_x2)
-        np.subtract(1.0, g_z1, out=g_z1)
-        g_z1 *= g_h1
+        g_z1 = _tanh_back(h1, g_h1, out=g_x2)  # g_x2 is spent
         del g_h1
         if X is None:
             g_w1, g_s1 = _propagate_back(a_hats, g_z1, s, parts1,

@@ -198,14 +198,11 @@ def init_assignments(graph, X, cfg):
         g_c = g_col + g_col + deg_row.T @ (g_dc + g_dc)
         g_c += g_trace * ac
         g_c += A @ (g_trace * C)
-        g_z2 = a_hat_t @ (C * (g_c - (g_c * C).sum(axis=1, keepdims=True)))
+        g_z2 = a_hat_t @ ad._softmax_back(C, g_c)
         w2.grad = h1.T @ g_z2
         np.matmul(g_z2, w2.values.T, out=g_h1)
-        # z1 is spent once h1 is taken: it holds tanh's derivative
-        np.multiply(h1, h1, out=z1)
-        np.subtract(1.0, z1, out=z1)
-        np.multiply(g_h1, z1, out=g_h1)
-        w1.grad = P.T @ g_h1
+        # z1 is spent once h1 is taken: it holds tanh's gradient
+        w1.grad = P.T @ ad._tanh_back(h1, g_h1, out=z1)
         opt.step()
     return Assignment(R=forward(), relevant=np.ones(n, dtype=bool))
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, fields
 
 from .contrastive import check_mask_rate
 from .decoupling import DISCREPANCY_METRICS
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .graphs import _data_lines
 
 __all__ = ["ExperimentConfig", "parse_config_file", "apply_overrides"]
 
@@ -194,15 +195,10 @@ def parse_config_file(path):
     """Parse a flat key = value config file into a dict of field values."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read {path}: {reason}") from exc
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+        lines = list(_data_lines(path))
+    except DataError as exc:  # an unreadable config file is a config error
+        raise ConfigError(str(exc)) from exc
+    for lineno, line in lines:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = line.split("=", 1)

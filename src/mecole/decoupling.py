@@ -238,8 +238,6 @@ def discrepancy_loss(E, assignment, metric, pairs, rng):
     cross-class node pairs (relevant nodes only)."""
     if pairs < 1:
         raise ConfigError("pairs must be >= 1")
-    if metric not in DISCREPANCY_METRICS:
-        raise ConfigError(f"unknown discrepancy metric '{metric}'")
     groups = [assignment.members(k) for k in range(assignment.K)]
     nonempty = [g for g in groups if g.size > 0]
     if len(nonempty) < 2:

@@ -15,7 +15,7 @@ from . import contrastive as ct
 from . import decoupling as dc
 from .clustering import init_assignments, modularity, update_assignments
 from .config import ExperimentConfig
-from .errors import DataError, MecoleError
+from .errors import ConfigError, DataError, MecoleError
 from .graphs import AttributeBag, GraphBundle, SBMConfig, \
     build_knn_similarity_graph, generate_sbm, load_attribute_bags, \
     load_edge_list, load_features, load_labels, load_vocabulary, \
@@ -323,7 +323,7 @@ def write_report(out_dir, report, name="metrics"):
 def sparse_eval(cfg: ExperimentConfig, fraction):
     """Drop the top-degree fraction of nodes, retrain, evaluate the rest."""
     if not 0.0 < fraction < 1.0:
-        raise DataError("fraction must lie in (0, 1)")
+        raise ConfigError("fraction must lie in (0, 1)")
     dataset = load_dataset(cfg)
     graph = dataset.bundle.primary
     remove = int(np.ceil(fraction * graph.n))

@@ -12,7 +12,8 @@ from mecole.config import ExperimentConfig
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
     MlpPredictor
 from mecole.errors import NumericError
-from mecole.graphs import Graph, SBMConfig, generate_sbm
+from mecole.graphs import Graph, SBMConfig, build_knn_similarity_graph, \
+    generate_sbm
 
 
 def test_square_gradient():
@@ -99,7 +100,12 @@ def test_tanh_backward_bit_equal_to_composite_form(rng):
     g = rng.normal(size=(50, 7))
     y = ad.tanh(x)
     (_, dx), = y._backward(g)
-    assert dx.tobytes() == (g * (1.0 - y.values ** 2)).tobytes()
+    want = (g * (1.0 - y.values ** 2)).tobytes()
+    assert dx.tobytes() == want
+    # into a spent copy of y and into a fresh buffer, as the init and gcn do
+    for out in (y.values.copy(), np.empty_like(g)):
+        assert ad._tanh_back(y.values, g, out=out) is out
+        assert out.tobytes() == want
 
 
 def test_backward_leaves_no_reference_cycles():
@@ -199,6 +205,25 @@ def test_normalize_symmetric(rng):
     g = Graph.from_pairs(30, pairs)
     a_hat = ad.normalize_adjacency(g).toarray()
     assert np.allclose(a_hat, a_hat.T)
+
+
+def test_normalize_bit_equal_to_diagonal_products(rng):
+    def reference(graph):
+        a_hat = graph.adjacency + sp.identity(graph.n, format="csr")
+        d = sp.diags(1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel()))
+        return sp.csr_matrix(d @ a_hat @ d)
+
+    graph, X, _ = sbm_graph()
+    graphs = [graph,
+              # weights in (0.1, 4), the range `rewire` gives
+              graph.with_weights(rng.uniform(0.1, 4.0, graph.num_edges)),
+              build_knn_similarity_graph(X, 5, 0.0),
+              Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3)])]  # 4: no edge
+    for g in graphs:
+        got, want = ad.normalize_adjacency(g), reference(g)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == \
+                getattr(want, attr).tobytes()
 
 
 # gcn -----------------------------------------------------------------

@@ -350,6 +350,17 @@ def test_tfidf_hand_computed_two_classes():
     assert out[2] == pytest.approx([1.0, 0.0], abs=1e-5)
 
 
+def test_tfidf_skips_irrelevant_nodes():
+    # node 2 is not relevant: its token 1 stays out of class 0's document,
+    # so token 1 is in one of two documents and keeps idf log 2; counted,
+    # it would be in both, idf 0, and node 1's row would be zeros
+    vocab = np.eye(2)
+    bags = AttributeBag(bags=((0,), (1,), (1,)), vocabulary=vocab)
+    a = make_assignment([0, 1, 0], 2, relevant=[True, True, False])
+    out = tfidf_class_features(bags, a)
+    assert out[1] == pytest.approx([0.0, 1.0], abs=1e-5)
+
+
 def test_tfidf_token_order_invariance(rng):
     vocab = rng.normal(size=(5, 3))
     bags1 = AttributeBag(bags=((0, 1, 2), (3, 4), (2, 0)), vocabulary=vocab)

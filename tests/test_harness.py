@@ -288,7 +288,7 @@ def test_sparse_eval_keeps_attribute_bags(tmp_path, monkeypatch):
 
 
 def test_sparse_eval_invalid_fraction():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         sparse_eval(fast_cfg(), 0.0)
 
 
@@ -825,6 +825,19 @@ def test_cli_sparse_eval(tmp_path, capsys):
                   sbm_args(tmp_path / "run"))
     assert rc == 0
     assert (tmp_path / "run" / "metrics_sparse.json").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "nan"])
+def test_cli_sparse_eval_invalid_fraction_is_config_error(
+        tmp_path, capsys, monkeypatch, fraction):
+    def load_dataset(cfg):
+        raise AssertionError("sparse-eval loaded data for a bad --fraction")
+    monkeypatch.setattr(training, "load_dataset", load_dataset)
+    rc = cli_main(["sparse-eval", "--fraction", fraction] +
+                  sbm_args(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == ["config error: fraction must lie in (0, 1)"]
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -1,4 +1,5 @@
-"""The summary step of `tools/effects.py`, without any training."""
+"""The pure steps of the tools: `tools/effects.py`'s summary, without any
+training, and `tools/linetrace.py`'s listing, without any tracing."""
 
 import importlib.util
 import os
@@ -7,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-EFFECTS = Path(__file__).parent.parent / "tools" / "effects.py"
+TOOLS = Path(__file__).parent.parent / "tools"
 
 
-def load_effects():
-    spec = importlib.util.spec_from_file_location("effects", EFFECTS)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -19,7 +20,7 @@ def load_effects():
 
 def test_effects_summary_means_and_margins():
     environ, path = dict(os.environ), list(sys.path)
-    effects = load_effects()
+    effects = load_tool("effects")
     runs = {
         "baseline": [dict(accuracy=0.8, nmi=0.6, modularity=0.5),
                      dict(accuracy=0.7, nmi=0.5, modularity=0.4)],
@@ -40,4 +41,45 @@ def test_effects_summary_means_and_margins():
     assert margins["no_cl"] == pytest.approx(
         dict(accuracy=-0.15, nmi=-0.15, modularity=0.25))
     # loading the tool pins no BLAS thread count and adds no import path
+    assert dict(os.environ) == environ and sys.path == path
+
+
+LISTED_SOURCE = '''"""Module docstring."""
+import os
+from sys import path
+
+
+class Box:
+    """Class docstring."""
+    size = 1
+
+    def grow(self, by):
+        """Method docstring."""
+        if by < 0:
+            raise ValueError(
+                "negative")
+        for _ in range(by):
+            self.size += 1
+        else:
+            return self.size
+
+
+def unused():
+    return (
+        1)
+'''
+
+
+def test_linetrace_lists_unreached_statements():
+    environ, path = dict(os.environ), list(sys.path)
+    linetrace = load_tool("linetrace")
+    # hand-made hits on every statement but `unused`'s return, the
+    # two-line `raise` on its second line only
+    hits = {8, 12, 14, 15, 16, 18}
+    assert linetrace.unreached(LISTED_SOURCE, hits) == [(22, "return (")]
+    # docstrings, imports, `def` and `class` lines are never listed; an
+    # unreached `if` header is listed apart from its reached body
+    assert linetrace.unreached(LISTED_SOURCE, {14}) == [
+        (8, "size = 1"), (12, "if by < 0:"), (15, "for _ in range(by):"),
+        (16, "self.size += 1"), (18, "return self.size"), (22, "return (")]
     assert dict(os.environ) == environ and sys.path == path
