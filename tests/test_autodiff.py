@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from conftest import finite_diff_check
 from mecole import autodiff as ad
+from mecole import clustering
 from mecole.clustering import init_assignments, init_objective
 from mecole.config import ExperimentConfig
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
@@ -723,7 +724,10 @@ def test_encoder_tape_memory_in_hidden_arrays(with_x):
 
 
 @pytest.mark.parametrize("with_x", [True, False])
-def test_init_gcn_matches_gcn_layer_forward(with_x):
+def test_init_gcn_matches_gcn_layer_forward(with_x, monkeypatch):
+    # the tape is float64: the hand-written gradient equals it bit for bit
+    # when the init computes in float64 too
+    monkeypatch.setattr(clustering, "INIT_DTYPE", np.float64)
     graph, X, _ = sbm_graph(1)
     X = X if with_x else None
     cfg = ExperimentConfig(K=3, init_epochs=15, init_lr=0.01, hidden=8,
@@ -762,9 +766,10 @@ def test_init_gcn_matches_gcn_layer_forward(with_x):
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("with_x", [True, False])
-def test_init_gcn_close_to_propagating_first(with_x, weighted):
+def test_init_gcn_close_to_propagating_first(with_x, weighted, monkeypatch):
     """`Â(H1 W2)` and `(Â H1) W2` are one product in two associations:
     trained R differs only by rounding, with the same hard labels."""
+    monkeypatch.setattr(clustering, "INIT_DTYPE", np.float64)
     graph, X, _ = sbm_graph(1)
     if weighted:
         graph = graph.with_weights(
@@ -777,6 +782,42 @@ def test_init_gcn_close_to_propagating_first(with_x, weighted):
                                            propagate_first=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("with_x", [True, False])
+def test_init_float32_close_to_float64(with_x, weighted, monkeypatch):
+    """The float32 init returns float64 R with the float64 init's hard
+    labels. 100 Adam steps grow float32's rounding (6e-8) to at most
+    3.1e-7 in R on these four graphs, and to 2.5e-5 on `sbm_graph(0)`'s
+    weighted one with X; the bound 1e-4 leaves a factor of 4 over that."""
+    graph, X, _ = sbm_graph(1)
+    if weighted:
+        graph = graph.with_weights(
+            np.random.default_rng(3).random(graph.num_edges) + 0.1)
+    X = X if with_x else None
+    cfg = ExperimentConfig(K=3, init_epochs=100, init_lr=0.01, hidden=16,
+                           collapse_weight=1.0, seed=5)
+    assert clustering.INIT_DTYPE == np.float32
+    got = init_assignments(graph, X, cfg).R
+    monkeypatch.setattr(clustering, "INIT_DTYPE", np.float64)
+    want = init_assignments(graph, X, cfg).R
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-4
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+def test_init_float32_overflow_of_a_float64_weight_raises(monkeypatch):
+    # one Adam step takes each weight to about ±1e39: finite in float64,
+    # infinite once cast to float32
+    graph, X, _ = sbm_graph(1)
+    cfg = ExperimentConfig(K=3, init_epochs=2, init_lr=1e39, hidden=8,
+                           seed=5)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericError, match="non-finite layer"):
+        init_assignments(graph, X, cfg)
+    monkeypatch.setattr(clustering, "INIT_DTYPE", np.float64)
+    assert np.isfinite(init_assignments(graph, X, cfg).R).all()
 
 
 @pytest.mark.parametrize("dim_o", [0, 3])

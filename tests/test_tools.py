@@ -1,5 +1,6 @@
-"""The pure steps of the tools: `tools/effects.py`'s summary, without any
-training, and `tools/linetrace.py`'s listing, without any tracing."""
+"""The pure steps of the tools: `tools/effects.py`'s summary and paired
+comparison, without any training, and `tools/linetrace.py`'s listing,
+without any tracing."""
 
 import importlib.util
 import os
@@ -42,6 +43,34 @@ def test_effects_summary_means_and_margins():
         dict(accuracy=-0.15, nmi=-0.15, modularity=0.25))
     # loading the tool pins no BLAS thread count and adds no import path
     assert dict(os.environ) == environ and sys.path == path
+
+
+def test_effects_compare_pairs_seeds():
+    effects = load_tool("effects")
+    old = {"baseline": [dict(accuracy=0.5, nmi=0.25, modularity=0.5),
+                        dict(accuracy=0.75, nmi=0.5, modularity=0.5),
+                        dict(accuracy=0.5, nmi=0.5, modularity=0.5)],
+           "no_cl": [dict(accuracy=0.5, nmi=0.5, modularity=0.5)] * 3}
+    new = {"baseline": [dict(accuracy=0.75, nmi=0.25, modularity=0.5),
+                        dict(accuracy=0.5, nmi=0.75, modularity=0.5),
+                        dict(accuracy=1.0, nmi=0.75, modularity=0.5)],
+           "no_cl": [dict(accuracy=0.25, nmi=0.5, modularity=0.5)] * 3}
+    table = effects.compare(old, new)
+    assert list(table) == ["baseline", "no_cl"]
+    assert table["baseline"]["accuracy"] == dict(
+        mean=0.5 / 3, diffs=[0.25, -0.25, 0.5], wins=2, losses=1,
+        ties=0, lo=-0.25, hi=0.5)
+    assert table["baseline"]["nmi"] == dict(
+        mean=0.5 / 3, diffs=[0.0, 0.25, 0.25], wins=2, losses=0, ties=1,
+        lo=0.0, hi=0.25)
+    assert table["baseline"]["modularity"]["ties"] == 3
+    assert table["no_cl"]["accuracy"] == dict(
+        mean=-0.25, diffs=[-0.25] * 3, wins=0, losses=3, ties=0, lo=-0.25,
+        hi=-0.25)
+    # the seeds pair up one to one
+    with pytest.raises(ValueError):
+        effects.compare(old, {"baseline": new["baseline"][:2],
+                              "no_cl": new["no_cl"]})
 
 
 LISTED_SOURCE = '''"""Module docstring."""

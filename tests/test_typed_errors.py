@@ -58,9 +58,11 @@ CASES = {
         lambda: init_assignments(PATH, np.ones((4, 2)), ExperimentConfig(
             init_lr=1e308, init_epochs=3, hidden=4)),
         NumericError, "non-finite layer"),
+    # one Adam step takes the weights to about 3e38, finite in the init's
+    # float32; Â W1 stays finite, and the output layer's sum overflows
     "init_non_finite_loss": (
         lambda: init_assignments(PATH, None, ExperimentConfig(
-            init_lr=1e308, init_epochs=3, hidden=4)),
+            init_lr=3e38, init_epochs=3, hidden=4)),
         NumericError, "non-finite loss"),
     "init_empty_graph": (
         lambda: init_assignments(Graph.from_pairs(3, []), None,
