@@ -131,9 +131,6 @@ class Tensor:
                     grads[key] = pg
                 del pg  # `grads` holds it now, until its node is reached
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 def constant(values):
     return Tensor(values, requires_grad=False)

@@ -222,8 +222,10 @@ def init_assignments(graph, X, cfg):
         w1.grad = (P.T @ ad._tanh_back(h1, g_h1, out=z1)).astype(
             np.float64, copy=False)
         opt.step()
-    return Assignment(R=forward(low(w1), low(w2)),
-                      relevant=np.ones(n, dtype=bool))
+    R = forward(low(w1), low(w2))
+    if not np.isfinite(R).all():
+        raise NumericError("modularity init diverged (non-finite assignment)")
+    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
 
 
 def modularity_init_loss(graph, C_values, collapse_weight=1.0):

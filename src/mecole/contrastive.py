@@ -210,10 +210,10 @@ def pool_size(graph, v, m, pool_factor):
     return np.minimum(pool_factor * m, candidates)
 
 
-def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, pool_factor):
+def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
     """Per virtual node r (anchor `anchors[r]`, rows `h_d[r]`, `h_o[r]`),
-    its pool (`pool_size`) drawn from with the next row of `uniforms`, or
-    whole if no larger than `m`, and the probabilities in proportion to Z.
+    its pool of `sizes[r]` nodes drawn from with the next row of `uniforms`,
+    or whole if no larger than `m`, and the probabilities in proportion to Z.
 
     A row is `None` when fewer of its pool's scores are above 0 than its
     draw needs (`m`, or one for a whole pool): the scores are products of
@@ -223,7 +223,6 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, pool_factor):
     matrix-vector product per row for `H_d` and per distinct anchor (its
     first row) for `H_o`, so no row's sums depend on its block.
     """
-    sizes = pool_size(graph, anchors, m, pool_factor)
     slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
     _, first, which = np.unique(anchors, return_index=True,
                                 return_inverse=True)
@@ -265,10 +264,11 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10):
     The one-row case of `hard_negatives`; its uniforms are drawn before
     the pool is scored, so a pool that underflows has moved `rng`.
     """
-    c = pool_size(graph, virt.anchor, m, pool_factor)
-    u = rng.random((int(c > m), m))
-    row, = hard_negatives(np.array([virt.anchor]), virt.h_d[None],
-                          virt.h_o[None], u, E, graph, m, pool_factor)
+    anchor = np.array([virt.anchor])
+    sizes = pool_size(graph, anchor, m, pool_factor)
+    u = rng.random((int(sizes[0] > m), m))
+    row, = hard_negatives(anchor, virt.h_d[None], virt.h_o[None], u, E,
+                          graph, m, sizes)
     if row is None:
         raise NumericError(f"hard-negative pool of anchor {virt.anchor} "
                            "has too few nonzero scores for its draw")
@@ -281,9 +281,7 @@ def uniform_negatives(graph, v, count, rng):
     candidates = graph.non_neighbors(v)
     if candidates.size == 0:
         raise DataError("no candidate negatives: anchor neighborhood is full")
-    take = min(count, candidates.size)
-    chosen = np.sort(rng.choice(candidates, size=take, replace=False))
-    return chosen, np.full(take, 1.0 / take)
+    return _uniform_subset(candidates, count, rng)
 
 
 def sample_positives(v, graph, count, rng):
@@ -291,8 +289,13 @@ def sample_positives(v, graph, count, rng):
     nbrs = graph.neighbors(v)
     if nbrs.size == 0:
         raise DataError(f"anchor {v} has no neighbors to sample positives")
-    take = min(count, nbrs.size)
-    chosen = rng.choice(nbrs, size=take, replace=False)
+    return _uniform_subset(nbrs, count, rng)
+
+
+def _uniform_subset(nodes, count, rng):
+    """Up to `count` of `nodes`, uniform without replacement, sorted."""
+    take = min(count, nodes.size)
+    chosen = rng.choice(nodes, size=take, replace=False)
     return np.sort(chosen).astype(np.int64), np.full(take, 1.0 / take)
 
 

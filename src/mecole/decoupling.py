@@ -45,10 +45,6 @@ class DecoupledEmbeddings:
     H_o: ad.Tensor
 
     @property
-    def n(self):
-        return self.H_d.shape[0]
-
-    @property
     def hd(self):
         return self.H_d.values
 
@@ -124,10 +120,8 @@ def predict_link(u, v, E):
 
 def predict_links_against(hd_vec, ho_vec, E):
     """Vectorized Z(x, u) of one embedding pair against every node."""
-    zd = ad.sigmoid_array(E.hd @ hd_vec)
-    zo = ad.sigmoid_array(E.ho @ ho_vec) if E.ho.shape[1] else \
-        np.full(E.n, 0.5)
-    return zd * zo
+    # a zero-width H_o scores sigmoid(0) = 0.5 exactly
+    return ad.sigmoid_array(E.hd @ hd_vec) * ad.sigmoid_array(E.ho @ ho_vec)
 
 
 def link_scores(E, pairs, mlp=None):

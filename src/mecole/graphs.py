@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -178,11 +180,22 @@ class AttributeBag:
     vocabulary: np.ndarray  # (vocab, emb_dim)
 
     def __post_init__(self):
-        for i, bag in enumerate(self.bags):
-            for tok in bag:
-                if not 0 <= tok < self.vocabulary.shape[0]:
-                    raise DataError(
-                        f"node {i}: token {tok} missing from vocabulary")
+        indptr, tokens = self.flat
+        bad = np.flatnonzero((tokens < 0) | (tokens >= len(self.vocabulary)))
+        if bad.size:
+            node = np.searchsorted(indptr, bad[0], side="right") - 1
+            raise DataError(f"node {node}: token {tokens[bad[0]]} missing "
+                            "from vocabulary")
+
+    @cached_property
+    def flat(self):
+        """The bags as CSR rows: `indptr`, where each node's tokens start,
+        and every token id end to end."""
+        try:
+            tokens = np.fromiter(chain.from_iterable(self.bags), np.int64)
+        except OverflowError:  # for `__post_init__` to name the id
+            tokens = np.array([*chain.from_iterable(self.bags)], object)
+        return np.cumsum([0, *map(len, self.bags)]), tokens
 
 
 @dataclass(frozen=True)
@@ -381,21 +394,18 @@ def tfidf_class_features(bags: AttributeBag, assignment):
 
     Each class forms one document from the bags of its confidently
     (hard-)assigned relevant nodes; a node's row mixes its tokens'
-    class-wise scores by its soft assignment.
+    class-wise scores by its soft assignment. Documents and rows are sparse
+    products with `B`, the node x token counts.
     """
     R = np.asarray(assignment.R, dtype=np.float64)
     relevant = np.asarray(assignment.relevant, dtype=bool)
     n, K = R.shape
     vocab = bags.vocabulary
-    V, dim = vocab.shape
-    hard = R.argmax(axis=1)
-
-    counts = np.zeros((K, V))
-    for i in range(n):
-        if not relevant[i]:
-            continue
-        for tok in bags.bags[i]:
-            counts[hard[i], tok] += 1
+    indptr, tokens = bags.flat
+    # a repeated token is a repeated entry, which each product adds
+    B = sp.csr_matrix((np.ones(tokens.size), tokens, indptr),
+                      shape=(n, vocab.shape[0]))
+    counts = np.eye(K)[R[relevant].argmax(axis=1)].T @ B[relevant]
 
     doc_len = counts.sum(axis=1)
     tf = np.divide(counts, doc_len[:, None],
@@ -404,18 +414,11 @@ def tfidf_class_features(bags: AttributeBag, assignment):
     idf = np.where(df > 0, np.log(K / np.maximum(df, 1)), 0.0)
     S = tf * idf[None, :]
 
-    out = np.zeros((n, dim))
-    for i in range(n):
-        bag = bags.bags[i]
-        if not bag:
-            continue
-        toks = np.asarray(bag)
-        emb = vocab[toks]
-        for k in range(K):
-            s = S[k, toks]
-            denom = s.sum()
-            if denom > 0:
-                out[i] += R[i, k] * (s @ emb) / denom
+    out = np.zeros((n, vocab.shape[1]))
+    for k in range(K):
+        denom = B @ S[k]
+        scale = np.divide(R[:, k], denom, out=np.zeros(n), where=denom > 0)
+        out += scale[:, None] * (B @ (S[k][:, None] * vocab))
     return out
 
 

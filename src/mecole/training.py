@@ -111,9 +111,9 @@ def _build_batches(cfg, assignment, E, graph, p_ce, rng):
     anchors = anchors[~np.isin(graph.degrees[anchors], (0, graph.n - 1))]
     if anchors.size == 0 or np.ptp(assignment.hard) == 0:
         return []  # no anchor left, or no other class to give a donor
-    draws = ct.pool_size(graph, anchors, m, cfg.pool_factor) > m
+    sizes = ct.pool_size(graph, anchors, m, cfg.pool_factor)
     kept, drawn, uniforms, rows = [], [], [], []
-    for v, draw in zip(anchors.tolist(), draws.tolist()):
+    for v, draw in zip(anchors.tolist(), (sizes > m).tolist()):
         for _ in range(per_anchor):
             drawn.append(ct.draw_virtual_node(v, assignment, E.hd.shape[1],
                                               p_ce, rng))
@@ -128,7 +128,7 @@ def _build_batches(cfg, assignment, E, graph, p_ce, rng):
         h_d = np.where(masks, E.hd[donors], E.hd[owners])
         rows = ct.hard_negatives(owners, h_d, E.ho[owners],
                                  np.reshape(uniforms, (-1, m)), E, graph, m,
-                                 cfg.pool_factor)
+                                 np.repeat(sizes, per_anchor))
     batches = []
     for i, (v, pos, pos_p) in enumerate(kept):
         own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]

@@ -375,6 +375,96 @@ def test_attribute_bag_unknown_token():
         AttributeBag(bags=((0, 7),), vocabulary=np.eye(2))
 
 
+def tfidf_reference(bags, assignment):
+    """`tfidf_class_features` as loops over nodes, tokens and classes."""
+    R = np.asarray(assignment.R, dtype=np.float64)
+    relevant = np.asarray(assignment.relevant, dtype=bool)
+    n, K = R.shape
+    vocab = bags.vocabulary
+    V, dim = vocab.shape
+    hard = R.argmax(axis=1)
+
+    counts = np.zeros((K, V))
+    for i in range(n):
+        if not relevant[i]:
+            continue
+        for tok in bags.bags[i]:
+            counts[hard[i], tok] += 1
+
+    doc_len = counts.sum(axis=1)
+    tf = np.divide(counts, doc_len[:, None],
+                   out=np.zeros_like(counts), where=doc_len[:, None] > 0)
+    df = (counts > 0).sum(axis=0)
+    idf = np.where(df > 0, np.log(K / np.maximum(df, 1)), 0.0)
+    S = tf * idf[None, :]
+
+    out = np.zeros((n, dim))
+    for i in range(n):
+        bag = bags.bags[i]
+        if not bag:
+            continue
+        toks = np.asarray(bag)
+        emb = vocab[toks]
+        for k in range(K):
+            s = S[k, toks]
+            denom = s.sum()
+            if denom > 0:
+                out[i] += R[i, k] * (s @ emb) / denom
+    return out
+
+
+def random_bag_case(seed, empty_class):
+    """40 random bags over 12 tokens and K=4, with repeated tokens, empty
+    bags and irrelevant nodes. With `empty_class`, class 3 has no relevant
+    member; without, token 0 is in every class's document, so its idf is
+    log(4/4) = 0. Token 11 is in irrelevant bags only, so its df is 0."""
+    rng = np.random.default_rng(seed)
+    n, V, K = 40, 12, 4
+    bags = [tuple(rng.integers(0, V - 1, size=rng.integers(0, 9)).tolist())
+            for _ in range(n)]
+    hard = rng.integers(0, K - 1 if empty_class else K, size=n)
+    relevant = rng.random(n) < 0.7
+    bags[0], bags[1], bags[2] = (3, 3, 5, 3), (), ()
+    relevant[:3] = True
+    # irrelevant, in class 3: counted, it would fill that class's document
+    bags[3], bags[4], hard[3:5], relevant[3:5] = (11, 11), (11, 2), 3, False
+    if not empty_class:
+        for k in range(K):
+            bags[5 + k] = (0,) + bags[5 + k]
+            hard[5 + k], relevant[5 + k] = k, True
+    logits = rng.normal(size=(n, K))
+    logits[np.arange(n), hard] += 10.0
+    R = np.exp(logits)
+    R /= R.sum(axis=1, keepdims=True)
+    assert (R.argmax(axis=1) == hard).all()
+    vocab = rng.normal(size=(V, 3))
+    return (AttributeBag(bags=tuple(bags), vocabulary=vocab),
+            Assignment(R=R, relevant=relevant))
+
+
+@pytest.mark.parametrize("empty_class", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+def test_tfidf_matches_the_loop_reference(seed, empty_class):
+    bags, a = random_bag_case(seed, empty_class)
+    got, want = tfidf_class_features(bags, a), tfidf_reference(bags, a)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
+    # the empty bags and the bag of a df-0 token give zero rows
+    assert not got[1:4].any() and got[4:].any()
+
+
+def test_attribute_bag_names_the_first_bad_token():
+    # the first bad token in bag order, its node counted past empty bags,
+    # and an id beyond int64
+    vocab = np.eye(3)
+    for bags, node, tok in [(((0,), (), (), (1, 5, -1)), 3, 5),
+                            (((2,), (0, -4), (7,)), 1, -4),
+                            (((), (1, 2 ** 70)), 1, 2 ** 70)]:
+        with pytest.raises(DataError, match=f"^node {node}: token {tok} "
+                                            "missing from vocabulary$"):
+            AttributeBag(bags=bags, vocabulary=vocab)
+
+
 # SBM generator ----------------------------------------------------------
 
 def test_sbm_disjoint_cliques():

@@ -483,6 +483,19 @@ def test_cli_numeric_failure_prints_one_line(tmp_path, item):
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), lines
 
 
+def test_cli_non_finite_init_assignment_exits_3(tmp_path, capsys):
+    # one init epoch at init_lr=2e38 leaves a non-finite assignment on the
+    # 4-node path
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    rc = cli_main(["train", "--set", f"edge_path={tmp_path / 'edges.txt'}",
+                   "--set", "init_epochs=1", "--set", "hidden=4",
+                   "--set", "init_lr=2e38", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert err == ["numeric failure: modularity init diverged (non-finite "
+                   "assignment)"]
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     rc = cli_main(["train", "--set", "K=1", "--out", str(tmp_path)])
     assert rc == 1

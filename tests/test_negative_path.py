@@ -471,7 +471,7 @@ def test_one_scoring_pass_matches_rows_sampled_alone():
     uniforms = new_rng.random((np.count_nonzero(sizes > m), m))
     rows = ct.hard_negatives(anchors, np.array([virt.h_d for virt in virts]),
                              np.array([virt.h_o for virt in virts]),
-                             uniforms, E, graph, m, pool_factor)
+                             uniforms, E, graph, m, sizes)
     for virt, row in zip(virts, rows):
         assert same_result(row, sample_negatives(virt, E, graph, m, ref_rng,
                                                  pool_factor=pool_factor))
@@ -498,7 +498,7 @@ def test_scoring_pass_peaks_below_three_blocks_and_the_anchor_scores(
     tracemalloc.start()
     try:
         rows = ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m,
-                                 pool_factor)
+                                 sizes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -525,7 +525,7 @@ def test_anchor_scores_in_blocks_bit_equal_to_one_product(monkeypatch):
         return sigmoid(x, out=out)
 
     monkeypatch.setattr(ad, "sigmoid_array", recording_sigmoid)
-    ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m, pool_factor)
+    ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m, sizes)
     zo = outs[0].base
     assert zo.shape == (70, graph.n)
     assert sum(out.base is zo for out in outs) == 3

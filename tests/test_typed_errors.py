@@ -1,10 +1,13 @@
 """Each typed error a mecole function raises on bad input, and the early
 exits that share those functions' guards."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from mecole import autodiff as ad
+from mecole import clustering
 from mecole import contrastive as ct
 from mecole.clustering import Assignment, init_assignments, modularity
 from mecole.config import ExperimentConfig, apply_overrides
@@ -50,6 +53,14 @@ def encode_with_overflowing_first_layer():
     enc.encode([a_hat], [a_hat], np.full((4, 2), 1e9))
 
 
+def init_one_epoch(dtype, init_lr):
+    # the one Adam step overflows the weights, and the final forward pass
+    # turns them into a non-finite assignment
+    with mock.patch.object(clustering, "INIT_DTYPE", dtype):
+        init_assignments(PATH, None, ExperimentConfig(
+            init_lr=init_lr, init_epochs=1, hidden=4))
+
+
 CASES = {
     "backward_non_scalar": (
         lambda: ad.parameter(np.ones((2, 2))).backward(),
@@ -64,6 +75,15 @@ CASES = {
         lambda: init_assignments(PATH, None, ExperimentConfig(
             init_lr=3e38, init_epochs=3, hidden=4)),
         NumericError, "non-finite loss"),
+    "init_non_finite_assignment_float64": (
+        lambda: init_one_epoch(np.float64, 1e308),
+        NumericError, "non-finite assignment"),
+    "init_non_finite_assignment_float32_2e38": (
+        lambda: init_one_epoch(np.float32, 2e38),
+        NumericError, "non-finite assignment"),
+    "init_non_finite_assignment_float32_3e38": (
+        lambda: init_one_epoch(np.float32, 3e38),
+        NumericError, "non-finite assignment"),
     "init_empty_graph": (
         lambda: init_assignments(Graph.from_pairs(3, []), None,
                                  ExperimentConfig()),
