@@ -325,14 +325,12 @@ def take_rows(x, idx):
 
 
 def _pair_grad(rows, cols, w, xs):
-    """`_incidence(rows, w) @ xs[cols]` without gathering `xs[cols]`: in
-    CSR form the incidence keeps each row's pairs in ascending j (SciPy's
-    counting sort keeps explicit zeros), so with its columns pointed at
-    `cols[j]` one product adds the same terms in the same axpy order."""
+    """`_incidence(rows, w) @ xs[cols]` without gathering `xs[cols]`: the
+    product of `xs` with the n x n COO matrix of entries `w[j]` at
+    `(rows[j], cols[j])`, which adds `w[j] * xs[cols[j]]` into row
+    `rows[j]` in ascending j, repeats and zeros included."""
     n = xs.shape[0]
-    t = _incidence(rows, w, n).tocsr()
-    return sp.csr_matrix((t.data, cols[t.indices], t.indptr),
-                         shape=(n, n)) @ xs
+    return sp.coo_matrix((w, (rows, cols)), shape=(n, n)) @ xs
 
 
 def pair_dot(x, u, v):

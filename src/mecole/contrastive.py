@@ -322,7 +322,9 @@ def contrastive_loss(batches, E, tau, include_positive_in_denominator=False):
     s_neg, neg_batch = scores("negatives")
     s_pos, pos_batch = scores("positives")
     # per-batch sums of exp(s-) through a batch-by-negative 0/1 matrix
-    member = sp.eye(len(batches), format="csr")[neg_batch].T
+    member = sp.coo_matrix((np.ones(neg_batch.size),
+                            (neg_batch, np.arange(neg_batch.size))),
+                           shape=(len(batches), neg_batch.size))
     denom = ad.take_rows(ad.spmm(member, ad.exp(s_neg)), pos_batch)
     if include_positive_in_denominator:
         denom = ad.add(denom, ad.exp(s_pos))

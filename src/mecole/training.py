@@ -24,9 +24,9 @@ from .metrics import MetricsReport, clustering_accuracy, nmi
 
 logger = logging.getLogger("mecole.training")
 
-__all__ = ["Dataset", "sbm_config", "load_dataset", "run_training",
-           "sparse_eval", "run_ablation_grid", "export_assignments",
-           "write_report", "write_grid_csv"]
+__all__ = ["Dataset", "sbm_config", "load_dataset", "key_attribute_channel",
+           "run_training", "sparse_eval", "run_ablation_grid",
+           "export_assignments", "write_report", "write_grid_csv"]
 
 
 @dataclass
@@ -195,6 +195,15 @@ def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
     return loss, l1.item(), l2_val, lce_val
 
 
+def key_attribute_channel(bags, assignment, cfg):
+    """`[G_M]`, the key-attribute graph: the k-NN graph of the tf-idf class
+    features of `assignment` (the initial one), thresholded like the
+    content graph; `[]` when it has no edge."""
+    m_feats = tfidf_class_features(bags, assignment)
+    g_m = build_knn_similarity_graph(m_feats, max(cfg.knn_k, 1), cfg.eta_sim)
+    return [g_m] if g_m.num_edges > 0 else []
+
+
 def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
                  variant="baseline", init=None):
     """Execute the full iteration loop and return a MetricsReport.
@@ -223,13 +232,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
     channels = [graph] + list(bundle.auxiliary.values())
     if dataset.bags is not None:
-        # key-attribute graph from tf-idf class features of the initial
-        # assignments, thresholded like the content graph
-        m_feats = tfidf_class_features(dataset.bags, assignment)
-        g_m = build_knn_similarity_graph(m_feats, max(cfg.knn_k, 1),
-                                         cfg.eta_sim)
-        if g_m.num_edges > 0:
-            channels.append(g_m)
+        channels += key_attribute_channel(dataset.bags, assignment, cfg)
     raw_hats = [ad.normalize_adjacency(g) for g in channels]
     in_dim = X.shape[1] if X is not None else None
     encoder = dc.DecoupledEncoder(in_dim, cfg.hidden, cfg.dim_d, dim_o,
@@ -352,11 +355,14 @@ def run_ablation_grid(cfg: ExperimentConfig):
     """Baseline + one-flag variants + the discrepancy-metric grid.
 
     The cells share their inputs: the dataset is loaded once per
-    `(drop_gv, drop_gx)`, and the modularity init is trained once, from
-    `cfg`, by the first cell whose dataset loads. No flag or metric touches
-    the primary graph, X or the config fields the init reads. Only
-    successes are kept, so a cell whose load or init fails records the
-    error and the next cell that needs it tries again.
+    `(drop_gv, drop_gx)`, and the modularity init and, with attribute
+    bags, the key-attribute channel `G_M` are built once, from `cfg`, by
+    the first cell whose dataset loads. `G_M` goes last in each cell's
+    auxiliary graphs, where `run_training` would append it. No flag or
+    metric touches the primary graph, X, the bags or the config fields
+    the init and `G_M` read. Only successes are kept, so a cell whose
+    load, init or `G_M` fails records the error and the next cell that
+    needs it tries again.
     """
     cells = [("baseline", cfg)]
     for flag in ABLATION_FLAGS:
@@ -372,7 +378,7 @@ def run_ablation_grid(cfg: ExperimentConfig):
 
     if cfg.uses_sbm:
         sbm_config(cfg)  # a bad synthetic config fails the run, not each cell
-    datasets, init = {}, None
+    datasets, init, key_channel = {}, None, None
     reports = []
     for name, cell_cfg in cells:
         try:
@@ -382,6 +388,13 @@ def run_ablation_grid(cfg: ExperimentConfig):
             dataset = datasets[data_key]
             if init is None:
                 init = init_assignments(dataset.bundle.primary, dataset.X, cfg)
+            if dataset.bags is not None:
+                if key_channel is None:
+                    key_channel = {"G_M": g for g in key_attribute_channel(
+                        dataset.bags, init, cfg)}
+                bundle = dataset.bundle
+                dataset = replace(dataset, bags=None, bundle=GraphBundle(
+                    bundle.primary, {**bundle.auxiliary, **key_channel}))
             reports.append(run_training(cell_cfg, dataset, variant=name,
                                         init=init))
         except MecoleError as exc:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mecole import graphs
 from mecole.clustering import Assignment
 from mecole.errors import ConfigError, DataError
 from mecole.graphs import AttributeBag, Graph, GraphBundle, SBMConfig, \
@@ -499,6 +500,69 @@ def test_sbm_expected_degrees_within_3_sigma():
     sd_inter = np.sqrt(300 * 0.01 * 0.99 / g.n)
     assert abs(A[same].sum() / g.n - exp_intra) < 3 * sd_intra * np.sqrt(2)
     assert abs(inter - exp_inter) < 3 * sd_inter * np.sqrt(2)
+
+
+def sbm_reference(cfg):
+    """`generate_sbm` drawing one row of the upper triangle per call."""
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [int(s) for s in cfg.block_sizes]
+    n = sum(sizes)
+    labels = np.repeat(np.arange(cfg.blocks), sizes)
+    pair_probs = np.where(labels[None, :] == np.arange(cfg.blocks)[:, None],
+                          cfg.p_in, cfg.p_out)
+    heads, tails = [], []
+    for i in range(n - 1):
+        hit = rng.random(n - 1 - i) < pair_probs[labels[i], i + 1:]
+        tails.append(np.flatnonzero(hit) + (i + 1))
+        heads.append(np.full(len(tails[-1]), i))
+    graph = Graph.from_arrays(n, np.concatenate(heads or [[]]),
+                              np.concatenate(tails or [[]]))
+
+    dep = np.zeros((n, cfg.dep_dim))
+    dep[np.arange(n), labels] = 1.0
+    dep += rng.normal(0.0, cfg.noise_sigma, size=(n, cfg.dep_dim))
+    inv = rng.normal(0.0, 1.0, size=(n, cfg.inv_dim))
+    if cfg.confound_strength > 0 and cfg.inv_dim > 0:
+        groups = labels // 2
+        width = min(int(groups.max()) + 1, cfg.inv_dim)
+        onehot = np.zeros((n, cfg.inv_dim))
+        onehot[np.arange(n), groups % width] = 1.0
+        inv += cfg.confound_strength * onehot
+    return graph, np.concatenate([dep, inv], axis=1), labels
+
+
+def random_sbm_configs():
+    """24 small configs: p_in of 0 and 1, p_out of 0 and equal to p_in,
+    one-node and empty blocks, confounded features."""
+    rng = np.random.default_rng(11)
+    configs = []
+    for seed in range(24):
+        blocks = int(rng.integers(1, 6))
+        sizes = rng.integers(1, 40, size=blocks)
+        sizes[rng.random(blocks) < 0.25] = 1
+        if seed % 6 == 5:
+            sizes[0] = 0
+        p_in = (0.0, 1.0, float(rng.random()))[seed % 3]
+        p_out = (0.0, p_in, p_in * float(rng.random()))[seed // 3 % 3]
+        configs.append(SBMConfig(
+            blocks=blocks, block_sizes=tuple(sizes.tolist()), p_in=p_in,
+            p_out=p_out, dep_dim=blocks + 1, inv_dim=seed % 4,
+            confound_strength=(0.0, 0.7)[seed % 2], seed=seed))
+    return configs
+
+
+@pytest.mark.parametrize("pair_draws", [1, 7, graphs.PAIR_DRAWS])
+def test_sbm_matches_the_per_row_reference(pair_draws, monkeypatch):
+    # chunks of one draw (every row alone), of a few rows, and of whole
+    # graphs; the features are drawn after the edges, so equal X means the
+    # edge draws left the generator where the per-row loop does
+    monkeypatch.setattr(graphs, "PAIR_DRAWS", pair_draws)
+    for cfg in random_sbm_configs():
+        got, want = generate_sbm(cfg), sbm_reference(cfg)
+        assert got[0].n == want[0].n
+        for a, b in zip((got[0].u, got[0].v, got[0].w, *got[1:]),
+                        (want[0].u, want[0].v, want[0].w, *want[1:])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_sbm_invalid_probs():

@@ -374,6 +374,37 @@ def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
     assert shared.relevant.tobytes() == relevant_bytes
 
 
+def test_ablation_grid_builds_the_key_attribute_channel_once(grid_files,
+                                                             tmp_path,
+                                                             monkeypatch):
+    # bags of a block token, a token shared by all and a random one
+    labels = np.loadtxt(grid_files.label_path, dtype=int)
+    rng = np.random.default_rng(5)
+    (tmp_path / "bags.txt").write_text("".join(
+        f"{k} 2 {rng.integers(3, 8)}\n" for k in labels))
+    np.savetxt(tmp_path / "vocab.txt", rng.normal(size=(8, 3)))
+    cfg = replace(grid_files, bags_path=str(tmp_path / "bags.txt"),
+                  vocab_path=str(tmp_path / "vocab.txt"))
+    calls = []
+    tfidf = training.tfidf_class_features
+    monkeypatch.setattr(training, "tfidf_class_features",
+                        lambda bags, a: calls.append(a) or tfidf(bags, a))
+    reports = run_ablation_grid(cfg)
+    assert [r.variant for r in reports] == GRID_CELLS
+    assert len(calls) == 1
+    # G_M has edges, so every cell trains on four channels
+    assert training.key_attribute_channel(load_dataset(cfg).bags, calls[0],
+                                          cfg)
+    for r in reports:
+        assert r.error is None, r.variant
+        alone = run_training(ExperimentConfig(**r.config), variant=r.variant)
+        assert r.epoch_losses == alone.epoch_losses, r.variant
+        for arr in ("R", "relevant"):
+            assert getattr(r.final_assignment, arr).tobytes() == \
+                getattr(alone.final_assignment, arr).tobytes(), r.variant
+    assert len(calls) == 2 + len(GRID_CELLS)
+
+
 INIT_FIELDS = ("K", "init_epochs", "init_lr", "collapse_weight", "hidden",
                "seed")
 

@@ -1,13 +1,17 @@
-"""The pure steps of the tools: `tools/effects.py`'s summary and paired
-comparison, without any training, and `tools/linetrace.py`'s listing,
-without any tracing."""
+"""The tools: `tools/effects.py`'s summary and paired comparison, without
+any training, `tools/linetrace.py`'s listing, without any tracing, and
+`tools/fingerprint.py` on one seed of an acceptance fixture."""
 
+import hashlib
 import importlib.util
 import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from mecole.config import ExperimentConfig
+from mecole.training import run_training
 
 TOOLS = Path(__file__).parent.parent / "tools"
 
@@ -112,3 +116,21 @@ def test_linetrace_lists_unreached_statements():
         (8, "size = 1"), (12, "if by < 0:"), (15, "for _ in range(by):"),
         (16, "self.size += 1"), (18, "return self.size"), (22, "return (")]
     assert dict(os.environ) == environ and sys.path == path
+
+
+def test_fingerprint_digests_an_acceptance_fixture(monkeypatch, capsys):
+    # the tool pins one BLAS thread and extends the import path when it
+    # loads; monkeypatch puts both back
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    fingerprint = load_tool("fingerprint")
+    assert fingerprint.FIXTURES == ["criterion5", "criterion6", "cora_third"]
+    assert fingerprint.main(["--workload", "criterion5", "--seeds", "0"]) == 0
+    # seed 0 of criterion 5's fixture, trained with the default config
+    report = run_training(ExperimentConfig(
+        seed=0, sbm_blocks=4, sbm_block_size=100, sbm_p_in=0.10,
+        sbm_p_out=0.01, sbm_noise_sigma=0.5, K=4))
+    digest = hashlib.sha256(report.final_assignment.R.tobytes())
+    digest.update(repr(report.epoch_losses).encode())
+    assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"

@@ -3,17 +3,20 @@ change leaves every output byte as it was.
 
     python3 tools/fingerprint.py --workload sbm1600 --seeds 0-9
     python3 tools/fingerprint.py --workload all --seeds 0-9
+    python3 tools/fingerprint.py --workload criterion5 --seeds 0-4
 
 Builds each seed's inputs through perfbench/workloads.py, runs the
 workload's operation once with one BLAS thread on this checkout's src/,
 and prints one line per seed: the seed and a SHA-256. `--workload all`
 prints `workload seed sha256` lines for sbm1600 and cora_shape over the
-given seeds, and for ablate_files over the first three of them. For
-sbm1600 and cora_shape it digests the final soft assignment `R`'s bytes
-followed by the repr of the report's `epoch_losses`; for ablate_files,
-the name and bytes of every file the grid writes except the metrics
-JSONs, which hold wall-clock times. Run it at two commits and compare
-the output.
+given seeds, and for ablate_files over the first three of them. The
+acceptance fixtures `criterion5`, `criterion6` and `cora_third` are built
+as tools/effects.py builds them and trained once with their default
+config. For these and for sbm1600 and cora_shape it digests the final soft
+assignment `R`'s bytes followed by the repr of the report's
+`epoch_losses`; for ablate_files, the name and bytes of every file the
+grid writes except the metrics JSONs, which hold wall-clock times. Run it
+at two commits and compare the output.
 """
 
 import os
@@ -30,7 +33,11 @@ import tempfile  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import effects  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+FIXTURES = [name for name in effects.WORKLOAD_CHOICES
+            if name not in WORKLOADS]
 
 
 def parse_seeds(text):
@@ -40,6 +47,11 @@ def parse_seeds(text):
 
 
 def fingerprint(name, seed, out_dir):
+    if name in FIXTURES:
+        from mecole.training import run_training
+
+        dataset, cfg = effects.dataset_and_config(name, seed)
+        return digest_report(run_training(cfg, dataset))
     workload = WORKLOADS[name](name, seed, out_dir)
     workload.prepare()
     result = workload.run(workload.setup())
@@ -56,15 +68,21 @@ def fingerprint(name, seed, out_dir):
         _, report = result
         if isinstance(report, Exception):
             return f"error {report!r}"
-        digest.update(report.final_assignment.R.tobytes())
-        digest.update(repr(report.epoch_losses).encode())
+        return digest_report(report)
+    return digest.hexdigest()
+
+
+def digest_report(report):
+    """SHA-256 of the final `R`'s bytes, then the repr of the losses."""
+    digest = hashlib.sha256(report.final_assignment.R.tobytes())
+    digest.update(repr(report.epoch_losses).encode())
     return digest.hexdigest()
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True,
-                   choices=sorted(WORKLOADS) + ["all"])
+                   choices=sorted(WORKLOADS) + FIXTURES + ["all"])
     p.add_argument("--seeds", required=True, type=parse_seeds,
                    help="one seed N or an inclusive range A-B")
     args = p.parse_args(argv)
