@@ -8,10 +8,13 @@ for the parents that have the flag. ``backward`` topologically sorts the
 implicit tape and accumulates gradients once per node: the first
 contribution is kept as given, the second makes a fresh `a + b` and later
 ones add into that sum in place, so no array a backward returns is ever
-written. Sparse adjacency matrices enter only as constants, via ``spmm``
-and ``gcn``. ``gcn`` is one node for the whole two-layer encoder; its
-backward is written out by hand with the operations of the composite it
-replaced, in the order the tape ran them, so its gradients keep their bits.
+written. ``backward`` consumes the tape: a node drops its parents and its
+backward closure once it has passed its gradient on, so each forward array
+is freed when the last node that reads it is done. Sparse adjacency
+matrices enter only as constants, via ``spmm`` and ``gcn``. ``gcn`` is one
+node for the whole two-layer encoder; its backward is written out by hand
+with the operations of the composite it replaced, in the order the tape
+ran them, so its gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class Tensor:
 
     def backward(self):
         """Add this scalar's gradient into each `requires_grad` leaf's
-        `grad`; only a sum made here is added into in place."""
+        `grad`; only a sum made here is added into in place. A node that
+        has passed its gradient on drops its parents and backward."""
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar output")
         # iterative post-order walk of the tape (parents first, in parent
@@ -110,7 +114,8 @@ class Tensor:
                 order.append(t)
         grads = {id(self): np.ones_like(self.values)}
         owned = set()  # nodes whose entry in `grads` was allocated here
-        for t in reversed(order):
+        while order:
+            t = order.pop()
             if id(t) not in grads:
                 continue
             if t._backward is None:  # leaf
@@ -130,6 +135,7 @@ class Tensor:
                 else:
                     grads[key] = pg
                 del pg  # `grads` holds it now, until its node is reached
+            t._parents, t._backward = (), None
 
 
 def constant(values):
@@ -302,35 +308,21 @@ def clip(x, lo, hi):
 
 # structural --------------------------------------------------------
 
-def _incidence(idx, w, rows):
-    """`rows x len(idx)` matrix whose column j holds `w[j]` at row `idx[j]`.
-    Its product with a dense `m` adds `w[j] * m[j]` into row `idx[j]` in
-    ascending j, the order in which `np.add.at` adds them."""
-    return sp.csc_matrix((w, idx, np.arange(idx.size + 1)),
-                         shape=(rows, idx.size))
-
-
-def _scatter_rows(idx, g, rows):
-    """Row i of the result sums the rows j of `g` with `idx[j] == i`, in
-    ascending j: one product with a 0/1 incidence matrix."""
-    return _incidence(idx, np.ones(idx.size), rows) @ g
+def _scatter(rows, cols, w, x, n):
+    """The product of `x` with the `n x len(x)` COO matrix of entries `w[j]`
+    at `(rows[j], cols[j])`: it adds `w[j] * x[cols[j]]` into row
+    `rows[j]` in ascending j, repeats and zeros included, the order in
+    which `np.add.at` adds them."""
+    return sp.coo_matrix((w, (rows, cols)), shape=(n, x.shape[0])) @ x
 
 
 def take_rows(x, idx):
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     def bwd(g):
-        return ((x, _scatter_rows(idx, g, x.shape[0])),)
+        return ((x, _scatter(idx, np.arange(idx.size), np.ones(idx.size), g,
+                             x.shape[0])),)
     return _make(x.values[idx], (x,), bwd, "take_rows")
-
-
-def _pair_grad(rows, cols, w, xs):
-    """`_incidence(rows, w) @ xs[cols]` without gathering `xs[cols]`: the
-    product of `xs` with the n x n COO matrix of entries `w[j]` at
-    `(rows[j], cols[j])`, which adds `w[j] * xs[cols[j]]` into row
-    `rows[j]` in ascending j, repeats and zeros included."""
-    n = xs.shape[0]
-    return sp.coo_matrix((w, (rows, cols)), shape=(n, n)) @ xs
 
 
 def pair_dot(x, u, v):
@@ -341,10 +333,10 @@ def pair_dot(x, u, v):
     The forward takes `PAIR_BUDGET // d` pairs (at least one) at a time:
     both gathers of a block, their product in place, and its row sums
     written into the output. Every row gets the composite's product and
-    pairwise row sum, so the values are bit-equal. The backward returns the v side,
-    then the u side, as the composite adds them; each is one sparse
-    product with `x` (`_pair_grad`), bit-equal to scattering the
-    gathered rows."""
+    pairwise row sum, so the values are bit-equal. The backward returns the
+    v side, then the u side, as the composite adds them; each is one sparse
+    product with `x` (`_scatter`), bit-equal to scattering the gathered
+    rows."""
     x = _as_tensor(x)
     u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
     xs = x.values
@@ -355,8 +347,8 @@ def pair_dot(x, u, v):
         block *= np.take(xs, v[lo:lo + step], axis=0)
         block.sum(axis=1, out=out[lo:lo + step, 0])
     def bwd(g):
-        w = g.ravel()
-        return ((x, _pair_grad(v, u, w, xs)), (x, _pair_grad(u, v, w, xs)))
+        w, n = g.ravel(), xs.shape[0]
+        return ((x, _scatter(v, u, w, xs, n)), (x, _scatter(u, v, w, xs, n)))
     return _make(out, (x,), bwd, "pair_dot")
 
 

@@ -1,10 +1,12 @@
 """Anchor selection, counterfactual virtual-node synthesis, hard-negative
 sampling, and the contrastive loss over class-dependent embeddings.
 
-Hard negatives are drawn first and scored after: a caller draws each
-virtual node's donor and mask and, when its pool is larger than the draw,
-the uniforms of its weighted draw; `hard_negatives` then scores all the
-rows at once, given as arrays, and draws nothing.
+`epoch_batches` alone fixes the order of an epoch's draws: the anchors,
+then per kept anchor, per virtual node, its donor and mask and, when its
+pool is larger than the draw, the uniforms of its weighted draw, then the
+anchor's positives. `hard_negatives` then scores all the rows at once and
+draws nothing; `synthesize_virtual_node` and `sample_negatives` are the
+one-row cases of the same rules.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "sample_negatives",
     "uniform_negatives",
     "sample_positives",
+    "epoch_batches",
+    "augment_batches",
     "contrastive_loss",
     "anchor_weights",
 ]
@@ -127,13 +131,17 @@ def draw_virtual_node(v, assignment, dim_d, p_ce, rng):
                       f"{MASK_DRAW_BUDGET} empty masks")
 
 
+def _blend(hd, donors, masks, anchors):
+    """Virtual nodes' `H_d` rows: donor dims where masked, else anchor's."""
+    return np.where(masks, hd[donors], hd[anchors])
+
+
 def synthesize_virtual_node(v, assignment, E, p_ce, rng):
     """Blend the anchor's class-dependent dims toward the donor of
     `draw_virtual_node`; invariant dims stay the anchor's."""
     donor, mask = draw_virtual_node(v, assignment, E.hd.shape[1], p_ce, rng)
-    h_d = np.where(mask, E.hd[donor], E.hd[v])
-    return VirtualNode(h_d=h_d, h_o=E.ho[v].copy(), anchor=int(v),
-                       donor=donor, mask=mask)
+    return VirtualNode(h_d=_blend(E.hd, donor, mask, v), h_o=E.ho[v].copy(),
+                       anchor=int(v), donor=donor, mask=mask)
 
 
 def _weighted_draw_without_replacement(w, u):
@@ -297,6 +305,82 @@ def _uniform_subset(nodes, count, rng):
     take = min(count, nodes.size)
     chosen = rng.choice(nodes, size=take, replace=False)
     return np.sort(chosen).astype(np.int64), np.full(take, 1.0 / take)
+
+
+def epoch_batches(cfg, assignment, E, graph, p_ce, rng):
+    """One epoch's anchor batches: anchors -> virtual nodes -> hard
+    negatives, drawn from `rng` in the order the module docstring gives.
+
+    An anchor with no neighbor, no non-neighbor or no node of another
+    class is skipped before it draws. The virtual nodes' `H_d` rows are
+    then blended as one matrix and scored in one pass; a row whose pool
+    underflows is dropped, and an anchor left with no row gets no batch.
+    Under `cfg.neg_uniform` a virtual node draws `uniform_negatives` in
+    place of its uniforms, and its donor and mask are still drawn and
+    then discarded, which keeps the random stream unchanged.
+    """
+    m, per_anchor = cfg.negatives_m, cfg.virtual_per_anchor
+    anchors = np.array(sample_anchors(assignment, cfg.per_class_anchors,
+                                      rng), dtype=np.int64)
+    anchors = anchors[~np.isin(graph.degrees[anchors], (0, graph.n - 1))]
+    if anchors.size == 0 or np.ptp(assignment.hard) == 0:
+        return []  # no anchor left, or no other class to give a donor
+    sizes = pool_size(graph, anchors, m, cfg.pool_factor)
+    kept, drawn, uniforms, rows = [], [], [], []
+    for v, draw in zip(anchors.tolist(), (sizes > m).tolist()):
+        for _ in range(per_anchor):
+            drawn.append(draw_virtual_node(v, assignment, E.hd.shape[1],
+                                           p_ce, rng))
+            if cfg.neg_uniform:
+                rows.append(uniform_negatives(graph, v, m, rng))
+            elif draw:
+                uniforms.append(rng.random(m))
+        kept.append((v, *sample_positives(v, graph, cfg.positives, rng)))
+    if not cfg.neg_uniform:
+        donors, masks = map(np.array, zip(*drawn))
+        owners = np.repeat(anchors, per_anchor)
+        rows = hard_negatives(owners, _blend(E.hd, donors, masks, owners),
+                              E.ho[owners], np.reshape(uniforms, (-1, m)),
+                              E, graph, m, np.repeat(sizes, per_anchor))
+    batches = []
+    for i, (v, pos, pos_p) in enumerate(kept):
+        own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]
+               if r is not None]
+        if not own:
+            continue
+        nodes, p = zip(*own)
+        neg_p = np.concatenate(p)
+        batches.append(ContrastiveBatch(
+            anchor=int(v), positives=pos, pos_p=pos_p,
+            negatives=np.concatenate(nodes), neg_p=neg_p / neg_p.sum()))
+    return batches
+
+
+def _drop_edges(graph, rate, rng):
+    keep = rng.random(graph.num_edges) >= rate
+    if not keep.any():
+        keep[:1] = True
+    return graph.keep_edges(keep)
+
+
+def augment_batches(cfg, assignment, graph, rng):
+    """Graph-augmentation ablation: positives from an edge-dropped view,
+    negatives uniform outside the neighborhood. An anchor with no
+    neighbor in the view, or adjacent to every node, is skipped before it
+    draws."""
+    view = _drop_edges(graph, 0.2, rng)
+    batches = []
+    for v in sample_anchors(assignment, cfg.per_class_anchors, rng):
+        if view.neighbors(v).size == 0 or \
+                graph.neighbors(v).size == graph.n - 1:
+            continue
+        pos, pos_p = sample_positives(v, view, cfg.positives, rng)
+        negs, neg_p = uniform_negatives(
+            graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
+        batches.append(ContrastiveBatch(
+            anchor=int(v), positives=pos, pos_p=pos_p,
+            negatives=negs, neg_p=neg_p))
+    return batches
 
 
 def contrastive_loss(batches, E, tau, include_positive_in_denominator=False):

@@ -52,6 +52,10 @@ def sbm_config(cfg: ExperimentConfig):
 
 def load_dataset(cfg: ExperimentConfig):
     """Materialize the graph bundle, features, and labels for a run."""
+    if bool(cfg.bags_path) != bool(cfg.vocab_path):
+        only = "bags_path" if cfg.bags_path else "vocab_path"
+        raise DataError(f"{only} is set alone: the key-attribute channel "
+                        "needs both bags_path and vocab_path")
     if cfg.uses_sbm:
         graph, X, labels = generate_sbm(sbm_config(cfg))
     else:
@@ -68,10 +72,6 @@ def load_dataset(cfg: ExperimentConfig):
     if X is not None and cfg.knn_k > 0 and not cfg.drop_gx:
         aux["G_X"] = build_knn_similarity_graph(X, cfg.knn_k, cfg.eta_sim)
     bags = None
-    if bool(cfg.bags_path) != bool(cfg.vocab_path):
-        only = "bags_path" if cfg.bags_path else "vocab_path"
-        raise DataError(f"{only} is set alone: the key-attribute channel "
-                        "needs both bags_path and vocab_path")
     if cfg.bags_path:
         raw_bags = load_attribute_bags(cfg.bags_path)
         if len(raw_bags) != graph.n:
@@ -85,83 +85,6 @@ def load_dataset(cfg: ExperimentConfig):
 def _mask_features(X, rate, rng):
     mask = rng.random(X.shape) >= rate
     return X * mask
-
-
-def _drop_edges(graph, rate, rng):
-    keep = rng.random(graph.num_edges) >= rate
-    if not keep.any():
-        keep[:1] = True
-    return graph.keep_edges(keep)
-
-
-def _build_batches(cfg, assignment, E, graph, p_ce, rng):
-    """Virtual-node pipeline: anchors -> virtual nodes -> hard negatives.
-
-    The loop only draws, in the per-node order: the anchors, then per kept
-    anchor, per virtual node, its donor and mask and its negatives'
-    uniforms, then the anchor's positives. An anchor with no neighbor, no
-    non-neighbor or no node of another class is skipped before it draws.
-    Then the virtual nodes' `H_d` rows are built as one matrix and scored
-    in one pass (`ct.hard_negatives`); a row whose pool underflows is
-    dropped, and an anchor left with no row gets no batch.
-    """
-    m, per_anchor = cfg.negatives_m, cfg.virtual_per_anchor
-    anchors = np.array(ct.sample_anchors(assignment, cfg.per_class_anchors,
-                                         rng), dtype=np.int64)
-    anchors = anchors[~np.isin(graph.degrees[anchors], (0, graph.n - 1))]
-    if anchors.size == 0 or np.ptp(assignment.hard) == 0:
-        return []  # no anchor left, or no other class to give a donor
-    sizes = ct.pool_size(graph, anchors, m, cfg.pool_factor)
-    kept, drawn, uniforms, rows = [], [], [], []
-    for v, draw in zip(anchors.tolist(), (sizes > m).tolist()):
-        for _ in range(per_anchor):
-            drawn.append(ct.draw_virtual_node(v, assignment, E.hd.shape[1],
-                                              p_ce, rng))
-            if cfg.neg_uniform:
-                rows.append(ct.uniform_negatives(graph, v, m, rng))
-            elif draw:
-                uniforms.append(rng.random(m))
-        kept.append((v, *ct.sample_positives(v, graph, cfg.positives, rng)))
-    if not cfg.neg_uniform:
-        donors, masks = map(np.array, zip(*drawn))
-        owners = np.repeat(anchors, per_anchor)
-        h_d = np.where(masks, E.hd[donors], E.hd[owners])
-        rows = ct.hard_negatives(owners, h_d, E.ho[owners],
-                                 np.reshape(uniforms, (-1, m)), E, graph, m,
-                                 np.repeat(sizes, per_anchor))
-    batches = []
-    for i, (v, pos, pos_p) in enumerate(kept):
-        own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]
-               if r is not None]
-        if not own:
-            continue
-        nodes, p = zip(*own)
-        neg_p = np.concatenate(p)
-        batches.append(ct.ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=np.concatenate(nodes), neg_p=neg_p / neg_p.sum()))
-    return batches
-
-
-def _build_augment_batches(cfg, assignment, graph, rng):
-    """Graph-augmentation ablation: positives from an edge-dropped view,
-    negatives uniform outside the neighborhood. An anchor with no
-    neighbor in the view, or adjacent to every node, is skipped before it
-    draws."""
-    view = _drop_edges(graph, 0.2, rng)
-    anchors = ct.sample_anchors(assignment, cfg.per_class_anchors, rng)
-    batches = []
-    for v in anchors:
-        if view.neighbors(v).size == 0 or \
-                graph.neighbors(v).size == graph.n - 1:
-            continue
-        pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
-        negs, neg_p = ct.uniform_negatives(
-            graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
-        batches.append(ct.ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=negs, neg_p=neg_p))
-    return batches
 
 
 def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
@@ -181,10 +104,10 @@ def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
     lce_val = 0.0
     if not cfg.no_cl:
         if cfg.graph_augment:
-            batches = _build_augment_batches(cfg, assignment, graph, rng_cl)
+            batches = ct.augment_batches(cfg, assignment, graph, rng_cl)
         else:
-            batches = _build_batches(cfg, assignment, E, graph,
-                                     cfg.p_ce_at(epoch), rng_cl)
+            batches = ct.epoch_batches(cfg, assignment, E, graph,
+                                       cfg.p_ce_at(epoch), rng_cl)
         if batches:
             lce = ct.contrastive_loss(
                 batches, E, cfg.tau,
@@ -264,9 +187,6 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
         opt.zero_grad()
         loss.backward()
         opt.step()
-        # free this epoch's tape before the next encode records another:
-        # the refit and the next rewire read only the H_d/H_o arrays
-        loss, E = None, dc.DecoupledEmbeddings.from_arrays(E.hd, E.ho)
 
         total = l1_val + l2_val + cfg.alpha_ce * lce_val
         report.epoch_losses.append(

@@ -20,7 +20,7 @@ def finite_diff_check(build_loss, params, h=1e-5):
     """Max relative error between analytic and central-difference grads.
 
     `build_loss` must rebuild the loss tensor from the current parameter
-    values on every call (the tape is single-use).
+    values on every call: `backward` consumes the tape it walks.
     """
     for p in params:
         p.zero_grad()

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,21 @@ def test_backward_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert w.grad is not None
+
+
+def test_backward_frees_the_tape_it_walks():
+    rng = np.random.default_rng(0)
+    x = ad.constant(rng.normal(size=(5, 3)))
+    w = ad.parameter(rng.normal(size=(3, 2)))
+    loss = ad.tsum(ad.tanh(ad.matmul(x, w)))
+    node = loss._parents[0]  # the tanh node, held by the tape alone
+    tanh_values = weakref.ref(node.values)
+    del node
+    loss.backward()
+    assert tanh_values() is None
+    assert loss._parents == () and loss._backward is None
+    assert np.isfinite(loss.item()) and x.shape == (5, 3)
+    assert w.grad.shape == w.shape
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -221,6 +221,19 @@ def test_load_dataset_bags_or_vocab_alone_is_data_error(tmp_path, key):
         load_dataset(fast_cfg(**{key: str(path)}))
 
 
+def test_load_dataset_checks_bags_and_vocab_before_reading_a_file(
+        monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read before the pairing check")
+
+    monkeypatch.setattr(training, "load_edge_list", fail)
+    monkeypatch.setattr(training, "build_knn_similarity_graph", fail)
+    cfg = ExperimentConfig(edge_path="edges.txt", aux_edge_path="aux.txt",
+                           knn_k=1, bags_path="bags.txt")
+    with pytest.raises(DataError, match="bags_path is set alone"):
+        load_dataset(cfg)
+
+
 def test_load_dataset_label_count_mismatch(tmp_path):
     (tmp_path / "edges.txt").write_text("0 1\n")
     (tmp_path / "labels.txt").write_text("0\n")

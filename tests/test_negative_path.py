@@ -18,13 +18,14 @@ from mecole import autodiff as ad
 from mecole import contrastive as ct
 from mecole.clustering import Assignment
 from mecole.config import ExperimentConfig
-from mecole.contrastive import VirtualNode, sample_negatives, \
+from mecole.contrastive import VirtualNode, _drop_edges, \
+    augment_batches as _build_augment_batches, \
+    epoch_batches as _build_batches, sample_negatives, \
     synthesize_virtual_node, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, predict_links_against
 from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, SBMConfig, generate_sbm
-from mecole.training import _build_augment_batches, _build_batches, \
-    _drop_edges, run_training
+from mecole.training import run_training
 
 
 # references: the per-node code the array path replaced -----------------------

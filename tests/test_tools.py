@@ -1,6 +1,7 @@
 """The tools: `tools/effects.py`'s summary and paired comparison, without
-any training, `tools/linetrace.py`'s listing, without any tracing, and
-`tools/fingerprint.py` on one seed of an acceptance fixture."""
+any training, `tools/linetrace.py`'s listing, without any tracing,
+`tools/fingerprint.py` on one seed of an acceptance fixture, and the
+benchmark's tracer (`perfbench/tracing.py`) around one small training."""
 
 import hashlib
 import importlib.util
@@ -10,14 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from mecole import training
 from mecole.config import ExperimentConfig
 from mecole.training import run_training
 
 TOOLS = Path(__file__).parent.parent / "tools"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, where=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -134,3 +137,35 @@ def test_fingerprint_digests_an_acceptance_fixture(monkeypatch, capsys):
     digest = hashlib.sha256(report.final_assignment.R.tobytes())
     digest.update(repr(report.epoch_losses).encode())
     assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
+
+
+def test_benchmark_tracer_counts_a_training_and_puts_back_what_it_wraps():
+    # the tracer wraps mecole's functions where they are called, so one
+    # that moves or is renamed reads 0 here
+    environ, path = dict(os.environ), list(sys.path)
+    fresh_checks = "checks" not in sys.modules
+    sys.path.insert(0, str(PERFBENCH))  # for the tracer's `import checks`
+    try:
+        tracing = load_tool("tracing", PERFBENCH)
+    finally:
+        sys.path[:] = path
+        if fresh_checks:
+            sys.modules.pop("checks", None)
+    tracer = tracing.Tracer()
+    tracer.install()
+    wrapped = list(tracer._restore)
+    try:
+        training.run_training(ExperimentConfig(
+            seed=0, sbm_blocks=4, sbm_block_size=20, sbm_p_in=0.3,
+            sbm_p_out=0.02, K=4, epochs=3))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["contrastive.anchors"] > 0
+    assert counts["contrastive.batches"] > 0
+    assert counts["autodiff.backward_calls"] == counts["training.epochs"] == 3
+    assert tracer.per_layer()["training.run_s"] > 0
+    assert tracer.violation_count == 0 and tracer.violations == []
+    assert wrapped and all(getattr(owner, attr) is orig
+                           for owner, attr, orig in wrapped)
+    assert dict(os.environ) == environ and sys.path == path

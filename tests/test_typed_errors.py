@@ -11,14 +11,15 @@ from mecole import clustering
 from mecole import contrastive as ct
 from mecole.clustering import Assignment, init_assignments, modularity
 from mecole.config import ExperimentConfig, apply_overrides
-from mecole.contrastive import contrastive_loss, draw_virtual_node, \
-    pool_size, sample_anchors, uniform_negatives
+from mecole.contrastive import _drop_edges, contrastive_loss, \
+    draw_virtual_node, epoch_batches as _build_batches, pool_size, \
+    sample_anchors, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
     discrepancy_loss, predict_link, reconstruction_loss, rewire
 from mecole.errors import ConfigError, DataError, NumericError
 from mecole.graphs import Graph, SBMConfig, build_knn_similarity_graph, \
     load_edge_list
-from mecole.training import _build_batches, _drop_edges, load_dataset
+from mecole.training import load_dataset
 
 PATH = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
 PAIR = Graph.from_pairs(2, [(0, 1)])  # each node's neighbourhood is full
