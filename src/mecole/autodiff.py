@@ -10,11 +10,13 @@ contribution is kept as given, the second makes a fresh `a + b` and later
 ones add into that sum in place, so no array a backward returns is ever
 written. ``backward`` consumes the tape: a node drops its parents and its
 backward closure once it has passed its gradient on, so each forward array
-is freed when the last node that reads it is done. Sparse adjacency
-matrices enter only as constants, via ``spmm`` and ``gcn``. ``gcn`` is one
-node for the whole two-layer encoder; its backward is written out by hand
-with the operations of the composite it replaced, in the order the tape
-ran them, so its gradients keep their bits.
+is freed when the last node that reads it is done, and a later
+``backward`` whose tape reaches such a node raises ``RuntimeError``
+(leaves stay reusable). Sparse adjacency matrices enter only as constants,
+via ``spmm`` and ``gcn``. ``gcn`` is one node for the whole two-layer
+encoder; its backward is written out by hand with the operations of the
+composite it replaced, in the order the tape ran them, so its gradients
+keep their bits.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _check_finite(values, op):
 class Tensor:
     """Dense array node on the computation tape."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward",
+                 "_consumed")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None,
                  _op="leaf"):
@@ -79,6 +82,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
+        self._consumed = False  # a backward has walked this node
 
     @property
     def shape(self):
@@ -93,7 +97,8 @@ class Tensor:
     def backward(self):
         """Add this scalar's gradient into each `requires_grad` leaf's
         `grad`; only a sum made here is added into in place. A node that
-        has passed its gradient on drops its parents and backward."""
+        has passed its gradient on drops its parents and backward, so a
+        tape that reaches a node an earlier walk consumed is an error."""
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar output")
         # iterative post-order walk of the tape (parents first, in parent
@@ -111,6 +116,10 @@ class Tensor:
                     break
             else:
                 stack.pop()
+                if t._consumed:
+                    raise RuntimeError(
+                        "backward() through a tape that an earlier "
+                        "backward() consumed; build the loss again")
                 order.append(t)
         grads = {id(self): np.ones_like(self.values)}
         owned = set()  # nodes whose entry in `grads` was allocated here
@@ -135,7 +144,7 @@ class Tensor:
                 else:
                     grads[key] = pg
                 del pg  # `grads` holds it now, until its node is reached
-            t._parents, t._backward = (), None
+            t._parents, t._backward, t._consumed = (), None, True
 
 
 def constant(values):

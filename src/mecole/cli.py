@@ -147,9 +147,9 @@ def _cmd_gen_sbm(args):
 def _cmd_eval(args):
     pred = []
     rows = _data_lines(args.assignments)
-    if not next(rows, (0, ""))[1].startswith("node_id"):
+    if not rows or not rows[0][1].startswith("node_id"):
         raise DataError(f"{args.assignments}: not an assignment export")
-    for lineno, line in rows:
+    for lineno, line in rows[1:]:
         try:
             pred.append(int(line.split(",")[1]))
         except (IndexError, ValueError):

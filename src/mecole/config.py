@@ -195,7 +195,7 @@ def parse_config_file(path):
     """Parse a flat key = value config file into a dict of field values."""
     values = {}
     try:
-        lines = list(_data_lines(path))
+        lines = _data_lines(path)
     except DataError as exc:  # an unreadable config file is a config error
         raise ConfigError(str(exc)) from exc
     for lineno, line in lines:

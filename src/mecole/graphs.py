@@ -46,8 +46,8 @@ class Graph:
     symmetric CSR matrix built from them. `Graph(n, u, v, w)` is the one
     constructor and takes the arrays in that canonical form only, checked
     in O(E); `from_arrays` and `from_pairs` orient and sort any edge list
-    first, and derived graphs (`with_weights`, `keep_edges`, `subgraph`)
-    and `generate_sbm` pass their arrays straight to it.
+    first, and derived graphs (`with_weights`, `keep_edges`, `subgraph`),
+    `generate_sbm` and `load_edge_list` pass their arrays straight to it.
     """
 
     __slots__ = ("n", "u", "v", "w", "adjacency")
@@ -240,12 +240,53 @@ def read_lines(path):
 
 
 def _data_lines(path):
-    """(line number, stripped line) of each line that is neither blank nor
-    a `#` comment."""
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    """(line number, stripped line) of each line of a text input file that
+    is neither blank nor a `#` comment. The lines are `read_lines`' own:
+    `str.splitlines` would also split at form feeds and the like, and shift
+    the numbers."""
+    return [(lineno, line) for lineno, line
+            in enumerate(map(str.strip, read_lines(path)), 1)
+            if line and line[0] != "#"]
+
+
+def _parse(path, numbered, split, convert, dtype, count, parse_error,
+           width=None, width_error=None, sign_error=None):
+    """`convert` of each token that `split` makes of the `numbered` data
+    lines, `count` in all, as one array of `dtype`; every token goes
+    through Python's own `int` or `float`, and no list of values is built.
+
+    After a failure (a line of other than `width` tokens, a token `convert`
+    rejects, a value beyond `dtype`, or with `sign_error` a negative value)
+    the lines are walked in file order, and the first whose width, parse or
+    sign fails, checked in that order, raises its message, which may name
+    the line as `{line}`. If no line fails, some value is beyond `dtype`:
+    the values come back as an object array of Python numbers."""
+    lines = [line for _, line in numbered]
+    if width is None or all(len(t) == width for t in map(split, lines)):
+        try:
+            values = np.fromiter(
+                map(convert, chain.from_iterable(map(split, lines))), dtype,
+                count)
+        except (ValueError, OverflowError):
+            values = None
+        if values is not None and not (sign_error and (values < 0).any()):
+            return values
+    for lineno, line in numbered:
+        tokens = split(line)
+        if width is not None and len(tokens) != width:
+            problem = width_error
+        else:
+            try:
+                values = list(map(convert, tokens))
+            except ValueError:
+                problem = parse_error
+            else:
+                if sign_error is None or min(values) >= 0:
+                    continue
+                problem = sign_error
+        raise DataError(f"{path}:{lineno}: " + problem.format(line=line))
+    return np.fromiter(map(convert, chain.from_iterable(map(split, lines))),
+                       object, count)
 
 
 # every per-node array is dense, so a node id is a memory size: the cap
@@ -255,47 +296,44 @@ MAX_NODES = 2 ** 24
 
 
 def load_edge_list(path, n_hint=None):
-    pairs = set()
-    max_idx = -1
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}")
-        if u < 0 or v < 0:
-            raise DataError(f"{path}:{lineno}: negative node id")
-        max_idx = max(max_idx, u, v)
-        if u == v:
-            continue
-        pairs.add((min(u, v), max(u, v)))
-    if not pairs:
+    """Graph of `u v` lines of non-negative node ids, each edge once and
+    of weight 1.0; self-loops are dropped, but their ids count towards
+    `n`, which `n_hint` overrides."""
+    numbered = _data_lines(path)
+    ids = _parse(path, numbered, str.split, int, np.int64, 2 * len(numbered),
+                 "non-integer node id in {line!r}", width=2,
+                 width_error="expected 'u v', got {line!r}",
+                 sign_error="negative node id")
+    lo, hi = np.sort(ids.reshape(-1, 2), axis=1).T
+    edge = lo != hi
+    if not edge.any():
         raise DataError(f"{path}: empty edge set")
+    max_idx = ids.max()
     if max_idx >= MAX_NODES:
         raise DataError(f"{path}: node id {max_idx} above the limit of "
                         f"{MAX_NODES - 1}")
-    n = n_hint if n_hint is not None else max_idx + 1
-    return Graph.from_pairs(n, pairs)
+    key = np.unique(lo[edge] * MAX_NODES + hi[edge])
+    n = n_hint if n_hint is not None else int(max_idx) + 1
+    return Graph(n, key // MAX_NODES, key % MAX_NODES, np.ones(len(key)))
+
+
+def _row_tokens(line):
+    return line.replace(",", " ").split()
 
 
 def _numeric_rows(path):
     """Rows of comma- or whitespace-separated finite numbers, all one
     length."""
-    rows = []
-    for lineno, line in _data_lines(path):
-        toks = line.replace(",", " ").split()
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric token")
-    if len({len(r) for r in rows}) > 1:
+    numbered = _data_lines(path)
+    widths = [len(_row_tokens(line)) for _, line in numbered]
+    values = _parse(path, numbered, _row_tokens, float, np.float64,
+                    sum(widths), "non-numeric token")
+    if widths and min(widths) != max(widths):
         raise DataError(f"{path}: rows differ in length")
-    rows = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
+    if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite value (nan or inf)")
-    return rows
+    # no data line at all loads as an empty vector, not a 0-row matrix
+    return values.reshape(len(widths), widths[0]) if widths else values
 
 
 def load_features(path, n):
@@ -308,15 +346,10 @@ def load_features(path, n):
 def load_labels(path):
     """One integer label per line; -1 marks an unlabeled node, and a label
     below -1 is a data error."""
-    labels = []
-    for lineno, line in _data_lines(path):
-        try:
-            labels.append(int(line))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer label")
-    try:
-        labels = np.asarray(labels, dtype=np.int64)
-    except OverflowError:
+    numbered = _data_lines(path)
+    labels = _parse(path, numbered, lambda line: [line], int, np.int64,
+                    len(numbered), "non-integer label")
+    if labels.dtype == object:
         raise DataError(f"{path}: label outside the int64 range")
     below = np.flatnonzero(labels < -1)
     if below.size:

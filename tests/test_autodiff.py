@@ -144,6 +144,27 @@ def test_backward_frees_the_tape_it_walks():
     assert w.grad.shape == w.shape
 
 
+def test_second_backward_on_a_loss_raises():
+    w = ad.parameter([[2.0]])
+    loss = ad.mul(w, w)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert w.grad.tolist() == [[4.0]] and loss.grad is None
+
+
+def test_backward_through_a_consumed_node_raises_and_leaves_stay_reusable():
+    x = ad.parameter([[1.0, 2.0]])
+    h = ad.tanh(x)
+    ad.tsum(h).backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.tsum(ad.mul(h, h)).backward()
+    np.testing.assert_array_equal(x.grad, first)
+    ad.tsum(ad.mul(x, ad.constant([[3.0, 4.0]]))).backward()
+    np.testing.assert_array_equal(x.grad, first + [[3.0, 4.0]])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_composite_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)

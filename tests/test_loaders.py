@@ -1,9 +1,13 @@
 """Property tests for the input loaders: any file either loads or raises
-`DataError`, never another exception."""
+`DataError`, never another exception, and the same outcome as the
+line-by-line loaders kept here as references."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from mecole import graphs
 from mecole.errors import DataError
@@ -87,3 +91,140 @@ def test_attribute_bags_skip_comment_lines(tmp_path):
     path = tmp_path / "bags.txt"
     path.write_text("# token ids per node\n1 2\n# between rows\n3\n")
     assert graphs.load_attribute_bags(str(path)) == ((1, 2), (3,))
+
+
+# the line-by-line loaders that the array loaders replaced --------------
+
+def data_lines_reference(path):
+    for lineno, line in enumerate(graphs.read_lines(path), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def load_edge_list_reference(path, n_hint=None):
+    pairs = set()
+    max_idx = -1
+    for lineno, line in data_lines_reference(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}")
+        if u < 0 or v < 0:
+            raise DataError(f"{path}:{lineno}: negative node id")
+        max_idx = max(max_idx, u, v)
+        if u == v:
+            continue
+        pairs.add((min(u, v), max(u, v)))
+    if not pairs:
+        raise DataError(f"{path}: empty edge set")
+    if max_idx >= graphs.MAX_NODES:
+        raise DataError(f"{path}: node id {max_idx} above the limit of "
+                        f"{graphs.MAX_NODES - 1}")
+    n = n_hint if n_hint is not None else max_idx + 1
+    return graphs.Graph.from_pairs(n, pairs)
+
+
+def numeric_rows_reference(path):
+    rows = []
+    for lineno, line in data_lines_reference(path):
+        toks = line.replace(",", " ").split()
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric token")
+    if len({len(r) for r in rows}) > 1:
+        raise DataError(f"{path}: rows differ in length")
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise DataError(f"{path}: non-finite value (nan or inf)")
+    return rows
+
+
+def load_labels_reference(path):
+    labels = []
+    for lineno, line in data_lines_reference(path):
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer label")
+    try:
+        labels = np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: label outside the int64 range")
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        raise DataError(f"{path}: label {labels[below[0]]} below -1, the "
+                        "one mark of an unlabeled node")
+    return labels
+
+
+def outcome(load, *args):
+    """What a loader made of a file: its arrays' dtype, shape and bytes
+    (and a graph's `n`), or its `DataError` message."""
+    try:
+        out = load(*args)
+    except DataError as exc:
+        return "error", str(exc)
+    if isinstance(out, graphs.Graph):
+        return out.n, outcome(lambda: out.u), outcome(lambda: out.v), \
+            outcome(lambda: out.w)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+ORACLES = {
+    "load_edge_list": (graphs.load_edge_list, load_edge_list_reference),
+    "load_edge_list_n_hint": (graphs.load_edge_list,
+                              load_edge_list_reference),
+    "numeric_rows": (graphs._numeric_rows, numeric_rows_reference),
+    "load_labels": (graphs.load_labels, load_labels_reference),
+}
+
+
+# each of these reaches another check first: a bad width, parse or sign on
+# an earlier line than another failure, an id or label beyond int64 with
+# or without a later failure, a self-loop beyond the node limit, a line of
+# only commas, a width that differs after a parse error, blank lines,
+# comments and form feeds between the lines that count
+@pytest.mark.parametrize("loader", list(ORACLES))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=contents, n=st.integers(0, 40))
+@example(data=b"", n=0)
+@example(data=b",,,\n , ,\n", n=2)
+@example(data=b"0 1\n1 2 3\n-1 x\n", n=3)
+@example(data=b"0 x\n1 2 3\n", n=2)
+@example(data=b"-1 0\n0 x\n", n=2)
+@example(data=b"0 1\n3 -2\n", n=4)
+@example(data=b"0 1\n1 %d\nx\n" % 2 ** 64, n=2)
+@example(data=b"%d\n1\n" % 2 ** 64, n=2)
+@example(data=b"%d\nx\n-5\n" % -2 ** 64, n=3)
+@example(data=b"%d %d\n" % (10 ** 30, 10 ** 30), n=1)
+@example(data=b"1 2\n3\nx 1\n", n=3)
+@example(data=b"# c\n\n 0,1 \n2 3\x0c\n\x0c\n4\tx\n", n=5)
+def test_loader_matches_line_by_line_reference(tmp_path, loader, data, n):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    load, reference = ORACLES[loader]
+    args = (str(path), n) if loader.endswith("n_hint") else (str(path),)
+    assert outcome(load, *args) == outcome(reference, *args)
+
+
+def test_feature_file_loads_without_a_list_of_values(tmp_path):
+    """The load holds the file's lines and the output array, not one
+    Python float per value (a list of lists of floats peaks near 6x the
+    array)."""
+    values = np.random.default_rng(0).integers(0, 2, size=(1000, 400))
+    path = tmp_path / "features.csv"
+    np.savetxt(path, values, fmt="%d", delimiter=",")
+    tracemalloc.start()
+    try:
+        X = graphs.load_features(str(path), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(X, values)
+    assert peak < 2.5 * X.nbytes
