@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_overrides, parse_config_file
 from .errors import ConfigError, DataError, NumericError
-from .graphs import _data_lines, generate_sbm, load_labels
+from .graphs import _data_lines, _parse, generate_sbm, load_labels
 from .metrics import clustering_accuracy, nmi
 from .training import run_ablation_grid, run_training, sbm_config, \
     sparse_eval, write_grid_csv, write_report
@@ -144,19 +144,19 @@ def _cmd_gen_sbm(args):
     return 0
 
 
-def _cmd_eval(args):
-    pred = []
-    rows = _data_lines(args.assignments)
+def _export_classes(path):
+    """The class column, the second of each row, of an assignment export."""
+    rows = _data_lines(path)
     if not rows or not rows[0][1].startswith("node_id"):
-        raise DataError(f"{args.assignments}: not an assignment export")
-    for lineno, line in rows[1:]:
-        try:
-            pred.append(int(line.split(",")[1]))
-        except (IndexError, ValueError):
-            raise DataError(f"{args.assignments}:{lineno}: malformed row "
-                            f"{line!r}")
+        raise DataError(f"{path}: not an assignment export")
+    return _parse(path, rows[1:], lambda line: line.split(",")[1:2], int,
+                  np.int64, len(rows) - 1, "malformed row {line!r}", width=1,
+                  width_error="malformed row {line!r}")
+
+
+def _cmd_eval(args):
+    pred = _export_classes(args.assignments)
     truth = load_labels(args.labels)
-    pred = np.asarray(pred)
     if len(pred) != len(truth):
         raise DataError("assignment/label length mismatch")
     print(f"accuracy {clustering_accuracy(pred, truth):.4f}")

@@ -229,11 +229,15 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
     scored in blocks of `max(32, SCORE_BUDGET // n)` rows, in two buffers
     made once. The dot products are a stacked `np.matmul` of one
     matrix-vector product per row for `H_d` and per distinct anchor (its
-    first row) for `H_o`, so no row's sums depend on its block.
+    first row) for `H_o`, so no row's sums depend on its block. The rows
+    of one anchor must share their `h_o`; rows that differ are a
+    `DataError`.
     """
     slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
     _, first, which = np.unique(anchors, return_index=True,
                                 return_inverse=True)
+    if not np.array_equal(h_o, h_o[first[which]], equal_nan=True):
+        raise DataError("rows of one anchor differ in h_o")
     step = max(32, SCORE_BUDGET // graph.n)
     z_buf, scratch = np.empty((2, min(step, anchors.size), graph.n))
     zo = np.empty((first.size, graph.n))

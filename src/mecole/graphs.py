@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "load_labels",
     "load_attribute_bags",
     "load_vocabulary",
-    "read_lines",
     "build_knn_similarity_graph",
     "tfidf_class_features",
     "generate_sbm",
@@ -174,28 +172,28 @@ class GraphBundle:
 
 @dataclass(frozen=True)
 class AttributeBag:
-    """Per-node token-id lists plus a token embedding table."""
+    """Per-node token counts `B` plus a token embedding table.
 
-    bags: tuple
+    `counts` is the node x token CSR matrix of the bags: a node's tokens
+    are its row's entries in bag order, a repeated token a repeated entry,
+    so every product with it adds a bag's tokens in that order."""
+
+    counts: sp.csr_matrix
     vocabulary: np.ndarray  # (vocab, emb_dim)
 
-    def __post_init__(self):
-        indptr, tokens = self.flat
-        bad = np.flatnonzero((tokens < 0) | (tokens >= len(self.vocabulary)))
+    @classmethod
+    def from_rows(cls, indptr, tokens, vocabulary):
+        """Bags of CSR rows: `indptr`, where each node's tokens start, and
+        every token id end to end; an id outside the vocabulary is a data
+        error that names its node."""
+        bad = np.flatnonzero((tokens < 0) | (tokens >= len(vocabulary)))
         if bad.size:
             node = np.searchsorted(indptr, bad[0], side="right") - 1
             raise DataError(f"node {node}: token {tokens[bad[0]]} missing "
                             "from vocabulary")
-
-    @cached_property
-    def flat(self):
-        """The bags as CSR rows: `indptr`, where each node's tokens start,
-        and every token id end to end."""
-        try:
-            tokens = np.fromiter(chain.from_iterable(self.bags), np.int64)
-        except OverflowError:  # for `__post_init__` to name the id
-            tokens = np.array([*chain.from_iterable(self.bags)], object)
-        return np.cumsum([0, *map(len, self.bags)]), tokens
+        return cls(sp.csr_matrix((np.ones(tokens.size), tokens, indptr),
+                                 shape=(len(indptr) - 1, len(vocabulary))),
+                   vocabulary)
 
 
 @dataclass(frozen=True)
@@ -229,24 +227,21 @@ class SBMConfig:
 
 # ingestion ----------------------------------------------------------
 
-def read_lines(path):
-    """The lines of a text input file; an unreadable file is a data error."""
+def _data_lines(path, blank=False):
+    """(line number, stripped line) of each line of a text input file that
+    is not a `#` comment, nor blank unless `blank`. The file is read line
+    by line, as `open` splits it (`str.splitlines` would also split at form
+    feeds and the like, and shift the numbers), so its text is held once;
+    an unreadable file is a data error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+            # data lines, and with `blank` empty ones; `startswith` is slower
+            return [(lineno, line) for lineno, line
+                    in enumerate(map(str.strip, fh), 1)
+                    if line and line[0] != "#" or blank and not line]
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DataError(f"cannot read {path}: {reason}") from exc
-
-
-def _data_lines(path):
-    """(line number, stripped line) of each line of a text input file that
-    is neither blank nor a `#` comment. The lines are `read_lines`' own:
-    `str.splitlines` would also split at form feeds and the like, and shift
-    the numbers."""
-    return [(lineno, line) for lineno, line
-            in enumerate(map(str.strip, read_lines(path)), 1)
-            if line and line[0] != "#"]
 
 
 def _parse(path, numbered, split, convert, dtype, count, parse_error,
@@ -359,16 +354,13 @@ def load_labels(path):
 
 
 def load_attribute_bags(path):
-    bags = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.rstrip("\n")
-        if line.startswith("#"):
-            continue
-        try:
-            bags.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer token id")
-    return tuple(bags)
+    """Per-node token ids as CSR rows `(indptr, tokens)`: each line lists
+    one node's ids, and a blank line is a node with none."""
+    numbered = _data_lines(path, blank=True)
+    sizes = [len(line.split()) for _, line in numbered]
+    tokens = _parse(path, numbered, str.split, int, np.int64, sum(sizes),
+                    "non-integer token id")
+    return np.cumsum([0, *sizes]), tokens
 
 
 def load_vocabulary(path):
@@ -409,10 +401,13 @@ def _top_k_graph(sims, k, eta_sim):
     """Graph joining each row of `sims` to those of its `k` largest
     entries that are finite and at least `eta_sim`. A pair kept from both
     of its rows weighs `sims[max, min]`, the entry met last in row-major
-    order (`sims` need not be exactly symmetric)."""
+    order (`sims` need not be exactly symmetric). The partition runs on
+    `sims` negated in place, and negating it back restores its bits."""
     n = sims.shape[0]
     rows = np.repeat(np.arange(n), k)
-    cols = np.argpartition(-sims, k - 1, axis=1)[:, :k].reshape(-1)
+    cols = np.argpartition(np.negative(sims, out=sims), k - 1,
+                           axis=1)[:, :k].reshape(-1)
+    np.negative(sims, out=sims)
     s = sims[rows, cols]
     ok = np.isfinite(s) & (s >= eta_sim)
     rows, cols, s = rows[ok], cols[ok], s[ok]
@@ -433,11 +428,7 @@ def tfidf_class_features(bags: AttributeBag, assignment):
     R = np.asarray(assignment.R, dtype=np.float64)
     relevant = np.asarray(assignment.relevant, dtype=bool)
     n, K = R.shape
-    vocab = bags.vocabulary
-    indptr, tokens = bags.flat
-    # a repeated token is a repeated entry, which each product adds
-    B = sp.csr_matrix((np.ones(tokens.size), tokens, indptr),
-                      shape=(n, vocab.shape[0]))
+    vocab, B = bags.vocabulary, bags.counts
     counts = np.eye(K)[R[relevant].argmax(axis=1)].T @ B[relevant]
 
     doc_len = counts.sum(axis=1)

@@ -73,11 +73,11 @@ def load_dataset(cfg: ExperimentConfig):
         aux["G_X"] = build_knn_similarity_graph(X, cfg.knn_k, cfg.eta_sim)
     bags = None
     if cfg.bags_path:
-        raw_bags = load_attribute_bags(cfg.bags_path)
-        if len(raw_bags) != graph.n:
+        indptr, tokens = load_attribute_bags(cfg.bags_path)
+        if len(indptr) - 1 != graph.n:
             raise DataError("attribute bag count does not match node count")
-        bags = AttributeBag(bags=raw_bags,
-                            vocabulary=load_vocabulary(cfg.vocab_path))
+        bags = AttributeBag.from_rows(indptr, tokens,
+                                      load_vocabulary(cfg.vocab_path))
     return Dataset(bundle=GraphBundle(primary=graph, auxiliary=aux),
                    X=X, labels=labels, bags=bags)
 
@@ -259,9 +259,8 @@ def sparse_eval(cfg: ExperimentConfig, fraction):
            for name, g in dataset.bundle.auxiliary.items()}
     X = dataset.X[keep] if dataset.X is not None else None
     labels = dataset.labels[keep] if dataset.labels is not None else None
-    bags = None if dataset.bags is None else AttributeBag(
-        bags=tuple(dataset.bags.bags[i] for i in keep),
-        vocabulary=dataset.bags.vocabulary)
+    bags = None if dataset.bags is None else replace(
+        dataset.bags, counts=dataset.bags.counts[keep])
     sparse_data = Dataset(bundle=GraphBundle(primary=sub, auxiliary=aux),
                           X=X, labels=labels, bags=bags)
     return run_training(cfg, dataset=sparse_data, variant="sparse")

@@ -6,6 +6,7 @@ generator state afterwards), so seeded runs stay byte-identical.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +333,17 @@ def test_knn_graph_asymmetric_sims_keep_last_weight(seed):
             if (u, v) in kept and (v, u) in kept]
     assert both
     assert all(w == sims[v, u] != sims[u, v] for u, v, w in both)
+
+
+def test_knn_graph_peaks_below_three_square_arrays():
+    # the similarity matrix and the partition's indices are n x n; a
+    # negated copy of the similarities would be a third
+    n = 1000
+    X = np.random.default_rng(0).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        build_knn_similarity_graph(X, 5, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8

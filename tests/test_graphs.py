@@ -309,6 +309,22 @@ def test_knn_zero_norm_row_excluded():
 
 # tf-idf class features ------------------------------------------------------
 
+def bag_of(rows, vocabulary):
+    """`AttributeBag.from_rows` of per-node token-id tuples; an id beyond
+    int64 makes the ids an object array, as the bag loader does."""
+    tokens = [t for row in rows for t in row]
+    return AttributeBag.from_rows(
+        np.cumsum([0, *map(len, rows)]),
+        np.array(tokens) if tokens else np.zeros(0, np.int64), vocabulary)
+
+
+def bag_rows(bags):
+    """The per-node token-id tuples of an `AttributeBag`, in bag order."""
+    B = bags.counts
+    return [tuple(B.indices[a:b].tolist())
+            for a, b in zip(B.indptr[:-1], B.indptr[1:])]
+
+
 def make_assignment(hard, K, relevant=None):
     n = len(hard)
     R = np.full((n, K), 1e-6)
@@ -322,7 +338,7 @@ def make_assignment(hard, K, relevant=None):
 
 def test_tfidf_single_class_all_zero():
     vocab = np.eye(2)
-    bags = AttributeBag(bags=((0,), (1,)), vocabulary=vocab)
+    bags = bag_of(((0,), (1,)), vocab)
     # K=1 is not representable (K >= 2); emulate by two classes where one
     # is empty: tokens present only in the populated class get idf log 2
     a = make_assignment([0, 0], 2)
@@ -334,7 +350,7 @@ def test_tfidf_single_class_all_zero():
 
 def test_tfidf_empty_bag_zero_row():
     vocab = np.eye(2)
-    bags = AttributeBag(bags=((0,), ()), vocabulary=vocab)
+    bags = bag_of(((0,), ()), vocab)
     a = make_assignment([0, 1], 2)
     out = tfidf_class_features(bags, a)
     assert np.array_equal(out[1], np.zeros(2))
@@ -343,7 +359,7 @@ def test_tfidf_empty_bag_zero_row():
 def test_tfidf_hand_computed_two_classes():
     # class-1 doc = {a, a}, class-2 doc = {b}; x_a=(1,0), x_b=(0,1)
     vocab = np.eye(2)
-    bags = AttributeBag(bags=((0, 0), (1,), (0,)), vocabulary=vocab)
+    bags = bag_of(((0, 0), (1,), (0,)), vocab)
     a = make_assignment([0, 1, 0], 2)
     out = tfidf_class_features(bags, a)
     # token a: tf=1 in doc1, df=1 -> idf=log2; node 2 bag {a} hard class 1
@@ -356,7 +372,7 @@ def test_tfidf_skips_irrelevant_nodes():
     # so token 1 is in one of two documents and keeps idf log 2; counted,
     # it would be in both, idf 0, and node 1's row would be zeros
     vocab = np.eye(2)
-    bags = AttributeBag(bags=((0,), (1,), (1,)), vocabulary=vocab)
+    bags = bag_of(((0,), (1,), (1,)), vocab)
     a = make_assignment([0, 1, 0], 2, relevant=[True, True, False])
     out = tfidf_class_features(bags, a)
     assert out[1] == pytest.approx([0.0, 1.0], abs=1e-5)
@@ -364,8 +380,8 @@ def test_tfidf_skips_irrelevant_nodes():
 
 def test_tfidf_token_order_invariance(rng):
     vocab = rng.normal(size=(5, 3))
-    bags1 = AttributeBag(bags=((0, 1, 2), (3, 4), (2, 0)), vocabulary=vocab)
-    bags2 = AttributeBag(bags=((2, 1, 0), (4, 3), (0, 2)), vocabulary=vocab)
+    bags1 = bag_of(((0, 1, 2), (3, 4), (2, 0)), vocab)
+    bags2 = bag_of(((2, 1, 0), (4, 3), (0, 2)), vocab)
     a = make_assignment([0, 1, 0], 2)
     assert np.allclose(tfidf_class_features(bags1, a),
                        tfidf_class_features(bags2, a))
@@ -373,7 +389,16 @@ def test_tfidf_token_order_invariance(rng):
 
 def test_attribute_bag_unknown_token():
     with pytest.raises(DataError):
-        AttributeBag(bags=((0, 7),), vocabulary=np.eye(2))
+        bag_of(((0, 7),), np.eye(2))
+
+
+def test_attribute_bag_counts_keep_bag_order_and_repeats():
+    # `B` is not summed or sorted: the products add each bag's tokens in
+    # bag order, a repeated token once per time it is listed
+    rows = [(3, 1, 3, 0), (), (2, 2), (4,)]
+    bags = bag_of(rows, np.eye(5))
+    assert bag_rows(bags) == rows
+    assert bags.counts.shape == (4, 5) and (bags.counts.data == 1).all()
 
 
 def tfidf_reference(bags, assignment):
@@ -384,12 +409,13 @@ def tfidf_reference(bags, assignment):
     vocab = bags.vocabulary
     V, dim = vocab.shape
     hard = R.argmax(axis=1)
+    rows = bag_rows(bags)
 
     counts = np.zeros((K, V))
     for i in range(n):
         if not relevant[i]:
             continue
-        for tok in bags.bags[i]:
+        for tok in rows[i]:
             counts[hard[i], tok] += 1
 
     doc_len = counts.sum(axis=1)
@@ -401,7 +427,7 @@ def tfidf_reference(bags, assignment):
 
     out = np.zeros((n, dim))
     for i in range(n):
-        bag = bags.bags[i]
+        bag = rows[i]
         if not bag:
             continue
         toks = np.asarray(bag)
@@ -439,7 +465,7 @@ def random_bag_case(seed, empty_class):
     R /= R.sum(axis=1, keepdims=True)
     assert (R.argmax(axis=1) == hard).all()
     vocab = rng.normal(size=(V, 3))
-    return (AttributeBag(bags=tuple(bags), vocabulary=vocab),
+    return (bag_of(tuple(bags), vocab),
             Assignment(R=R, relevant=relevant))
 
 
@@ -463,7 +489,7 @@ def test_attribute_bag_names_the_first_bad_token():
                             (((), (1, 2 ** 70)), 1, 2 ** 70)]:
         with pytest.raises(DataError, match=f"^node {node}: token {tok} "
                                             "missing from vocabulary$"):
-            AttributeBag(bags=bags, vocabulary=vocab)
+            bag_of(bags, vocab)
 
 
 # SBM generator ----------------------------------------------------------

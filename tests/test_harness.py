@@ -297,7 +297,10 @@ def test_sparse_eval_keeps_attribute_bags(tmp_path, monkeypatch):
     deg = load_dataset(cfg).bundle.primary.degrees
     keep = np.sort(np.argsort(-deg, kind="stable")[9:])
     assert len(seen) == 1
-    assert seen[0].bags == tuple((int(i),) for i in keep)
+    # node i's bag is the one token i: the kept rows, in order
+    B = seen[0].counts
+    np.testing.assert_array_equal(B.indptr, np.arange(len(keep) + 1))
+    np.testing.assert_array_equal(B.indices, keep)
 
 
 def test_sparse_eval_invalid_fraction():

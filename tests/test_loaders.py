@@ -2,6 +2,7 @@
 `DataError`, never another exception, and the same outcome as the
 line-by-line loaders kept here as references."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from mecole import graphs
+from mecole import cli, graphs
 from mecole.errors import DataError
 
 # tokens that reach past the first parse step of each loader: integers of
@@ -90,13 +91,32 @@ def test_edge_list_largest_node_id_loads(tmp_path):
 def test_attribute_bags_skip_comment_lines(tmp_path):
     path = tmp_path / "bags.txt"
     path.write_text("# token ids per node\n1 2\n# between rows\n3\n")
-    assert graphs.load_attribute_bags(str(path)) == ((1, 2), (3,))
+    indptr, tokens = graphs.load_attribute_bags(str(path))
+    assert indptr.tolist() == [0, 2, 3] and tokens.tolist() == [1, 2, 3]
+
+
+def test_attribute_bags_indented_comment_is_a_comment(tmp_path):
+    # a line whose stripped text starts with `#` is a comment, as in every
+    # other input file; a blank line is still a node with no tokens
+    path = tmp_path / "bags.txt"
+    path.write_text("1 2\n  # note\n\n\t#x 9\n3\n")
+    indptr, tokens = graphs.load_attribute_bags(str(path))
+    assert indptr.tolist() == [0, 2, 2, 3] and tokens.tolist() == [1, 2, 3]
 
 
 # the line-by-line loaders that the array loaders replaced --------------
 
+def read_lines_reference(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {path}: {reason}") from exc
+
+
 def data_lines_reference(path):
-    for lineno, line in enumerate(graphs.read_lines(path), 1):
+    for lineno, line in enumerate(read_lines_reference(path), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -162,6 +182,37 @@ def load_labels_reference(path):
     return labels
 
 
+def load_attribute_bags_reference(path):
+    """The bags as a tuple of per-node tuples. Apart from the comment rule,
+    now the stripped line's, as in every input file (an indented `#` line
+    was a parse error), this is the loader the CSR rows replaced."""
+    bags = []
+    for lineno, line in enumerate(read_lines_reference(path), 1):
+        line = line.rstrip("\n")
+        if line.strip().startswith("#"):
+            continue
+        try:
+            bags.append(tuple(int(t) for t in line.split()))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer token id")
+    return tuple(bags)
+
+
+def export_classes_reference(path):
+    """The class column of an assignment export, as `mecole eval` read it
+    line by line."""
+    pred = []
+    rows = list(data_lines_reference(path))
+    if not rows or not rows[0][1].startswith("node_id"):
+        raise DataError(f"{path}: not an assignment export")
+    for lineno, line in rows[1:]:
+        try:
+            pred.append(int(line.split(",")[1]))
+        except (IndexError, ValueError):
+            raise DataError(f"{path}:{lineno}: malformed row {line!r}")
+    return np.asarray(pred)
+
+
 def outcome(load, *args):
     """What a loader made of a file: its arrays' dtype, shape and bytes
     (and a graph's `n`), or its `DataError` message."""
@@ -211,6 +262,76 @@ def test_loader_matches_line_by_line_reference(tmp_path, loader, data, n):
     load, reference = ORACLES[loader]
     args = (str(path), n) if loader.endswith("n_hint") else (str(path),)
     assert outcome(load, *args) == outcome(reference, *args)
+
+
+def result(load, path):
+    """What `load` made of a file, or the message of its `DataError`."""
+    try:
+        return load(path)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def csr_bag_tuples(path):
+    """`load_attribute_bags`' CSR rows as per-node tuples of Python ints."""
+    indptr, tokens = graphs.load_attribute_bags(path)
+    return tuple(tuple(tokens[a:b].tolist())
+                 for a, b in zip(indptr[:-1], indptr[1:]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=contents)
+@example(data=b"")
+@example(data=b"1 2\n\n  # note\n# c\n3 x\n")
+@example(data=b"\x0c\n 4\t5 \r6\n\n")
+@example(data=b"1 %d\n-3\n" % 2 ** 64)
+@example(data=b"%d\nx\n" % -2 ** 70)
+def test_attribute_bags_match_line_by_line_reference(tmp_path, data):
+    path = str(tmp_path / "bags.txt")
+    (tmp_path / "bags.txt").write_bytes(data)
+    assert result(csr_bag_tuples, path) == \
+        result(load_attribute_bags_reference, path)
+
+
+def class_values(load):
+    """The class column as Python ints. The reference's dtype is NumPy's
+    pick for its list (float64 when empty, uint64 or object beyond int64);
+    the metrics read only the values."""
+    return lambda path: list(map(int, load(path)))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=contents, header=st.booleans())
+@example(data=b"", header=True)
+@example(data=b"0,1\n1\n2,x\n", header=True)
+@example(data=b"0, 3 ,0.5\n# c\n\n1,%d\n" % 2 ** 64, header=True)
+@example(data=b"0,1\n", header=False)
+def test_export_classes_match_line_by_line_reference(tmp_path, data, header):
+    path = str(tmp_path / "assignments.csv")
+    (tmp_path / "assignments.csv").write_bytes(
+        b"node_id,class\n" * header + data)
+    assert result(class_values(cli._export_classes), path) == \
+        result(class_values(export_classes_reference), path)
+
+
+def test_data_lines_hold_the_file_once(tmp_path):
+    """The reader keeps only what it returns: a list of all the lines
+    before their stripped copies would hold the text twice."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "features.csv"
+    np.savetxt(path, rng.random((2000, 40)), delimiter=",")
+    tracemalloc.start()
+    try:
+        lines = graphs._data_lines(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(lines) + sum(
+        sys.getsizeof(x) for pair in lines for x in (pair, *pair))
+    assert len(lines) == 2000
+    assert peak < 1.3 * held
 
 
 def test_feature_file_loads_without_a_list_of_values(tmp_path):

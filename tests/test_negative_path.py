@@ -535,6 +535,24 @@ def test_anchor_scores_in_blocks_bit_equal_to_one_product(monkeypatch):
     assert zo.tobytes() == want.tobytes()
 
 
+def test_hard_negatives_reject_rows_of_one_anchor_that_differ_in_h_o():
+    # every row of an anchor is scored with its first row's h_o, so a
+    # later row with another h_o would be scored with the wrong one
+    graph, E, _ = fixture(0)
+    m, pool_factor = 5, 10
+    owners = np.array([5, 7, 5])
+    h_d, h_o = E.hd[owners], E.ho[owners].copy()
+    sizes = ct.pool_size(graph, owners, m, pool_factor)
+    uniforms = np.random.default_rng(0).random(
+        (np.count_nonzero(sizes > m), m))
+    h_o[2, 0] += 1.0
+    with pytest.raises(DataError, match="differ in h_o"):
+        ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m, sizes)
+    h_o[2] = h_o[0]
+    rows = ct.hard_negatives(owners, h_d, h_o, uniforms, E, graph, m, sizes)
+    assert all(row is not None for row in rows)
+
+
 def test_builders_skip_an_anchor_adjacent_to_every_node():
     graph, E, a = fixture(4)
     pairs = set(zip(graph.u.tolist(), graph.v.tolist()))

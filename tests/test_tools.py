@@ -1,7 +1,8 @@
 """The tools: `tools/effects.py`'s summary and paired comparison, without
 any training, `tools/linetrace.py`'s listing, without any tracing,
-`tools/fingerprint.py` on one seed of an acceptance fixture, and the
-benchmark's tracer (`perfbench/tracing.py`) around one small training."""
+`tools/fingerprint.py` on one seed of an acceptance fixture and of the
+bag workload, and the benchmark's tracer (`perfbench/tracing.py`) around
+one small training."""
 
 import hashlib
 import importlib.util
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from mecole import training
 from mecole.config import ExperimentConfig
-from mecole.training import run_training
+from mecole.graphs import load_attribute_bags, load_vocabulary
+from mecole.training import run_training, sparse_eval
 
 TOOLS = Path(__file__).parent.parent / "tools"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -136,6 +140,33 @@ def test_fingerprint_digests_an_acceptance_fixture(monkeypatch, capsys):
         sbm_p_out=0.01, sbm_noise_sigma=0.5, K=4))
     digest = hashlib.sha256(report.final_assignment.R.tobytes())
     digest.update(repr(report.epoch_losses).encode())
+    assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
+
+
+def test_fingerprint_digests_the_bag_workload(monkeypatch, capsys,
+                                              tmp_path):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    fingerprint = load_tool("fingerprint")
+    assert fingerprint.main(["--workload", "bags", "--seeds", "0"]) == 0
+    cfg = fingerprint.write_bag_inputs(0, str(tmp_path))
+    # a comment line, then one bag of 0 to 6 tokens per node, some empty
+    with open(cfg.bags_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("#") and len(lines) == 121
+    sizes = [len(line.split()) for line in lines[1:]]
+    assert min(sizes) == 0 and max(sizes) <= 6
+    indptr, _ = load_attribute_bags(cfg.bags_path)
+    assert np.diff(indptr).tolist() == sizes
+    assert load_vocabulary(cfg.vocab_path).shape == (30, 8)
+    assert (cfg.K, cfg.knn_k) == (3, 3)
+    # the training and the sparse protocol, both on the files
+    reports = run_training(cfg), sparse_eval(cfg, 0.3)
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report.final_assignment.R.tobytes())
+        digest.update(repr(report.epoch_losses).encode())
     assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
 
 
