@@ -14,9 +14,9 @@ is freed when the last node that reads it is done, and a later
 ``backward`` whose tape reaches such a node raises ``RuntimeError``
 (leaves stay reusable). Sparse adjacency matrices enter only as constants,
 via ``spmm`` and ``gcn``. ``gcn`` is one node for the whole two-layer
-encoder; its backward is written out by hand with the operations of the
-composite it replaced, in the order the tape ran them, so its gradients
-keep their bits.
+encoder, whose output layer applies W2 before Â; its backward is written
+out by hand with the operations of the composite it replaced, in the order
+the tape ran them, so its gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -489,26 +489,25 @@ def _propagate_back(a_hats, g, s, parts, need_h, need_s):
 
 def gcn(a_hats, X, w1, w2, mix=None):
     """Two-layer GCN (Kipf & Welling, ICLR 2017): A tanh(A X W1) W2, as one
-    tape node.
+    tape node; W2 acts before A, so the output layer's sparse products are
+    output-wide, not hidden-wide.
 
-    With several adjacency channels, A is their sum weighted by
-    softmax(mix). With X=None the first layer acts on implicit identity
-    features, so `w1` is a free per-node embedding. `X` is an array or a
-    constant tensor.
+    With several adjacency channels, A is their sum weighted by softmax(mix).
+    With X=None the first layer acts on implicit identity features, so `w1`
+    is a free per-node embedding. `X` is an array or a constant tensor.
 
     The forward runs the NumPy and SciPy operations of the composite of
     `spmm`, `mul`, `add`, `matmul` and `tanh` nodes this replaced, and the
     backward is theirs written out by hand, in the tape's order, so values
     and gradients keep their bits. Besides the output, the node keeps H1 =
-    tanh(...), written over its pre-activation, and A H1, and with several
-    channels each channel's products, which the mix's gradient reads.
+    tanh(...), written over its pre-activation, with X also A X, and for
+    the mix's gradient each channel's A_c (H1 W2) and A_c X or A_c W1.
     """
     a_hats = [_csr(a) for a in a_hats]
     w1, w2 = _as_tensor(w1), _as_tensor(w2)
     mix = _as_tensor(mix) if len(a_hats) > 1 else None
     s = None if mix is None else softmax_array(mix.values)
     if X is None:
-        x1 = None
         z1, parts1 = _propagate(a_hats, w1.values, s)
     else:
         x1, parts1 = _propagate(a_hats, X.values if isinstance(X, Tensor)
@@ -516,16 +515,17 @@ def gcn(a_hats, X, w1, w2, mix=None):
         z1 = x1 @ w1.values
     _check_finite(z1, "gcn")  # tanh would hide an overflow
     h1 = np.tanh(z1, out=z1)
-    x2, parts2 = _propagate(a_hats, h1, s)
+    out, parts2 = _propagate(a_hats, h1 @ w2.values, s)
     params = (w1, w2) if mix is None else (w1, w2, mix)
     need_s = mix is not None and mix.requires_grad
 
     def bwd(g):
-        g_w2 = x2.T @ g if w2.requires_grad else None
-        g_x2 = g @ w2.values.T
+        g_y, g_s2 = _propagate_back(a_hats, g, s, parts2, True, need_s)
         del g
-        g_h1, g_s2 = _propagate_back(a_hats, g_x2, s, parts2, True, need_s)
-        g_z1 = _tanh_back(h1, g_h1, out=g_x2)  # g_x2 is spent
+        g_w2 = h1.T @ g_y if w2.requires_grad else None
+        g_h1 = g_y @ w2.values.T
+        del g_y
+        g_z1 = _tanh_back(h1, g_h1, out=h1)  # h1 is spent
         del g_h1
         if X is None:
             g_w1, g_s1 = _propagate_back(a_hats, g_z1, s, parts1,
@@ -539,7 +539,7 @@ def gcn(a_hats, X, w1, w2, mix=None):
             grads += ((mix, _softmax_back(s, g_s2) + _softmax_back(s, g_s1)),)
         return tuple((t, pg) for t, pg in grads if t.requires_grad)
 
-    return _make(x2 @ w2.values, params, bwd, "gcn")
+    return _make(out, params, bwd, "gcn")
 
 
 # optimizer ---------------------------------------------------------

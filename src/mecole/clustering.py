@@ -141,11 +141,11 @@ def init_assignments(graph, X, cfg):
 
     The GCN is C = softmax(Â (tanh(P W1) W2)) with P = Â X, computed once;
     with X=None, P = Â, so W1 is a free per-node embedding propagated
-    through the adjacency. W2 acts before Â, so the output layer's sparse
-    products are K columns wide, not hidden. Each epoch sets `w1.grad` and
-    `w2.grad` to the gradient of `init_objective` at C, written out by hand
-    with the tape's NumPy operations in the tape's order. The n x hidden
-    buffers are allocated once, here.
+    through the adjacency. W2 acts before Â, as in `autodiff.gcn`, so the
+    output layer's sparse products are K columns wide, not hidden. Each
+    epoch sets `w1.grad` and `w2.grad` to the gradient of `init_objective`
+    at C, written out by hand with the tape's NumPy operations in the
+    tape's order. The n x hidden buffers are allocated once, here.
 
     It computes in `INIT_DTYPE` (float32) with float64 master weights, as in
     mixed-precision training (Micikevicius et al., ICLR 2018): the graph

@@ -568,9 +568,10 @@ def glorot_closure(rng):
     return glorot
 
 
-def branch_with_selectors(a_hats, X, w1, w2, mix):
+def branch_with_selectors(a_hats, X, w1, w2, mix, propagate_first=False):
     """`DecoupledEncoder._branch`: channel weights read from softmax(mix)
-    by one-hot selector matmuls."""
+    by one-hot selector matmuls. The output layer is `Â(H1 W2)`, or
+    `(Â H1) W2` with `propagate_first`."""
     def propagate(h):
         if len(a_hats) == 1:
             return ad.spmm(a_hats[0], h)
@@ -588,7 +589,9 @@ def branch_with_selectors(a_hats, X, w1, w2, mix):
         h1 = ad.tanh(ad.matmul(propagate(ad.constant(X)), w1))
     else:
         h1 = ad.tanh(propagate(w1))
-    return ad.matmul(propagate(h1), w2)
+    if propagate_first:
+        return ad.matmul(propagate(h1), w2)
+    return propagate(ad.matmul(h1, w2))
 
 
 def gcn_layer(a_hat, h, w, activation="identity"):
@@ -665,15 +668,21 @@ def sbm_graph(seed=0):
                                   inv_dim=4, seed=seed))
 
 
+def channel_hats(graph, n_channels, rng):
+    """Â of `graph`, then of `graph` with random positive weights."""
+    a_hats = [ad.normalize_adjacency(graph)]
+    for _ in range(n_channels - 1):
+        a_hats.append(ad.normalize_adjacency(
+            graph.with_weights(rng.random(graph.num_edges) + 0.1)))
+    return a_hats
+
+
 @pytest.mark.parametrize("n_channels", [1, 2, 3])
 @pytest.mark.parametrize("with_x", [True, False])
 def test_gcn_matches_selector_branch(n_channels, with_x):
     graph, X, _ = sbm_graph()
     rng = np.random.default_rng(7)
-    a_hats = [ad.normalize_adjacency(graph)]
-    for _ in range(n_channels - 1):
-        a_hats.append(ad.normalize_adjacency(
-            graph.with_weights(rng.random(graph.num_edges) + 0.1)))
+    a_hats = channel_hats(graph, n_channels, rng)
     X = X if with_x else None
     in_dim = X.shape[1] if with_x else None
     enc = DecoupledEncoder(in_dim, 8, 5, 3, n_channels, seed=11, n=graph.n)
@@ -698,14 +707,41 @@ def test_gcn_matches_selector_branch(n_channels, with_x):
         a_hats, X, enc.w1_d, enc.w2_d, enc.mix_d).values.tobytes()
 
 
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+@pytest.mark.parametrize("with_x", [True, False])
+def test_gcn_close_to_propagating_first(n_channels, with_x):
+    """`Â(H1 W2)` and `(Â H1) W2` are one product in two associations: the
+    node's values and gradients differ from the other's only by rounding."""
+    graph, X, _ = sbm_graph()
+    rng = np.random.default_rng(7)
+    a_hats = channel_hats(graph, n_channels, rng)
+    X = X if with_x else None
+    w1 = ad.parameter(rng.normal(size=(X.shape[1] if with_x else graph.n, 8)))
+    w2 = ad.parameter(rng.normal(size=(8, 5)))
+    mix = ad.parameter(rng.normal(size=(1, n_channels)))
+    params = [w1, w2] + ([mix] if n_channels > 1 else [])
+
+    def arrays(forward):
+        out, grads = values_and_grads(forward, params, 0)
+        return [np.frombuffer(b) for b in [out] + grads]
+
+    got = arrays(lambda: ad.gcn(a_hats, X, w1, w2, mix))
+    want = arrays(lambda: branch_with_selectors(a_hats, X, w1, w2, mix,
+                                                propagate_first=True))
+    assert not all(np.array_equal(g, w) for g, w in zip(got, want))  # bits
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_channels", [1, 3])
 @pytest.mark.parametrize("with_x", [True, False])
 def test_gcn_tanh_overwrites_its_pre_activation(n_channels, with_x):
-    # Cora's size: each encoder's node keeps H1 = tanh(Z1) and Â H1 (one
-    # n x hidden unit each) and its output, with X also Â X (16 columns);
-    # a pre-activation kept apart from H1 would add a unit per encoder.
-    # With several channels the node also keeps each channel's products,
-    # which the mix's gradient reads: Â_c H1, and Â_c X or Â_c W1
+    # Cora's size, in n x hidden units: each encoder's node keeps H1 =
+    # tanh(Z1) (one unit) and its output Â (H1 W2) (out / hidden), with X
+    # also Â X (in_dim / hidden). With several channels it also keeps each
+    # channel's products, which the mix's gradient reads: the output-wide
+    # Â_c (H1 W2), and Â_c X or Â_c W1. A pre-activation kept apart from
+    # H1, or a hidden-wide Â H1, would add a unit per encoder
     n, hidden, in_dim = 2708, 64, 16
     rng = np.random.default_rng(0)
     ring = np.arange(n)
@@ -715,8 +751,13 @@ def test_gcn_tanh_overwrites_its_pre_activation(n_channels, with_x):
     enc = DecoupledEncoder(in_dim if with_x else None, hidden, 16, 32,
                            n_channels, seed=0, n=n)
     unit = n * hidden * 8
-    per_channel = 1 + (in_dim / hidden if with_x else 1)
-    bound = 6 + (2 * n_channels * per_channel if n_channels > 1 else 0)
+    first = in_dim / hidden if with_x else 1  # Â X, or Â W1
+    kept = 0
+    for out in (16, 32):
+        kept += 1 + out / hidden + (first if with_x else 0)
+        if n_channels > 1:
+            kept += n_channels * (out / hidden + first)
+    bound = kept + 0.5
     tracemalloc.start()
     try:
         E = enc.encode(a_hats, a_hats, X)
@@ -731,9 +772,11 @@ def test_gcn_tanh_overwrites_its_pre_activation(n_channels, with_x):
 
 @pytest.mark.parametrize("with_x", [True, False])
 def test_encoder_tape_memory_in_hidden_arrays(with_x):
-    # Cora's size: a tape that keeps tanh's pre-activations and a tanh
-    # backward with three temporaries hold 7.25 n x hidden arrays after
-    # encode (6.75 without X) and peak at 11.0 (11.5) in backward
+    # Cora's size: the nodes keep H1 and the outputs, with X also Â X,
+    # 3.25 n x hidden arrays after encode (2.75 without X), and backward
+    # peaks at 5.0 (4.5). The bounds leave half a unit over X's figures;
+    # nodes that also keep the hidden-wide Â H1, as the `(Â H1) W2` order
+    # did, hold 5.25 (4.75) and peak at 7.5 (7.0)
     n, hidden = 2708, 64
     rng = np.random.default_rng(0)
     ring = np.arange(n)
@@ -756,8 +799,8 @@ def test_encoder_tape_memory_in_hidden_arrays(with_x):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live < 6 * unit
-    assert peak < 9 * unit
+    assert live < 3.75 * unit
+    assert peak < 5.5 * unit
 
 
 @pytest.mark.parametrize("with_x", [True, False])
@@ -782,7 +825,7 @@ def test_init_gcn_matches_gcn_layer_forward(with_x, monkeypatch):
     def before():
         h1 = gcn_layer(a_hat, h0, w1, activation="tanh") if with_x \
             else ad.tanh(ad.spmm(a_hat, w1))
-        return ad.softmax_rows(gcn_layer(a_hat, h1, w2))
+        return ad.softmax_rows(ad.spmm(a_hat, ad.matmul(h1, w2)))
 
     got = values_and_grads(
         lambda: ad.softmax_rows(ad.gcn([a_hat], h0, w1, w2)), [w1, w2], 0)

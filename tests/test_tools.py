@@ -1,11 +1,14 @@
 """The tools: `tools/effects.py`'s summary and paired comparison, without
-any training, `tools/linetrace.py`'s listing, without any tracing,
-`tools/fingerprint.py` on one seed of an acceptance fixture and of the
-bag workload, and the benchmark's tracer (`perfbench/tracing.py`) around
-one small training."""
+any training, and on one seed of `ablate_files`, `tools/linetrace.py`'s
+listing, without any tracing, `tools/fingerprint.py` on one seed of an
+acceptance fixture and of the bag workload, the tools' copies of the tests'
+fixtures, and the benchmark's tracer (`perfbench/tracing.py`) around one
+small training."""
 
+import ast
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -17,10 +20,11 @@ import numpy as np
 from mecole import training
 from mecole.config import ExperimentConfig
 from mecole.graphs import load_attribute_bags, load_vocabulary
-from mecole.training import run_training, sparse_eval
+from mecole.training import run_ablation_grid, run_training, sparse_eval
 
-TOOLS = Path(__file__).parent.parent / "tools"
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+TESTS = Path(__file__).parent
+TOOLS = TESTS.parent / "tools"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def load_tool(name, where=TOOLS):
@@ -82,6 +86,68 @@ def test_effects_compare_pairs_seeds():
     with pytest.raises(ValueError):
         effects.compare(old, {"baseline": new["baseline"][:2],
                               "no_cl": new["no_cl"]})
+
+
+def test_effects_trains_ablate_files_cells_from_one_init(monkeypatch, capsys,
+                                                        tmp_path):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    effects = load_tool("effects")
+    path = str(tmp_path / "scores.json")
+    assert effects.main(["--workload", "ablate_files", "--seeds", "0",
+                         "--json", path]) == 0
+    with open(path) as fh:
+        written = json.load(fh)
+    assert (written["workload"], written["seeds"]) == ("ablate_files", [0])
+    # the four cells of `mecole ablate` on the workload's files and settings
+    dataset, cfg = effects.dataset_and_config("ablate_files", 0,
+                                              str(tmp_path / "grid"))
+    assert (cfg.K, cfg.knn_k, cfg.epochs, cfg.init_epochs) == (4, 5, 16, 100)
+    assert set(dataset.bundle.auxiliary) == {"G_V", "G_X"}
+    grid = {r.variant: {k: getattr(r, k) for k in effects.SCORES}
+            for r in run_ablation_grid(cfg)}
+    assert written["runs"] == {v: [grid[v]] for v in effects.VARIANTS}
+    capsys.readouterr()
+    assert effects.main(["--compare", path, path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ablate_files, second file minus first")
+    assert out.count("0/0/1") == len(effects.VARIANTS) * len(effects.SCORES)
+
+
+def test_tool_fixtures_equal_the_tests_copies():
+    environ, path = dict(os.environ), list(sys.path)
+    # imported, not loaded from its file: its dataclasses look their
+    # module up in `sys.modules`
+    fresh = [m for m in ("checks", "workloads") if m not in sys.modules]
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path[:] = path
+        for module in fresh:
+            sys.modules.pop(module)
+    effects = load_tool("effects")
+    acceptance = load_tool("test_acceptance", TESTS)
+    hard = load_tool("test_hard_negatives", TESTS)
+    assert effects.FIXTURES["criterion5"] == acceptance.SBM_FIXTURE
+    assert workloads.CORA_SIZES == hard.CORA_SIZES
+    assert hard.CORA_THIRD.block_sizes == tuple(
+        size // 3 for size in workloads.CORA_SIZES)
+    assert effects.CORA_THIRD == dict(p_in=hard.CORA_THIRD.p_in,
+                                      p_out=hard.CORA_THIRD.p_out)
+    # criterion 6's config is a local of its test: read it from the source
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text("utf-8"))
+    test = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and
+                node.name == "test_criterion_6_confound_ablation_direction")
+    kw = next(node.value for node in ast.walk(test)
+              if isinstance(node, ast.Assign) and
+              [ast.unparse(t) for t in node.targets] == ["kw"])
+    assert ast.unparse(kw.func) == "dict" and not kw.args
+    assert effects.FIXTURES["criterion6"] == {
+        k.arg: ast.literal_eval(k.value) for k in kw.keywords}
+    assert dict(os.environ) == environ and sys.path == path
 
 
 LISTED_SOURCE = '''"""Module docstring."""

@@ -6,13 +6,15 @@ fixture: hard negatives against plain ones, and decoupling.
 
 Builds each seed's inputs with one BLAS thread, as tools/fingerprint.py
 does: `cora_shape` and `sbm1600` through perfbench/workloads.py,
-`criterion5` and `criterion6` from the acceptance gate's fixtures, and
-`cora_third`, Cora's seven class sizes divided by 3 (901 nodes). It trains
-one modularity init per seed. From that init it trains the baseline and
-the `neg_uniform`, `no_cl` and `no_decouple` variants (`run_training(...,
-init=...)`, as the ablation grid does). It prints each variant's mean
-accuracy, NMI and modularity over the seeds, then the baseline's margin
-over each other variant. `--json PATH` also writes each seed's scores.
+`ablate_files` by its workload's `prepare` and `setup` in a temporary
+directory, with the config of its settings, `criterion5` and `criterion6`
+from the acceptance gate's fixtures, and `cora_third`, Cora's seven class
+sizes divided by 3 (901 nodes). It trains one modularity init per seed.
+From that init it trains the baseline and the `neg_uniform`, `no_cl` and
+`no_decouple` variants (`run_training(..., init=...)`, as the ablation
+grid does). It prints each variant's mean accuracy, NMI and modularity
+over the seeds, then the baseline's margin over each other variant.
+`--json PATH` also writes each seed's scores.
 
 `--compare A.json B.json` reads two such files over the same workload and
 seeds, say from two commits, and prints per variant and score the mean of
@@ -23,6 +25,7 @@ smallest and largest difference, then each seed's accuracy difference.
 import argparse
 import json
 import sys
+import tempfile
 
 VARIANTS = ("baseline", "neg_uniform", "no_cl", "no_decouple")
 SCORES = ("accuracy", "nmi", "modularity")
@@ -35,7 +38,8 @@ FIXTURES = {
                        K=4, assign_warmup=10, assign_every=5),
 }
 CORA_THIRD = dict(p_in=0.0192, p_out=0.001)
-WORKLOAD_CHOICES = ("cora_shape", "sbm1600", *FIXTURES, "cora_third")
+WORKLOAD_CHOICES = ("cora_shape", "sbm1600", "ablate_files", *FIXTURES,
+                    "cora_third")
 
 
 def summarize(runs):
@@ -70,9 +74,11 @@ def compare(old, new):
     return table
 
 
-def dataset_and_config(name, seed):
-    """The inputs and the default config of one seed of `name`."""
-    from mecole.config import ExperimentConfig
+def dataset_and_config(name, seed, out_dir=None):
+    """The inputs and the config of one seed of `name`: the default one,
+    but for a fixture's keys or `ablate_files`' settings. `ablate_files`
+    writes its input files under `out_dir`."""
+    from mecole.config import ExperimentConfig, apply_overrides
     from mecole.graphs import GraphBundle, SBMConfig, generate_sbm
     from mecole.training import Dataset, load_dataset
     from workloads import CORA_SIZES, WORKLOADS
@@ -87,7 +93,12 @@ def dataset_and_config(name, seed):
         return (Dataset(bundle=GraphBundle(primary=graph), X=X,
                         labels=labels),
                 ExperimentConfig(K=len(sizes), seed=seed))
-    workload = WORKLOADS[name](name, seed, None)
+    workload = WORKLOADS[name](name, seed, out_dir)
+    if name == "ablate_files":
+        workload.prepare()
+        values = apply_overrides({}, [f"{k}={v}" for k, v in
+                                      workload._settings().items()])
+        return workload.setup(), ExperimentConfig(seed=seed, **values)
     return workload.setup(), ExperimentConfig(K=workload.spec.K, seed=seed)
 
 
@@ -98,7 +109,8 @@ def seed_scores(name, seed):
     from mecole.clustering import init_assignments
     from mecole.training import run_training
 
-    dataset, cfg = dataset_and_config(name, seed)
+    with tempfile.TemporaryDirectory() as out_dir:
+        dataset, cfg = dataset_and_config(name, seed, out_dir)
     init = init_assignments(dataset.bundle.primary, dataset.X, cfg)
     scores = {}
     for variant in VARIANTS:
