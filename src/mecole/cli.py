@@ -150,7 +150,7 @@ def _export_classes(path):
     if not rows or not rows[0][1].startswith("node_id"):
         raise DataError(f"{path}: not an assignment export")
     return _parse(path, rows[1:], lambda line: line.split(",")[1:2], int,
-                  np.int64, len(rows) - 1, "malformed row {line!r}", width=1,
+                  np.int64, "malformed row {line!r}", width=1,
                   width_error="malformed row {line!r}")
 
 

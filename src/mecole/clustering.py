@@ -1,8 +1,9 @@
 """Cluster assignments: modularity-regularized GCN init and one-vs-rest
 logistic-probe updates on class-dependent features.
 
-The iterative updater deliberately never sees the graph; only the init
-stage optimizes a modularity objective.
+A class's members are the nodes whose hard (argmax) label it is. The
+iterative updater deliberately never sees the graph; only the init stage
+optimizes a modularity objective.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ INIT_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class Assignment:
-    """Soft class-assignment matrix with a per-node relevance flag.
+    """Soft class-assignment matrix; class k's members are the nodes whose
+    hard label is k.
 
-    `R` and `relevant` are read-only copies of what was passed in, so one
-    assignment can be shared (the ablation grid's init) without a holder
-    changing it under another.
+    `R` is a read-only copy of what was passed in, so one assignment can be
+    shared (the ablation grid's init) without a holder changing it under
+    another.
     """
 
     R: np.ndarray       # (n, K), rows on the simplex
-    relevant: np.ndarray  # (n,) bool
 
     def __post_init__(self):
         R = np.array(self.R, dtype=np.float64)
@@ -49,13 +50,8 @@ class Assignment:
             raise DataError("assignment entries must lie in [0, 1]")
         if not np.allclose(R.sum(axis=1), 1.0, atol=1e-6):
             raise DataError("assignment rows must sum to 1")
-        relevant = np.array(self.relevant, dtype=bool)
-        if relevant.shape != (R.shape[0],):
-            raise DataError("relevant flag must have one entry per node")
         R.flags.writeable = False
-        relevant.flags.writeable = False
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "relevant", relevant)
 
     @property
     def n(self):
@@ -73,6 +69,15 @@ class Assignment:
         return hard
 
     @cached_property
+    def classes(self):
+        """Per class k, the ascending ids of the nodes whose hard label is
+        k (its members), built once and read-only."""
+        groups = tuple(np.flatnonzero(self.hard == k) for k in range(self.K))
+        for group in groups:
+            group.flags.writeable = False
+        return groups
+
+    @cached_property
     def opposing(self):
         """Per class k, the ascending ids of the nodes whose hard label is
         not k (the donor pool of k's anchors), built once and read-only."""
@@ -82,8 +87,8 @@ class Assignment:
         return pools
 
     def members(self, k):
-        """Ascending ids of the relevant nodes whose hard label is k."""
-        return np.flatnonzero((self.hard == k) & self.relevant)
+        """Ascending ids of the nodes whose hard label is k."""
+        return self.classes[k]
 
 
 def modularity(graph, labels):
@@ -137,7 +142,7 @@ def init_objective(graph, C, collapse_weight):
 
 def init_assignments(graph, X, cfg):
     """Soft assignments from a GCN trained on soft modularity plus a
-    collapse regularizer; all nodes start relevant.
+    collapse regularizer.
 
     The GCN is C = softmax(Â (tanh(P W1) W2)) with P = Â X, computed once;
     with X=None, P = Â, so W1 is a free per-node embedding propagated
@@ -225,7 +230,7 @@ def init_assignments(graph, X, cfg):
     R = forward(low(w1), low(w2))
     if not np.isfinite(R).all():
         raise NumericError("modularity init diverged (non-finite assignment)")
-    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
+    return Assignment(R=R)
 
 
 def modularity_init_loss(graph, C_values, collapse_weight=1.0):
@@ -257,8 +262,7 @@ def _fit_logistic(X, Y, steps=500, lr=0.5, l2=1e-4):
     return W, b
 
 
-def update_assignments(E, prev: Assignment, q, relevance_floor,
-                       prev_weights=None):
+def update_assignments(E, prev: Assignment, q, prev_weights=None):
     """Self-training step: fit one-vs-rest logistic probes on the most
     confident pseudo-labeled nodes, then re-score every node.
 
@@ -269,25 +273,18 @@ def update_assignments(E, prev: Assignment, q, relevance_floor,
     """
     if not 0.0 < q <= 1.0:
         raise ConfigError("confidence quantile q must lie in (0, 1]")
-    hd = E.hd
-    K = prev.K
-    hard = prev.hard
-
     pseudo = []
-    for k in range(K):
-        members = np.flatnonzero(hard == k)
-        if members.size == 0:
-            continue
+    for k, members in enumerate(prev.classes):  # an empty class adds none
         conf = prev.R[members, k]
         take = max(1, int(np.ceil(q * members.size)))
         pseudo.append(members[np.argsort(-conf, kind="stable")[:take]])
-    pseudo = np.sort(np.concatenate(pseudo)) if pseudo else np.array([], int)
+    pseudo = np.sort(np.concatenate(pseudo))
 
-    Y = hard[pseudo, None] == np.arange(K)
-    W, b = _fit_logistic(hd[pseudo], Y)
+    Y = prev.hard[pseudo, None] == np.arange(prev.K)
+    W, b = _fit_logistic(E.hd[pseudo], Y)
     present = Y.any(axis=0)
     W_prev, b_prev = prev_weights or (0.0, 0.0)
     W = np.where(present, W, W_prev)
     b = np.where(present, b, b_prev)
-    R = ad.softmax_array(hd @ W + b)
-    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), (W, b)
+    R = ad.softmax_array(E.hd @ W + b)
+    return Assignment(R=R), (W, b)

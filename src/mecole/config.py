@@ -72,7 +72,6 @@ class ExperimentConfig:
 
     # cluster updates
     q_confidence: float = 0.5
-    relevance_floor: float | None = None   # default 1.2 / K
     assign_warmup: int = 15
     assign_every: int = 8
 
@@ -121,10 +120,9 @@ class ExperimentConfig:
                               f"'{self.disc_metric}'")
         if not -1.0 <= self.eta_sim <= 1.0:
             raise ConfigError("eta_sim must lie in [-1, 1]")
-        if self.relevance_floor is None:
-            self.relevance_floor = 1.2 / self.K
-        if not 0.0 <= self.relevance_floor <= 1.0:
-            raise ConfigError("relevance_floor must lie in [0, 1]")
+        if self.knn_k > 0 and not self.uses_sbm and not self.feature_path:
+            raise ConfigError(f"knn_k={self.knn_k} needs a feature_path: a "
+                              "file run builds its k-NN graph from features")
 
     @property
     def uses_sbm(self):

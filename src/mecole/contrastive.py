@@ -78,11 +78,8 @@ def sample_anchors(assignment, per_class, rng):
     if per_class < 1:
         raise ConfigError("per_class must be >= 1")
     anchors = []
-    for k in range(assignment.K):
-        members = assignment.members(k)
-        if members.size == 0:
-            continue
-        if members.size <= per_class:
+    for k, members in enumerate(assignment.classes):
+        if members.size <= per_class:  # all of them, or none
             anchors.extend(members.tolist())
             continue
         p = _boundary_weights(assignment.R[members, k])

@@ -229,11 +229,10 @@ def _metric_tensor(a, b, metric):
 
 def discrepancy_loss(E, assignment, metric, pairs, rng):
     """Mean ratio d(h_o1, h_o2) / (d(h_d1, h_d2) + eps) over sampled
-    cross-class node pairs (relevant nodes only)."""
+    cross-class node pairs."""
     if pairs < 1:
         raise ConfigError("pairs must be >= 1")
-    groups = [assignment.members(k) for k in range(assignment.K)]
-    nonempty = [g for g in groups if g.size > 0]
+    nonempty = [g for g in assignment.classes if g.size > 0]
     if len(nonempty) < 2:
         raise DataError("discrepancy loss needs >= 2 non-empty classes")
 

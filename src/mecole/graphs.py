@@ -244,42 +244,57 @@ def _data_lines(path, blank=False):
         raise DataError(f"cannot read {path}: {reason}") from exc
 
 
-def _parse(path, numbered, split, convert, dtype, count, parse_error,
-           width=None, width_error=None, sign_error=None):
-    """`convert` of each token that `split` makes of the `numbered` data
-    lines, `count` in all, as one array of `dtype`; every token goes
-    through Python's own `int` or `float`, and no list of values is built.
+def _parse(path, numbered, split, convert, dtype, parse_error, width=None,
+           width_error=None, sign_error=None, count=None):
+    """`convert` (Python's own `int` or `float`) of each token that `split`
+    makes of the `numbered` data lines, as one array of `dtype`, with no
+    list of values built. Each line is split once, and its width noted as
+    its tokens stream in: `width`, or with none the first line's. Lines
+    that need no such check pass `count`, their number of tokens.
 
-    After a failure (a line of other than `width` tokens, a token `convert`
-    rejects, a value beyond `dtype`, or with `sign_error` a negative value)
-    the lines are walked in file order, and the first whose width, parse or
-    sign fails, checked in that order, raises its message, which may name
-    the line as `{line}`. If no line fails, some value is beyond `dtype`:
-    the values come back as an object array of Python numbers."""
+    On a failure the lines are walked in file order, and the first whose
+    `width`, parse or (with `sign_error`) sign check fails, in that order,
+    raises its message, which may name the line as `{line}`; then, with no
+    `width`, lines unlike the first in width raise `width_error`. If none
+    fails, some value is beyond `dtype`: the values come back as an object
+    array of Python numbers."""
     lines = [line for _, line in numbered]
-    if width is None or all(len(t) == width for t in map(split, lines)):
-        try:
-            values = np.fromiter(
-                map(convert, chain.from_iterable(map(split, lines))), dtype,
-                count)
-        except (ValueError, OverflowError):
-            values = None
-        if values is not None and not (sign_error and (values < 0).any()):
-            return values
+    row, widths = None, []
+    if count is None:
+        row = width if width is not None else \
+            len(split(lines[0])) if lines else 0
+        count = row * len(lines)
+
+    def noted(line):
+        tokens = split(line)
+        widths.append(len(tokens))
+        return tokens
+
+    try:  # -1, not 0: a first line of no token must not stop the noting
+        values = np.fromiter(map(convert, chain.from_iterable(map(
+            split if row is None else noted, lines))), dtype, count or -1)
+    except (ValueError, OverflowError):
+        values = None
+    # a line too wide fills the array before every width is noted
+    even = row is None or widths.count(row) == len(lines)
+    if values is not None and even and not (sign_error and (values < 0).any()):
+        return values
     for lineno, line in numbered:
         tokens = split(line)
         if width is not None and len(tokens) != width:
             problem = width_error
         else:
             try:
-                values = list(map(convert, tokens))
+                parsed = list(map(convert, tokens))
             except ValueError:
                 problem = parse_error
             else:
-                if sign_error is None or min(values) >= 0:
+                if sign_error is None or min(parsed) >= 0:
                     continue
                 problem = sign_error
         raise DataError(f"{path}:{lineno}: " + problem.format(line=line))
+    if row is not None and any(len(split(line)) != row for line in lines):
+        raise DataError(f"{path}: {width_error}")
     return np.fromiter(map(convert, chain.from_iterable(map(split, lines))),
                        object, count)
 
@@ -295,7 +310,7 @@ def load_edge_list(path, n_hint=None):
     of weight 1.0; self-loops are dropped, but their ids count towards
     `n`, which `n_hint` overrides."""
     numbered = _data_lines(path)
-    ids = _parse(path, numbered, str.split, int, np.int64, 2 * len(numbered),
+    ids = _parse(path, numbered, str.split, int, np.int64,
                  "non-integer node id in {line!r}", width=2,
                  width_error="expected 'u v', got {line!r}",
                  sign_error="negative node id")
@@ -320,15 +335,13 @@ def _numeric_rows(path):
     """Rows of comma- or whitespace-separated finite numbers, all one
     length."""
     numbered = _data_lines(path)
-    widths = [len(_row_tokens(line)) for _, line in numbered]
     values = _parse(path, numbered, _row_tokens, float, np.float64,
-                    sum(widths), "non-numeric token")
-    if widths and min(widths) != max(widths):
-        raise DataError(f"{path}: rows differ in length")
+                    "non-numeric token", width_error="rows differ in length")
     if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite value (nan or inf)")
     # no data line at all loads as an empty vector, not a 0-row matrix
-    return values.reshape(len(widths), widths[0]) if widths else values
+    rows = len(numbered)
+    return values.reshape(rows, values.size // rows) if rows else values
 
 
 def load_features(path, n):
@@ -343,7 +356,7 @@ def load_labels(path):
     below -1 is a data error."""
     numbered = _data_lines(path)
     labels = _parse(path, numbered, lambda line: [line], int, np.int64,
-                    len(numbered), "non-integer label")
+                    "non-integer label", count=len(numbered))
     if labels.dtype == object:
         raise DataError(f"{path}: label outside the int64 range")
     below = np.flatnonzero(labels < -1)
@@ -358,8 +371,8 @@ def load_attribute_bags(path):
     one node's ids, and a blank line is a node with none."""
     numbered = _data_lines(path, blank=True)
     sizes = [len(line.split()) for _, line in numbered]
-    tokens = _parse(path, numbered, str.split, int, np.int64, sum(sizes),
-                    "non-integer token id")
+    tokens = _parse(path, numbered, str.split, int, np.int64,
+                    "non-integer token id", count=sum(sizes))
     return np.cumsum([0, *sizes]), tokens
 
 
@@ -420,16 +433,15 @@ def _top_k_graph(sims, k, eta_sim):
 def tfidf_class_features(bags: AttributeBag, assignment):
     """Weighted token-embedding features from per-class tf-idf scores.
 
-    Each class forms one document from the bags of its confidently
-    (hard-)assigned relevant nodes; a node's row mixes its tokens'
-    class-wise scores by its soft assignment. Documents and rows are sparse
-    products with `B`, the node x token counts.
+    Each class forms one document from the bags of its members, the nodes
+    whose hard label it is; a node's row mixes its tokens' class-wise
+    scores by its soft assignment. Documents and rows are sparse products
+    with `B`, the node x token counts.
     """
     R = np.asarray(assignment.R, dtype=np.float64)
-    relevant = np.asarray(assignment.relevant, dtype=bool)
     n, K = R.shape
     vocab, B = bags.vocabulary, bags.counts
-    counts = np.eye(K)[R[relevant].argmax(axis=1)].T @ B[relevant]
+    counts = np.eye(K)[assignment.hard].T @ B
 
     doc_len = counts.sum(axis=1)
     tf = np.divide(counts, doc_len[:, None],

@@ -93,13 +93,12 @@ def _epoch_loss(cfg, epoch, graph, E, assignment, mlp, rng, rng_cl):
     l1 = dc.reconstruction_loss(graph, E, cfg.neg_ratio, rng, mlp=mlp)
     loss = l1
     l2_val = 0.0
-    if E.ho.shape[1] > 0:
-        nonempty = sum(assignment.members(k).size > 0 for k in range(cfg.K))
-        if nonempty >= 2:
-            l2 = dc.discrepancy_loss(E, assignment, cfg.disc_metric,
-                                     cfg.disc_pairs, rng)
-            loss = ad.add(loss, ad.mul(l2, cfg.disc_weight))
-            l2_val = l2.item() * cfg.disc_weight
+    if E.ho.shape[1] > 0 and \
+            sum(members.size > 0 for members in assignment.classes) >= 2:
+        l2 = dc.discrepancy_loss(E, assignment, cfg.disc_metric,
+                                 cfg.disc_pairs, rng)
+        loss = ad.add(loss, ad.mul(l2, cfg.disc_weight))
+        l2_val = l2.item() * cfg.disc_weight
 
     lce_val = 0.0
     if not cfg.no_cl:
@@ -199,8 +198,7 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
             (epoch - cfg.assign_warmup) % cfg.assign_every == 0
         if due or epoch == cfg.epochs - 1 and epoch >= cfg.assign_warmup:
             assignment, weights_state = update_assignments(
-                E, assignment, cfg.q_confidence, cfg.relevance_floor,
-                prev_weights=weights_state)
+                E, assignment, cfg.q_confidence, prev_weights=weights_state)
 
     pred = assignment.hard
     if labels is not None:
@@ -214,16 +212,14 @@ def run_training(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
 
 def export_assignments(path, assignment):
-    """CSV export: node_id, argmax class, K soft values, relevant flag."""
+    """CSV export: node_id, argmax class, K soft values."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["node_id", "class"] + \
-            [f"r{k}" for k in range(assignment.K)] + ["relevant"]
-        writer.writerow(header)
+        writer.writerow(["node_id", "class"] +
+                        [f"r{k}" for k in range(assignment.K)])
         for i in range(assignment.n):
             writer.writerow([i, int(assignment.hard[i])] +
-                            [f"{v:.6f}" for v in assignment.R[i]] +
-                            [int(assignment.relevant[i])])
+                            [f"{v:.6f}" for v in assignment.R[i]])
 
 
 def write_report(out_dir, report, name="metrics"):

@@ -73,7 +73,7 @@ def hard_assignment(hard, K):
     R = np.full((n, K), 0.02 / (K - 1))
     for i, k in enumerate(hard):
         R[i, k] = 0.98
-    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
+    return Assignment(R=R)
 
 
 # 1. gradient correctness ------------------------------------------------------

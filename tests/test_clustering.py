@@ -90,27 +90,30 @@ def test_modularity_empty_graph_errors():
 
 def test_assignment_rejects_non_simplex():
     with pytest.raises(DataError):
-        Assignment(R=np.array([[0.5, 0.6]]), relevant=np.ones(1, dtype=bool))
+        Assignment(R=np.array([[0.5, 0.6]]))
 
 
-def test_assignment_members_respects_relevance():
-    R = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
-    a = Assignment(R=R, relevant=np.array([True, False, True]))
-    assert a.members(0).tolist() == [0]
+def test_assignment_classes_are_the_hard_label_members():
+    R = np.array([[0.9, 0.1, 0.0], [0.2, 0.1, 0.7], [0.6, 0.3, 0.1],
+                  [0.3, 0.3, 0.4]])
+    a = Assignment(R=R)
+    assert [c.tolist() for c in a.classes] == [[0, 2], [], [1, 3]]
+    # built once per assignment, and what `members` reads
+    assert a.classes is a.classes
+    assert all(a.members(k) is a.classes[k] for k in range(3))
+    for members in a.classes[0], a.classes[2]:
+        with pytest.raises(ValueError, match="read-only"):
+            members[0] = members[-1]
 
 
 def test_assignment_arrays_are_read_only_copies():
     R = np.array([[0.9, 0.1], [0.2, 0.8]])
-    relevant = np.array([True, False])
-    a = Assignment(R=R, relevant=relevant)
-    for arr in (a.R, a.relevant):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = arr[1]
-    # the caller's arrays stay writable and are not aliased
+    a = Assignment(R=R)
+    with pytest.raises(ValueError, match="read-only"):
+        a.R[0] = a.R[1]
+    # the caller's array stays writable and is not aliased
     R[0] = [0.5, 0.5]
-    relevant[1] = True
-    assert a.R[0].tolist() == [0.9, 0.1] and a.relevant.tolist() == [
-        True, False]
+    assert a.R[0].tolist() == [0.9, 0.1]
 
 
 # init ----------------------------------------------------------------------
@@ -206,13 +209,13 @@ def noisy_prev(hard, K, conf=0.7):
     n = len(hard)
     R = np.full((n, K), (1 - conf) / (K - 1))
     R[np.arange(n), hard] = conf
-    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
+    return Assignment(R=R)
 
 
 def test_update_recovers_separable_classes():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
-    out, _ = update_assignments(E, prev, q=0.6, relevance_floor=0.6)
+    out, _ = update_assignments(E, prev, q=0.6)
     assert out.hard.tolist() == [0] * 5 + [1] * 5
     assert np.allclose(out.R.sum(axis=1), 1.0)
 
@@ -220,25 +223,15 @@ def test_update_recovers_separable_classes():
 def test_update_sharpens_confidence():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2, conf=0.55)
-    out, _ = update_assignments(E, prev, q=1.0, relevance_floor=0.6)
+    out, _ = update_assignments(E, prev, q=1.0)
     assert out.R.max(axis=1).mean() > prev.R.max(axis=1).mean()
-
-
-def test_update_relevance_floor_marks_ambiguous():
-    # one node exactly between the class means gets a near-uniform row
-    hd = np.array([[4.0, 0.0]] * 4 + [[-4.0, 0.0]] * 4 + [[0.0, 0.0]])
-    E = DecoupledEmbeddings.from_arrays(hd, np.zeros((9, 1)))
-    prev = noisy_prev([0] * 4 + [1] * 4 + [0], 2)
-    out, _ = update_assignments(E, prev, q=0.5, relevance_floor=0.9)
-    assert not out.relevant[8]
-    assert out.relevant[:4].all() and out.relevant[4:8].all()
 
 
 def test_update_deterministic_in_seed_free_path():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
-    a, _ = update_assignments(E, prev, 0.6, 0.6)
-    b, _ = update_assignments(E, prev, 0.6, 0.6)
+    a, _ = update_assignments(E, prev, 0.6)
+    b, _ = update_assignments(E, prev, 0.6)
     assert np.array_equal(a.R, b.R)
 
 
@@ -247,18 +240,17 @@ def test_update_label_permutation_equivariance():
     hard = [0] * 5 + [1] * 5
     prev = noisy_prev(hard, 2)
     prev_swapped = noisy_prev([1 - h for h in hard], 2)
-    out, _ = update_assignments(E, prev, 0.6, 0.6)
-    out_swapped, _ = update_assignments(E, prev_swapped, 0.6, 0.6)
+    out, _ = update_assignments(E, prev, 0.6)
+    out_swapped, _ = update_assignments(E, prev_swapped, 0.6)
     assert np.allclose(out.R, out_swapped.R[:, ::-1])
 
 
 def test_update_empty_class_keeps_previous_regressor():
     E = separable_embeddings()
     prev_full = noisy_prev([0] * 5 + [1] * 5, 2)
-    _, weights = update_assignments(E, prev_full, 0.6, 0.6)
+    _, weights = update_assignments(E, prev_full, 0.6)
     prev_collapsed = noisy_prev([0] * 10, 2)
-    kept, _ = update_assignments(E, prev_collapsed, 0.6, 0.6,
-                                 prev_weights=weights)
+    kept, _ = update_assignments(E, prev_collapsed, 0.6, prev_weights=weights)
     # class 1 regressor carried over: separable structure still recovered
     assert len(set(kept.hard.tolist())) == 2
 
@@ -267,7 +259,7 @@ def test_update_invalid_q():
     E = separable_embeddings()
     prev = noisy_prev([0] * 5 + [1] * 5, 2)
     with pytest.raises(ConfigError):
-        update_assignments(E, prev, q=0.0, relevance_floor=0.5)
+        update_assignments(E, prev, q=0.0)
 
 
 def test_update_never_touches_graph():
@@ -322,8 +314,7 @@ def test_fit_logistic_stays_finite_on_extreme_logits():
     assert np.abs(X @ W + b).max() > 500
 
 
-def _update_assignments_reference(E, prev, q, relevance_floor,
-                                  prev_weights=None):
+def _update_assignments_reference(E, prev, q, prev_weights=None):
     """`update_assignments` written per class: one `_fit_logistic_reference`
     fit and one score column per class, the probes kept as a list of
     `(w, b)`, or None for a class never fit."""
@@ -350,7 +341,7 @@ def _update_assignments_reference(E, prev, q, relevance_floor,
             w, b = weights[k]
             scores[:, k] = hd @ w + b
     R = ad.softmax_array(scores)
-    return Assignment(R=R, relevant=R.max(axis=1) >= relevance_floor), weights
+    return Assignment(R=R), weights
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0])
@@ -361,23 +352,19 @@ def test_update_matches_per_class_reference(K, q):
     hd = rng.normal(size=(n, d)) + 2.0 * rng.normal(size=(K, d))[
         rng.integers(0, K, size=n)]
     E = DecoupledEmbeddings.from_arrays(hd, np.zeros((n, 1)))
-    prev = Assignment(R=rng.dirichlet(np.ones(K), size=n),
-                      relevant=np.ones(n, dtype=bool))
-    floor = 1.2 / K
-    got, weights = update_assignments(E, prev, q, floor)
-    want, ref_weights = _update_assignments_reference(E, prev, q, floor)
+    prev = Assignment(R=rng.dirichlet(np.ones(K), size=n))
+    got, weights = update_assignments(E, prev, q)
+    want, ref_weights = _update_assignments_reference(E, prev, q)
     # then empty the last class: its probe is carried over, not refit
     R = got.R.copy()
     R[:, -1] = 0.0
     R /= R.sum(axis=1, keepdims=True)
-    emptied = Assignment(R=R, relevant=got.relevant)
-    got2, weights2 = update_assignments(E, emptied, q, floor,
-                                        prev_weights=weights)
-    want2, _ = _update_assignments_reference(E, emptied, q, floor,
+    emptied = Assignment(R=R)
+    got2, weights2 = update_assignments(E, emptied, q, prev_weights=weights)
+    want2, _ = _update_assignments_reference(E, emptied, q,
                                              prev_weights=ref_weights)
     for a, b in ((got, want), (got2, want2)):
         assert np.array_equal(a.hard, b.hard)
-        assert np.array_equal(a.relevant, b.relevant)
         np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-12)
     assert weights2[0][:, -1].tobytes() == weights[0][:, -1].tobytes()
     assert weights2[1][-1] == weights[1][-1]

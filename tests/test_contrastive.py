@@ -25,7 +25,7 @@ def assignment_from_conf(conf, K=2, hard=None):
         for j in range(K):
             if j != k:
                 R[i, j] = rest
-    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
+    return Assignment(R=R)
 
 
 def embeddings(hd, ho):

@@ -2,7 +2,8 @@
 `logger`, is read somewhere in that file; a module's `__all__` lists
 exactly its public top-level functions and classes, plus names it binds;
 every private top-level name is read somewhere in the package; every
-parameter of a package function is read in its body."""
+parameter of a package function is read in its body; every config field
+is read somewhere in the package outside the config's own checks."""
 
 import ast
 from pathlib import Path
@@ -166,3 +167,45 @@ def test_check_flags_unread_parameters():
               "class C:\n    def m(self, x):\n        return x\n")
     assert unread_parameters(source) == [
         (1, "f", "b"), (1, "f", "c"), (1, "f", "rest"), (6, "m", "self")]
+
+
+def unread_config_fields(sources):
+    """Fields of `ExperimentConfig` in `sources` (module name -> source)
+    that no module reads as an attribute, outside the config's own
+    `__post_init__` checks and `to_dict`."""
+    defined, read = [], set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and \
+                    node.name == "ExperimentConfig":
+                defined += [stmt.target.id for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)]
+                skipped |= {id(n) for stmt in node.body
+                            if isinstance(stmt, ast.FunctionDef)
+                            and stmt.name in ("__post_init__", "to_dict")
+                            for n in ast.walk(stmt)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in skipped}
+    return [name for name in defined if name not in read]
+
+
+def test_config_fields_are_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_config_fields(sources) == []
+
+
+def test_check_flags_unread_config_fields():
+    sources = {
+        "config.py": ("class ExperimentConfig:\n    K: int = 2\n"
+                      "    checked: int = 0\n    spare: float = 0.0\n"
+                      "    def __post_init__(self):\n"
+                      "        assert self.checked >= 0\n"
+                      "    def to_dict(self):\n"
+                      "        return {'spare': self.spare}\n"),
+        "train.py": "def run(cfg):\n    return cfg.K\n",
+    }
+    assert unread_config_fields(sources) == ["checked", "spare"]

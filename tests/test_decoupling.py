@@ -25,7 +25,7 @@ def hard_assignment(hard, K):
     R = np.full((n, K), 0.01 / (K - 1))
     for i, k in enumerate(hard):
         R[i, k] = 0.99
-    return Assignment(R=R, relevant=np.ones(n, dtype=bool))
+    return Assignment(R=R)
 
 
 # predict_link ---------------------------------------------------------
@@ -207,7 +207,7 @@ def test_discrepancy_hand_computed_l2():
 def test_discrepancy_requires_two_classes():
     E = embeddings(np.zeros((3, 2)), np.zeros((3, 2)))
     R = np.column_stack([np.full(3, 0.9), np.full(3, 0.1)])
-    a = Assignment(R=R, relevant=np.ones(3, dtype=bool))
+    a = Assignment(R=R)
     with pytest.raises(DataError):
         discrepancy_loss(E, a, "l1", 4, np.random.default_rng(0))
 

@@ -325,15 +325,13 @@ def bag_rows(bags):
             for a, b in zip(B.indptr[:-1], B.indptr[1:])]
 
 
-def make_assignment(hard, K, relevant=None):
+def make_assignment(hard, K):
     n = len(hard)
     R = np.full((n, K), 1e-6)
     for i, k in enumerate(hard):
         R[i, k] = 1.0
     R /= R.sum(axis=1, keepdims=True)
-    if relevant is None:
-        relevant = np.ones(n, dtype=bool)
-    return Assignment(R=R, relevant=relevant)
+    return Assignment(R=R)
 
 
 def test_tfidf_single_class_all_zero():
@@ -367,17 +365,6 @@ def test_tfidf_hand_computed_two_classes():
     assert out[2] == pytest.approx([1.0, 0.0], abs=1e-5)
 
 
-def test_tfidf_skips_irrelevant_nodes():
-    # node 2 is not relevant: its token 1 stays out of class 0's document,
-    # so token 1 is in one of two documents and keeps idf log 2; counted,
-    # it would be in both, idf 0, and node 1's row would be zeros
-    vocab = np.eye(2)
-    bags = bag_of(((0,), (1,), (1,)), vocab)
-    a = make_assignment([0, 1, 0], 2, relevant=[True, True, False])
-    out = tfidf_class_features(bags, a)
-    assert out[1] == pytest.approx([0.0, 1.0], abs=1e-5)
-
-
 def test_tfidf_token_order_invariance(rng):
     vocab = rng.normal(size=(5, 3))
     bags1 = bag_of(((0, 1, 2), (3, 4), (2, 0)), vocab)
@@ -404,7 +391,6 @@ def test_attribute_bag_counts_keep_bag_order_and_repeats():
 def tfidf_reference(bags, assignment):
     """`tfidf_class_features` as loops over nodes, tokens and classes."""
     R = np.asarray(assignment.R, dtype=np.float64)
-    relevant = np.asarray(assignment.relevant, dtype=bool)
     n, K = R.shape
     vocab = bags.vocabulary
     V, dim = vocab.shape
@@ -413,8 +399,6 @@ def tfidf_reference(bags, assignment):
 
     counts = np.zeros((K, V))
     for i in range(n):
-        if not relevant[i]:
-            continue
         for tok in rows[i]:
             counts[hard[i], tok] += 1
 
@@ -441,32 +425,27 @@ def tfidf_reference(bags, assignment):
 
 
 def random_bag_case(seed, empty_class):
-    """40 random bags over 12 tokens and K=4, with repeated tokens, empty
-    bags and irrelevant nodes. With `empty_class`, class 3 has no relevant
-    member; without, token 0 is in every class's document, so its idf is
-    log(4/4) = 0. Token 11 is in irrelevant bags only, so its df is 0."""
+    """40 random bags over 12 tokens and K=4, with repeated tokens and
+    empty bags. With `empty_class`, class 3 has no member; without, token 0
+    is in every class's document, so its idf is log(4/4) = 0. Token 11 is
+    in no bag, so its df is 0."""
     rng = np.random.default_rng(seed)
     n, V, K = 40, 12, 4
     bags = [tuple(rng.integers(0, V - 1, size=rng.integers(0, 9)).tolist())
             for _ in range(n)]
     hard = rng.integers(0, K - 1 if empty_class else K, size=n)
-    relevant = rng.random(n) < 0.7
     bags[0], bags[1], bags[2] = (3, 3, 5, 3), (), ()
-    relevant[:3] = True
-    # irrelevant, in class 3: counted, it would fill that class's document
-    bags[3], bags[4], hard[3:5], relevant[3:5] = (11, 11), (11, 2), 3, False
     if not empty_class:
         for k in range(K):
             bags[5 + k] = (0,) + bags[5 + k]
-            hard[5 + k], relevant[5 + k] = k, True
+            hard[5 + k] = k
     logits = rng.normal(size=(n, K))
     logits[np.arange(n), hard] += 10.0
     R = np.exp(logits)
     R /= R.sum(axis=1, keepdims=True)
     assert (R.argmax(axis=1) == hard).all()
     vocab = rng.normal(size=(V, 3))
-    return (bag_of(tuple(bags), vocab),
-            Assignment(R=R, relevant=relevant))
+    return bag_of(tuple(bags), vocab), Assignment(R=R)
 
 
 @pytest.mark.parametrize("empty_class", [True, False])
@@ -476,8 +455,8 @@ def test_tfidf_matches_the_loop_reference(seed, empty_class):
     got, want = tfidf_class_features(bags, a), tfidf_reference(bags, a)
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()
-    # the empty bags and the bag of a df-0 token give zero rows
-    assert not got[1:4].any() and got[4:].any()
+    # the empty bags give zero rows
+    assert not got[1:3].any() and got[3:].any()
 
 
 def test_attribute_bag_names_the_first_bad_token():

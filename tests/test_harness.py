@@ -12,12 +12,13 @@ import pytest
 import mecole
 from mecole import cli, graphs, training
 from mecole.cli import main as cli_main
+from mecole.clustering import Assignment
 from mecole.config import ExperimentConfig, apply_overrides, \
     parse_config_file
 from mecole.errors import ConfigError, DataError
 from mecole.metrics import MetricsReport, clustering_accuracy, nmi
-from mecole.training import ABLATION_FLAGS, load_dataset, run_ablation_grid, \
-    run_training, sparse_eval
+from mecole.training import ABLATION_FLAGS, export_assignments, \
+    load_dataset, run_ablation_grid, run_training, sparse_eval
 
 
 def fast_cfg(**kw):
@@ -35,7 +36,7 @@ def fast_cfg(**kw):
 
 def test_config_defaults_and_floor():
     cfg = ExperimentConfig(K=4)
-    assert cfg.relevance_floor == pytest.approx(1.2 / 4)
+    assert "relevance_floor" not in cfg.to_dict()
     assert cfg.uses_sbm
 
 
@@ -105,11 +106,10 @@ def test_apply_overrides():
 
 
 def test_none_only_for_optional_keys():
-    values = apply_overrides({}, ["K=5", "relevance_floor=none",
-                                  "label_path=", "aux_edge_path=None"])
+    values = apply_overrides({}, ["K=5", "label_path=",
+                                  "aux_edge_path=None"])
     assert values["label_path"] is None and values["aux_edge_path"] is None
-    assert ExperimentConfig(**values).relevance_floor == \
-        pytest.approx(1.2 / 5)
+    assert ExperimentConfig(**values).K == 5
     for item in ("K=none", "hidden=", "tau=none", "disc_metric=none"):
         with pytest.raises(ConfigError, match="a value is required"):
             apply_overrides({}, [item])
@@ -227,9 +227,11 @@ def test_load_dataset_checks_bags_and_vocab_before_reading_a_file(
         raise AssertionError("an input was read before the pairing check")
 
     monkeypatch.setattr(training, "load_edge_list", fail)
+    monkeypatch.setattr(training, "load_features", fail)
     monkeypatch.setattr(training, "build_knn_similarity_graph", fail)
-    cfg = ExperimentConfig(edge_path="edges.txt", aux_edge_path="aux.txt",
-                           knn_k=1, bags_path="bags.txt")
+    cfg = ExperimentConfig(edge_path="edges.txt", feature_path="feat.csv",
+                           aux_edge_path="aux.txt", knn_k=1,
+                           bags_path="bags.txt")
     with pytest.raises(DataError, match="bags_path is set alone"):
         load_dataset(cfg)
 
@@ -360,9 +362,8 @@ def test_ablation_grid_cells_equal_standalone_runs(grid_files):
         for attr in ("accuracy", "nmi", "modularity", "init_accuracy"):
             assert getattr(r, attr) == getattr(alone, attr), (r.variant,
                                                               attr)
-        for arr in ("R", "relevant"):
-            assert getattr(r.final_assignment, arr).tobytes() == \
-                getattr(alone.final_assignment, arr).tobytes(), r.variant
+        assert r.final_assignment.R.tobytes() == \
+            alone.final_assignment.R.tobytes(), r.variant
 
 
 def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
@@ -376,7 +377,7 @@ def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
 
     def counting_init(*args):
         out = init(*args)
-        inits.append((out, out.R.tobytes(), out.relevant.tobytes()))
+        inits.append((out, out.R.tobytes()))
         return out
 
     monkeypatch.setattr(training, "load_dataset", counting_load)
@@ -385,9 +386,8 @@ def test_ablation_grid_loads_per_data_config_and_inits_once(grid_files,
     assert all(r.error is None for r in reports)
     assert sorted(loads) == [(False, False), (False, True), (True, False)]
     assert len(inits) == 1
-    shared, R_bytes, relevant_bytes = inits[0]
+    shared, R_bytes = inits[0]
     assert shared.R.tobytes() == R_bytes
-    assert shared.relevant.tobytes() == relevant_bytes
 
 
 def test_ablation_grid_builds_the_key_attribute_channel_once(grid_files,
@@ -415,9 +415,8 @@ def test_ablation_grid_builds_the_key_attribute_channel_once(grid_files,
         assert r.error is None, r.variant
         alone = run_training(ExperimentConfig(**r.config), variant=r.variant)
         assert r.epoch_losses == alone.epoch_losses, r.variant
-        for arr in ("R", "relevant"):
-            assert getattr(r.final_assignment, arr).tobytes() == \
-                getattr(alone.final_assignment, arr).tobytes(), r.variant
+        assert r.final_assignment.R.tobytes() == \
+            alone.final_assignment.R.tobytes(), r.variant
     assert len(calls) == 2 + len(GRID_CELLS)
 
 
@@ -582,6 +581,9 @@ def test_cli_ablate_count_below_one_is_config_error(tmp_path, capsys, key):
     ([], 2, "SBM config incomplete"),
     (["sbm_blocks=2", "sbm_block_size=15", "sbm_dep_dim=1"], 1,
      "dep_dim must be >= number of blocks"),
+    # without features a file run has no k-NN graph G_X to build or drop
+    (["edge_path=edges.txt", "knn_k=3"], 1,
+     "knn_k=3 needs a feature_path"),
 ])
 def test_cli_ablate_bad_sbm_config_fails_the_run(tmp_path, capsys, sets,
                                                  code, message):
@@ -626,8 +628,6 @@ def test_cli_non_finite_setting_is_config_error(tmp_path, capsys, key,
     ("disc_weight=-1", "disc_weight must be >= 0"),
     ("collapse_weight=-1", "collapse_weight must be >= 0"),
     ("sbm_confound=-2", "sbm_confound must be >= 0"),
-    ("relevance_floor=1.5", "relevance_floor must lie in [0, 1]"),
-    ("relevance_floor=-0.1", "relevance_floor must lie in [0, 1]"),
 ])
 def test_cli_out_of_range_setting_is_config_error(tmp_path, capsys, item,
                                                   message):
@@ -662,9 +662,27 @@ def test_cli_bad_setting_fails_without_outputs(tmp_path, capsys, command,
     assert not (tmp_path / "run" / "ablation.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_cli_removed_relevance_floor_is_unknown_key(tmp_path, capsys,
+                                                    source):
+    # the relevance flag is gone, so a config that still sets its floor
+    # fails before any work
+    if source == "--set":
+        extra = ["--set", "relevance_floor=0.3"]
+    else:
+        (tmp_path / "run.cfg").write_text("relevance_floor = 0.3\n")
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    rc = cli_main(["train"] + sbm_args(tmp_path / "run", extra=extra))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        "config error: unknown config key 'relevance_floor'"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_bounds_are_inclusive():
-    for floor in (0.0, 1.0):
-        assert ExperimentConfig(relevance_floor=floor).relevance_floor == floor
+    for eta_sim in (-1.0, 1.0):
+        assert ExperimentConfig(eta_sim=eta_sim).eta_sim == eta_sim
     assert ExperimentConfig(disc_weight=0.0).disc_weight == 0.0
 
 
@@ -745,6 +763,29 @@ def test_cli_eval_bad_assignment_file_is_data_error(tmp_path, capsys):
         assert "Traceback" not in err
         assert err.startswith("data error:") and message in err
         assert len(err.splitlines()) == 1, err
+
+
+def test_cli_eval_reads_exports_with_and_without_relevant_column(
+        tmp_path, capsys):
+    # exports used to end in a 0/1 `relevant` column; eval reads the class
+    # column of both
+    (tmp_path / "labels.txt").write_text("0\n1\n0\n1\n")
+    R = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.7, 0.3]])
+    export_assignments(tmp_path / "new.csv", Assignment(R=R))
+    with open(tmp_path / "new.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["node_id", "class", "r0", "r1"]
+    with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0] + ["relevant"]] +
+                                 [row + ["1"] for row in rows[1:]])
+    outputs = []
+    for name in ("old.csv", "new.csv"):
+        rc = cli_main(["eval", "--assignments", str(tmp_path / name),
+                       "--labels", str(tmp_path / "labels.txt")])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == "accuracy 0.5000"
 
 
 def test_cli_eval_skips_blank_lines(tmp_path, capsys):

@@ -185,7 +185,7 @@ def fixture(seed, n_blocks=4, size=40, dim=6):
         rng.normal(size=(graph.n, n_blocks))
     R = np.exp(scores)
     R /= R.sum(axis=1, keepdims=True)
-    return graph, E, Assignment(R=R, relevant=np.ones(graph.n, dtype=bool))
+    return graph, E, Assignment(R=R)
 
 
 def virtual_nodes(graph, assignment, E, rng, count=12):
@@ -229,8 +229,7 @@ def test_pool_no_larger_than_m_matches_reference(seed):
     graph = Graph.from_pairs(8, [(0, 1), (0, 2), (3, 4)])
     E = DecoupledEmbeddings.from_arrays(rng.normal(size=(8, 3)),
                                         rng.normal(size=(8, 2)))
-    a = Assignment(R=np.eye(2)[[0, 0, 0, 0, 1, 1, 1, 1]] * 0.8 + 0.1,
-                   relevant=np.ones(8, dtype=bool))
+    a = Assignment(R=np.eye(2)[[0, 0, 0, 0, 1, 1, 1, 1]] * 0.8 + 0.1)
     virt = synthesize_virtual_node(0, a, E, 0.5, rng)
     for m, pool_factor in [(5, 10), (7, 1), (2, 2)]:
         new_rng, ref_rng = pair_rngs(seed)
@@ -363,7 +362,7 @@ def noisy_assignment(labels, rng):
     K = labels.max() + 1
     R = np.exp(np.eye(K)[labels] * 2.0 + rng.normal(size=(len(labels), K)))
     R /= R.sum(axis=1, keepdims=True)
-    return Assignment(R=R, relevant=np.ones(len(labels), dtype=bool))
+    return Assignment(R=R)
 
 
 def ragged_fixture():
@@ -395,8 +394,7 @@ def underflow_batch_fixture():
     hd = np.where(labels == 1, -40.0, 20.0)[:, None]
     ho = np.where(labels == 0, -40.0, 20.0)[:, None]
     E = DecoupledEmbeddings.from_arrays(hd, ho)
-    a = Assignment(R=np.eye(4)[labels] * 0.7 + 0.075,
-                   relevant=np.ones(40, dtype=bool))
+    a = Assignment(R=np.eye(4)[labels] * 0.7 + 0.075)
     return graph, E, a
 
 

@@ -24,8 +24,7 @@ from mecole.training import load_dataset
 PATH = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
 PAIR = Graph.from_pairs(2, [(0, 1)])  # each node's neighbourhood is full
 E = DecoupledEmbeddings.from_arrays(np.ones((4, 2)), np.ones((4, 2)))
-TWO_CLASSES = Assignment(R=np.array([[0.9, 0.1]] * 2 + [[0.1, 0.9]] * 2),
-                         relevant=np.ones(4, dtype=bool))
+TWO_CLASSES = Assignment(R=np.array([[0.9, 0.1]] * 2 + [[0.1, 0.9]] * 2))
 
 
 def rng():
@@ -125,14 +124,11 @@ CASES = {
         lambda: draw_virtual_node(0, TWO_CLASSES, 2, 1e-9, rng()),
         ConfigError, "p_ce=1e-09 is too small for dim_d=2"),
     "assignment_one_class": (
-        lambda: Assignment(R=np.ones((4, 1)), relevant=np.ones(4, bool)),
+        lambda: Assignment(R=np.ones((4, 1))),
         DataError, "K >= 2"),
     "assignment_entry_outside_unit": (
-        lambda: Assignment(R=[[1.5, -0.5]], relevant=[True]),
+        lambda: Assignment(R=[[1.5, -0.5]]),
         DataError, r"entries must lie in \[0, 1\]"),
-    "assignment_relevant_shape": (
-        lambda: Assignment(R=TWO_CLASSES.R, relevant=np.ones(3, bool)),
-        DataError, "one entry per node"),
     "modularity_short_labels": (lambda: modularity(PATH, [0, 1]),
                                 DataError, "labels must cover all nodes"),
     "config_eta_sim_above_one": (
@@ -195,8 +191,7 @@ def test_rewire_returns_the_graph_for_zero_width_ho():
 
 
 def test_build_batches_is_empty_with_one_class():
-    one_class = Assignment(R=np.tile([0.9, 0.1], (4, 1)),
-                           relevant=np.ones(4, dtype=bool))
+    one_class = Assignment(R=np.tile([0.9, 0.1], (4, 1)))
     cfg = ExperimentConfig(per_class_anchors=4)
     assert _build_batches(cfg, one_class, E, PATH, 0.5, rng()) == []
 
@@ -216,8 +211,7 @@ def test_build_batches_gives_no_batch_to_an_anchor_whose_rows_underflow(
         np.repeat([[20.0], [-40.0]], 3, axis=0),
         np.array([[-40.0]] + [[20.0]] * 5))
     labels = np.repeat([0, 1], 3)
-    a = Assignment(R=np.eye(2)[labels] * 0.8 + 0.1,
-                   relevant=np.ones(6, dtype=bool))
+    a = Assignment(R=np.eye(2)[labels] * 0.8 + 0.1)
     monkeypatch.setattr(ct, "sample_anchors", lambda *args: [0, 1])
     cfg = ExperimentConfig(dim_d=1, virtual_per_anchor=2)
     batches = _build_batches(cfg, a, flat, graph, 0.5, rng())
