@@ -13,10 +13,12 @@ backward closure once it has passed its gradient on, so each forward array
 is freed when the last node that reads it is done, and a later
 ``backward`` whose tape reaches such a node raises ``RuntimeError``
 (leaves stay reusable). Sparse adjacency matrices enter only as constants,
-via ``spmm`` and ``gcn``. ``gcn`` is one node for the whole two-layer
-encoder, whose output layer applies W2 before Â; its backward is written
-out by hand with the operations of the composite it replaced, in the order
-the tape ran them, so its gradients keep their bits.
+via ``spmm`` and ``gcn``. ``gcn_arrays`` is the one two-layer GCN, whose
+output layer applies W2 before Â, on plain arrays in their dtype: the
+encoders run it as the ``gcn`` tape node, and the modularity init in
+float32. Its backward is written out by hand with the operations of the
+composite it replaced, in the order the tape ran them, so its gradients
+keep their bits.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "Adam",
     "normalize_adjacency",
     "glorot",
+    "gcn_arrays",
     "gcn",
 ]
 
@@ -453,22 +456,28 @@ def glorot(rng, rows, cols):
     return parameter(rng.uniform(-scale, scale, size=(rows, cols)))
 
 
-def _propagate(a_hats, h, s):
-    """`sum_c s[c] Â_c h` and the products `Â_c h`; one channel's sum is
-    its product. The terms are scaled and added in channel order, as the
-    tape's `mul` and `add` nodes did."""
-    parts = [a @ h for a in a_hats]
+def _mix(parts, s):
+    """`sum_c s[c] parts[c]`; one channel's sum is its part. The terms are
+    scaled and added in channel order, as the tape's `mul` and `add` nodes
+    did."""
     if len(parts) == 1:
-        return parts[0], parts
+        return parts[0]
     out = parts[0] * s[:, :1]
     for c in range(1, len(parts)):
         out += parts[c] * s[:, c:c + 1]
-    return out, parts
+    return out
+
+
+def _propagate(a_hats, h, s):
+    """`sum_c s[c] Â_c h` and the products `Â_c h`."""
+    parts = [a @ h for a in a_hats]
+    return _mix(parts, s), parts
 
 
 def _propagate_back(a_hats, g, s, parts, need_h, need_s):
     """Gradients of `_propagate`'s `h` and of its 1 x C weights `s`, given
-    the sum's gradient `g` (None where not needed). The tape reached the
+    the sum's gradient `g` (None where not needed). Â is symmetric only up
+    to rounding on weighted graphs, so this takes Âᵀ. The tape reached the
     channels last first: it added each `Âᵀ_c (g s[c])` into the sum of the
     ones before, and put each `sum(g * Â_c h)` into `s`'s gradient, whose
     other entries it left zero."""
@@ -487,58 +496,74 @@ def _propagate_back(a_hats, g, s, parts, need_h, need_s):
     return g_h, g_s
 
 
-def gcn(a_hats, X, w1, w2, mix=None):
-    """Two-layer GCN (Kipf & Welling, ICLR 2017): A tanh(A X W1) W2, as one
-    tape node; W2 acts before A, so the output layer's sparse products are
-    output-wide, not hidden-wide.
+def gcn_arrays(a_hats, xs, w1, w2, mix, error):
+    """Two-layer GCN (Kipf & Welling, ICLR 2017) A tanh(A X W1) W2 on plain
+    arrays, in the dtype of the CSR matrices `a_hats`, to which W1's and
+    W2's values are cast; W2 acts before A, so the output layer's sparse
+    products are output-wide. With several channels A is their sum weighted
+    by softmax(mix), else `mix` is None. `xs` holds each channel's A_c X,
+    or is None for identity features, which make `w1` a free per-node
+    embedding. A non-finite first-layer pre-activation, which tanh would
+    hide, raises `NumericError(error)`.
 
-    With several adjacency channels, A is their sum weighted by softmax(mix).
-    With X=None the first layer acts on implicit identity features, so `w1`
-    is a free per-node embedding. `X` is an array or a constant tensor.
-
-    The forward runs the NumPy and SciPy operations of the composite of
-    `spmm`, `mul`, `add`, `matmul` and `tanh` nodes this replaced, and the
-    backward is theirs written out by hand, in the tape's order, so values
-    and gradients keep their bits. Besides the output, the node keeps H1 =
-    tanh(...), written over its pre-activation, with X also A X, and for
-    the mix's gradient each channel's A_c (H1 W2) and A_c X or A_c W1.
+    Returns the output and its backward, which maps the output's gradient
+    to `(parameter, gradient)` pairs for those of `w1`, `w2` and `mix` that
+    require one. Both run the NumPy and SciPy operations of the `spmm`,
+    `mul`, `add`, `matmul` and `tanh` nodes this replaced, in the tape's
+    order, so float64 values and gradients keep their bits. The backward
+    keeps H1 = tanh(...), written over its pre-activation, with X also A X,
+    and for the mix's gradient each A_c (H1 W2) and A_c X or A_c W1.
     """
-    a_hats = [_csr(a) for a in a_hats]
-    w1, w2 = _as_tensor(w1), _as_tensor(w2)
-    mix = _as_tensor(mix) if len(a_hats) > 1 else None
+    dt = a_hats[0].dtype
+    w1_v, w2_v = (w.values.astype(dt, copy=False) for w in (w1, w2))
     s = None if mix is None else softmax_array(mix.values)
-    if X is None:
-        z1, parts1 = _propagate(a_hats, w1.values, s)
+    if xs is None:
+        z1, parts1 = _propagate(a_hats, w1_v, s)
     else:
-        x1, parts1 = _propagate(a_hats, X.values if isinstance(X, Tensor)
-                                else np.asarray(X, dtype=np.float64), s)
-        z1 = x1 @ w1.values
-    _check_finite(z1, "gcn")  # tanh would hide an overflow
+        x1, parts1 = _mix(xs, s), xs
+        z1 = x1 @ w1_v
+    if not np.isfinite(z1).all():
+        raise NumericError(error)
     h1 = np.tanh(z1, out=z1)
-    out, parts2 = _propagate(a_hats, h1 @ w2.values, s)
-    params = (w1, w2) if mix is None else (w1, w2, mix)
+    out, parts2 = _propagate(a_hats, h1 @ w2_v, s)
     need_s = mix is not None and mix.requires_grad
 
     def bwd(g):
         g_y, g_s2 = _propagate_back(a_hats, g, s, parts2, True, need_s)
         del g
         g_w2 = h1.T @ g_y if w2.requires_grad else None
-        g_h1 = g_y @ w2.values.T
+        g_h1 = g_y @ w2_v.T
         del g_y
         g_z1 = _tanh_back(h1, g_h1, out=h1)  # h1 is spent
         del g_h1
-        if X is None:
+        if xs is None:
             g_w1, g_s1 = _propagate_back(a_hats, g_z1, s, parts1,
                                          w1.requires_grad, need_s)
         else:
             g_w1 = x1.T @ g_z1 if w1.requires_grad else None
-            g_s1 = _propagate_back(a_hats, g_z1 @ w1.values.T, s, parts1,
+            g_s1 = _propagate_back(a_hats, g_z1 @ w1_v.T, s, parts1,
                                    False, True)[1] if need_s else None
         grads = ((w1, g_w1), (w2, g_w2))
         if need_s:
             grads += ((mix, _softmax_back(s, g_s2) + _softmax_back(s, g_s1)),)
         return tuple((t, pg) for t, pg in grads if t.requires_grad)
 
+    return out, bwd
+
+
+def gcn(a_hats, X, w1, w2, mix=None):
+    """`gcn_arrays` as one tape node, in float64: X, an array or a constant
+    tensor, is propagated here, and the node's backward is the one
+    `gcn_arrays` returns."""
+    a_hats = [_csr(a) for a in a_hats]
+    w1, w2 = _as_tensor(w1), _as_tensor(w2)
+    mix = _as_tensor(mix) if len(a_hats) > 1 else None
+    x = X.values if isinstance(X, Tensor) else X
+    xs = None if X is None else [a @ np.asarray(x, dtype=np.float64)
+                                 for a in a_hats]
+    out, bwd = gcn_arrays(a_hats, xs, w1, w2, mix,
+                          "non-finite values produced by 'gcn'")
+    params = (w1, w2) if mix is None else (w1, w2, mix)
     return _make(out, params, bwd, "gcn")
 
 

@@ -86,10 +86,6 @@ class Assignment:
             pool.flags.writeable = False
         return pools
 
-    def members(self, k):
-        """Ascending ids of the nodes whose hard label is k."""
-        return self.classes[k]
-
 
 def modularity(graph, labels):
     """Newman modularity of a hard labeling (per-cluster aggregate form)."""
@@ -144,20 +140,16 @@ def init_assignments(graph, X, cfg):
     """Soft assignments from a GCN trained on soft modularity plus a
     collapse regularizer.
 
-    The GCN is C = softmax(Â (tanh(P W1) W2)) with P = Â X, computed once;
-    with X=None, P = Â, so W1 is a free per-node embedding propagated
-    through the adjacency. W2 acts before Â, as in `autodiff.gcn`, so the
-    output layer's sparse products are K columns wide, not hidden. Each
-    epoch sets `w1.grad` and `w2.grad` to the gradient of `init_objective`
-    at C, written out by hand with the tape's NumPy operations in the
-    tape's order. The n x hidden buffers are allocated once, here.
-
-    It computes in `INIT_DTYPE` (float32) with float64 master weights, as in
-    mixed-precision training (Micikevicius et al., ICLR 2018): the graph
-    arrays, the scalar factors and the buffers are cast once, each epoch
-    casts W1 and W2 down and their gradients back up, and Adam steps in
-    float64. The returned `R` is float64. At `INIT_DTYPE = np.float64` the
-    gradient equals what `backward()` would give, bit for bit.
+    C = softmax(`autodiff.gcn_arrays`), with Â X computed once; with
+    X=None, W1 is a free per-node embedding. Each epoch writes out by hand
+    only dL/dC, the gradient of `init_objective` at C, with the tape's NumPy
+    operations in the tape's order, and the GCN's backward takes it to W1
+    and W2. It computes in `INIT_DTYPE` (float32) with float64 master
+    weights, as in mixed-precision training (Micikevicius et al., ICLR
+    2018): the graph arrays and scalar factors are cast once, the GCN casts
+    W1 and W2 down, their gradients are cast up, and Adam steps in float64.
+    `R` is float64. At `INIT_DTYPE = np.float64` the gradient equals what
+    `backward()` would give, bit for bit.
 
     Of the run's `ExperimentConfig` it reads `K`, `init_epochs`, `init_lr`,
     `collapse_weight`, `hidden` and `seed`, which the config has checked.
@@ -167,39 +159,25 @@ def init_assignments(graph, X, cfg):
     dt = INIT_DTYPE
     n, K, collapse_weight = graph.n, cfg.K, dt(cfg.collapse_weight)
     rng = np.random.default_rng(cfg.seed)
-    a_hat64 = ad.normalize_adjacency(graph)
-    a_hat = a_hat64.astype(dt, copy=False)
-    P = a_hat if X is None else (a_hat64 @ X).astype(dt, copy=False)
-    # Â is symmetric only up to rounding on weighted graphs: keep Âᵀ
-    a_hat_t = a_hat.T
-    w1 = ad.glorot(rng, P.shape[1], cfg.hidden)
+    a_hat = ad.normalize_adjacency(graph)
+    a_hats = [a_hat.astype(dt, copy=False)]
+    xs = None if X is None else [(a_hat @ X).astype(dt, copy=False)]
+    w1 = ad.glorot(rng, n if X is None else X.shape[1], cfg.hidden)
     w2 = ad.glorot(rng, cfg.hidden, K)
     opt = ad.Adam([w1, w2], lr=cfg.init_lr)
     A = graph.adjacency.astype(dt, copy=False)
     deg_row = graph.weighted_degrees[None, :].astype(dt, copy=False)
     two_m = dt(2.0 * graph.w.sum())
     collapse_scale = dt(np.sqrt(K) / n)
-    z1, h1, g_h1 = (np.empty((n, cfg.hidden), dtype=dt) for _ in range(3))
-    finite = np.empty(z1.shape, dtype=bool)
 
-    def low(w):
-        """A float64 master weight's values in the compute dtype."""
-        return w.values.astype(dt, copy=False)
-
-    def forward(w1_lo, w2_lo):
-        if X is None:  # a sparse product takes no `out`
-            z1[...] = P @ w1_lo
-        else:
-            np.matmul(P, w1_lo, out=z1)
-        # tanh would hide an overflow here, which the tape reported
-        if not np.isfinite(z1, out=finite).all():
-            raise NumericError("modularity init diverged (non-finite layer)")
-        np.tanh(z1, out=h1)
-        return ad.softmax_array(a_hat @ (h1 @ w2_lo))
+    def forward():  # C and the GCN's backward
+        out, backward = ad.gcn_arrays(
+            a_hats, xs, w1, w2, None,
+            "modularity init diverged (non-finite layer)")
+        return ad.softmax_array(out), backward
 
     for _ in range(cfg.init_epochs):
-        w2_lo = low(w2)
-        C = forward(low(w1), w2_lo)
+        C, backward = forward()
         ac = A @ C
         dc = deg_row @ C
         col = C.sum(axis=0, keepdims=True)
@@ -219,15 +197,11 @@ def init_assignments(graph, X, cfg):
         g_c = g_col + g_col + deg_row.T @ (g_dc + g_dc)
         g_c += g_trace * ac
         g_c += A @ (g_trace * C)
-        g_z2 = a_hat_t @ ad._softmax_back(C, g_c)
         # Adam's state and the master weights stay float64
-        w2.grad = (h1.T @ g_z2).astype(np.float64, copy=False)
-        np.matmul(g_z2, w2_lo.T, out=g_h1)
-        # z1 is spent once h1 is taken: it holds tanh's gradient
-        w1.grad = (P.T @ ad._tanh_back(h1, g_h1, out=z1)).astype(
-            np.float64, copy=False)
+        for w, g in backward(ad._softmax_back(C, g_c)):
+            w.grad = g.astype(np.float64, copy=False)
         opt.step()
-    R = forward(low(w1), low(w2))
+    R = forward()[0]
     if not np.isfinite(R).all():
         raise NumericError("modularity init diverged (non-finite assignment)")
     return Assignment(R=R)

@@ -123,6 +123,10 @@ class ExperimentConfig:
         if self.knn_k > 0 and not self.uses_sbm and not self.feature_path:
             raise ConfigError(f"knn_k={self.knn_k} needs a feature_path: a "
                               "file run builds its k-NN graph from features")
+        if bool(self.bags_path) != bool(self.vocab_path):
+            only = "bags_path" if self.bags_path else "vocab_path"
+            raise ConfigError(f"{only} is set alone: the key-attribute "
+                              "channel needs both bags_path and vocab_path")
 
     @property
     def uses_sbm(self):

@@ -98,7 +98,7 @@ def _boundary_weights(r):
 
 def anchor_weights(assignment, k):
     """Closed-form selection weights for class k (exposed for tests)."""
-    members = assignment.members(k)
+    members = assignment.classes[k]
     return members, _boundary_weights(assignment.R[members, k])
 
 

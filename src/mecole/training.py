@@ -52,10 +52,6 @@ def sbm_config(cfg: ExperimentConfig):
 
 def load_dataset(cfg: ExperimentConfig):
     """Materialize the graph bundle, features, and labels for a run."""
-    if bool(cfg.bags_path) != bool(cfg.vocab_path):
-        only = "bags_path" if cfg.bags_path else "vocab_path"
-        raise DataError(f"{only} is set alone: the key-attribute channel "
-                        "needs both bags_path and vocab_path")
     if cfg.uses_sbm:
         graph, X, labels = generate_sbm(sbm_config(cfg))
     else:

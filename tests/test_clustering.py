@@ -98,9 +98,8 @@ def test_assignment_classes_are_the_hard_label_members():
                   [0.3, 0.3, 0.4]])
     a = Assignment(R=R)
     assert [c.tolist() for c in a.classes] == [[0, 2], [], [1, 3]]
-    # built once per assignment, and what `members` reads
+    # built once per assignment
     assert a.classes is a.classes
-    assert all(a.members(k) is a.classes[k] for k in range(3))
     for members in a.classes[0], a.classes[2]:
         with pytest.raises(ValueError, match="read-only"):
             members[0] = members[-1]

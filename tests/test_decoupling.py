@@ -243,8 +243,7 @@ def test_discrepancy_homogeneity(metric, rng):
 
 def ref_discrepancy_loss(E, assignment, metric, pairs, rng):
     """`discrepancy_loss` as it was with two scalar draws per pair."""
-    groups = [assignment.members(k) for k in range(assignment.K)]
-    nonempty = [g for g in groups if g.size > 0]
+    nonempty = [g for g in assignment.classes if g.size > 0]
     class_pairs = [(i, j) for i in range(len(nonempty))
                    for j in range(i + 1, len(nonempty))]
     idx = rng.integers(len(class_pairs), size=pairs)

@@ -213,11 +213,11 @@ def test_load_dataset_files_and_aux(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["bags_path", "vocab_path"])
-def test_load_dataset_bags_or_vocab_alone_is_data_error(tmp_path, key):
+def test_load_dataset_bags_or_vocab_alone_is_config_error(tmp_path, key):
     (tmp_path / "bags.txt").write_text("".join(f"{i}\n" for i in range(30)))
     np.savetxt(tmp_path / "vocab.txt", np.eye(30))
     path = tmp_path / ("bags.txt" if key == "bags_path" else "vocab.txt")
-    with pytest.raises(DataError, match=f"{key} is set alone"):
+    with pytest.raises(ConfigError, match=f"{key} is set alone"):
         load_dataset(fast_cfg(**{key: str(path)}))
 
 
@@ -229,11 +229,10 @@ def test_load_dataset_checks_bags_and_vocab_before_reading_a_file(
     monkeypatch.setattr(training, "load_edge_list", fail)
     monkeypatch.setattr(training, "load_features", fail)
     monkeypatch.setattr(training, "build_knn_similarity_graph", fail)
-    cfg = ExperimentConfig(edge_path="edges.txt", feature_path="feat.csv",
-                           aux_edge_path="aux.txt", knn_k=1,
-                           bags_path="bags.txt")
-    with pytest.raises(DataError, match="bags_path is set alone"):
-        load_dataset(cfg)
+    with pytest.raises(ConfigError, match="bags_path is set alone"):
+        load_dataset(ExperimentConfig(
+            edge_path="edges.txt", feature_path="feat.csv",
+            aux_edge_path="aux.txt", knn_k=1, bags_path="bags.txt"))
 
 
 def test_load_dataset_label_count_mismatch(tmp_path):
@@ -584,6 +583,11 @@ def test_cli_ablate_count_below_one_is_config_error(tmp_path, capsys, key):
     # without features a file run has no k-NN graph G_X to build or drop
     (["edge_path=edges.txt", "knn_k=3"], 1,
      "knn_k=3 needs a feature_path"),
+    # a cell would fail to load its dataset; the grid fails before any cell
+    (["sbm_blocks=2", "sbm_block_size=20", "bags_path=x"], 1,
+     "bags_path is set alone"),
+    (["sbm_blocks=2", "sbm_block_size=20", "vocab_path=x"], 1,
+     "vocab_path is set alone"),
 ])
 def test_cli_ablate_bad_sbm_config_fails_the_run(tmp_path, capsys, sets,
                                                  code, message):
@@ -714,15 +718,15 @@ def test_cli_missing_input_file_is_data_error(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("key", ["bags_path", "vocab_path"])
-def test_cli_bags_or_vocab_alone_is_data_error(tmp_path, capsys, key):
+def test_cli_bags_or_vocab_alone_is_config_error(tmp_path, capsys, key):
     (tmp_path / "bags.txt").write_text("".join(f"{i}\n" for i in range(30)))
     np.savetxt(tmp_path / "vocab.txt", np.eye(30))
     path = tmp_path / ("bags.txt" if key == "bags_path" else "vocab.txt")
     rc = cli_main(["train"] + sbm_args(tmp_path / "run",
                                        extra=["--set", f"{key}={path}"]))
     err = capsys.readouterr().err
-    assert rc == 2
-    assert f"data error: {key} is set alone" in err
+    assert rc == 1
+    assert f"config error: {key} is set alone" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "metrics.json").exists()
 

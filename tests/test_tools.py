@@ -1,9 +1,9 @@
 """The tools: `tools/effects.py`'s summary and paired comparison, without
 any training, and on one seed of `ablate_files`, `tools/linetrace.py`'s
 listing, without any tracing, `tools/fingerprint.py` on one seed of an
-acceptance fixture and of the bag workload, the tools' copies of the tests'
-fixtures, and the benchmark's tracer (`perfbench/tracing.py`) around one
-small training."""
+acceptance fixture, of the bag workload and of the featureless workload,
+the tools' copies of the tests' fixtures, and the benchmark's tracer
+(`perfbench/tracing.py`) around one small training."""
 
 import ast
 import hashlib
@@ -17,9 +17,10 @@ import pytest
 
 import numpy as np
 
-from mecole import training
+from mecole import autodiff, training
 from mecole.config import ExperimentConfig
-from mecole.graphs import load_attribute_bags, load_vocabulary
+from mecole.graphs import GraphBundle, SBMConfig, generate_sbm, \
+    load_attribute_bags, load_vocabulary
 from mecole.training import run_ablation_grid, run_training, sparse_eval
 
 TESTS = Path(__file__).parent
@@ -233,6 +234,32 @@ def test_fingerprint_digests_the_bag_workload(monkeypatch, capsys,
     for report in reports:
         digest.update(report.final_assignment.R.tobytes())
         digest.update(repr(report.epoch_losses).encode())
+    assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
+
+
+def test_fingerprint_digests_the_featureless_workload(monkeypatch, capsys):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    fingerprint = load_tool("fingerprint")
+    gcn_arrays, calls = autodiff.gcn_arrays, set()
+
+    def recording(a_hats, xs, w1, w2, mix, error):
+        calls.add((error, xs is None))
+        return gcn_arrays(a_hats, xs, w1, w2, mix, error)
+
+    monkeypatch.setattr(autodiff, "gcn_arrays", recording)
+    assert fingerprint.main(["--workload", "featureless", "--seeds", "0"]) == 0
+    # the init's GCN and the encoders' both take the identity-feature branch
+    assert calls == {("modularity init diverged (non-finite layer)", True),
+                     ("non-finite values produced by 'gcn'", True)}
+    # seed 0 of sbm1600's graph without its features, default config
+    graph, _, labels = generate_sbm(SBMConfig(
+        blocks=4, block_sizes=(400,) * 4, p_in=0.025, p_out=0.0025, seed=0))
+    report = run_training(ExperimentConfig(K=4, seed=0), training.Dataset(
+        bundle=GraphBundle(primary=graph), X=None, labels=labels))
+    digest = hashlib.sha256(report.final_assignment.R.tobytes())
+    digest.update(repr(report.epoch_losses).encode())
     assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
 
 

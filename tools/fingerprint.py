@@ -5,22 +5,25 @@ change leaves every output byte as it was.
     python3 tools/fingerprint.py --workload all --seeds 0-9
     python3 tools/fingerprint.py --workload criterion5 --seeds 0-4
     python3 tools/fingerprint.py --workload bags --seeds 0-4
+    python3 tools/fingerprint.py --workload featureless --seeds 0-2
 
 Builds each seed's inputs through perfbench/workloads.py, runs the
 workload's operation once with one BLAS thread on this checkout's src/,
 and prints one line per seed: the seed and a SHA-256. `--workload all`
 prints `workload seed sha256` lines for sbm1600 and cora_shape over the
-given seeds, and for ablate_files over the first three of them. The
+given seeds, and for ablate_files and featureless over the first three
+of them. `featureless` trains on one seed's sbm1600 graph with X=None and
+the default config, so both GCNs take their identity-feature branch. The
 acceptance fixtures `criterion5`, `criterion6` and `cora_third` are built
 as tools/effects.py builds them and trained once with their default
 config. `bags` writes a seeded 3 x 40 planted partition to edge, feature
 and label files, with a bag file and a 30 x 8 vocabulary, then trains on
 them with `knn_k=3` and runs `sparse_eval` with fraction 0.3. For these
-and for sbm1600 and cora_shape it digests the final soft assignment `R`'s
-bytes followed by the repr of the report's `epoch_losses`, for `bags` of
-both reports; for ablate_files, the name and bytes of every file the grid
-writes except the metrics JSONs, which hold wall-clock times. Run it at
-two commits and compare the output.
+and for sbm1600, cora_shape and featureless it digests the final soft
+assignment `R`'s bytes followed by the repr of the report's
+`epoch_losses`, for `bags` of both reports; for ablate_files, the name
+and bytes of every file the grid writes except the metrics JSONs, which
+hold wall-clock times. Run it at two commits and compare the output.
 """
 
 import os
@@ -30,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -104,9 +108,13 @@ def fingerprint(name, seed, out_dir):
 
         dataset, cfg = effects.dataset_and_config(name, seed)
         return digest_report(run_training(cfg, dataset))
-    workload = WORKLOADS[name](name, seed, out_dir)
-    workload.prepare()
-    result = workload.run(workload.setup())
+    if name == "featureless":
+        workload = WORKLOADS["sbm1600"]("sbm1600", seed, out_dir)
+        result = workload.run(dataclasses.replace(workload.setup(), X=None))
+    else:
+        workload = WORKLOADS[name](name, seed, out_dir)
+        workload.prepare()
+        result = workload.run(workload.setup())
     digest = hashlib.sha256()
     if name == "ablate_files":
         if result != 0:
@@ -137,14 +145,16 @@ def digest_report(*reports):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True,
-                   choices=sorted(WORKLOADS) + FIXTURES + ["bags", "all"])
+                   choices=sorted(WORKLOADS) + FIXTURES
+                   + ["bags", "featureless", "all"])
     p.add_argument("--seeds", required=True, type=parse_seeds,
                    help="one seed N or an inclusive range A-B")
     args = p.parse_args(argv)
     if args.workload == "all":
         runs = [(name, seed) for name in ("sbm1600", "cora_shape")
                 for seed in args.seeds]
-        runs += [("ablate_files", seed) for seed in args.seeds[:3]]
+        runs += [(name, seed) for name in ("ablate_files", "featureless")
+                 for seed in args.seeds[:3]]
     else:
         runs = [(args.workload, seed) for seed in args.seeds]
     for name, seed in runs:
