@@ -37,7 +37,7 @@ class Assignment:
 
     `R` is a read-only copy of what was passed in, so one assignment can be
     shared (the ablation grid's init) without a holder changing it under
-    another.
+    another; an unpickled copy's is read-only too.
     """
 
     R: np.ndarray       # (n, K), rows on the simplex
@@ -52,6 +52,11 @@ class Assignment:
             raise DataError("assignment rows must sum to 1")
         R.flags.writeable = False
         object.__setattr__(self, "R", R)
+
+    def __reduce__(self):
+        # rebuilt through __init__ (an ablation cell's report comes back
+        # from its worker pickled), so `R` is read-only again
+        return Assignment, (self.R,)
 
     @property
     def n(self):

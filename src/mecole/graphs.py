@@ -245,12 +245,13 @@ def _data_lines(path, blank=False):
 
 
 def _parse(path, numbered, split, convert, dtype, parse_error, width=None,
-           width_error=None, sign_error=None, count=None):
+           width_error=None, sign_error=None, count=None, widths=None):
     """`convert` (Python's own `int` or `float`) of each token that `split`
     makes of the `numbered` data lines, as one array of `dtype`, with no
     list of values built. Each line is split once, and its width noted as
-    its tokens stream in: `width`, or with none the first line's. Lines
-    that need no such check pass `count`, their number of tokens.
+    its tokens stream in: into the list `widths` when one is given, with
+    no check, or else checked against `width`, or with none the first
+    line's. Lines that need neither pass `count`, their number of tokens.
 
     On a failure the lines are walked in file order, and the first whose
     `width`, parse or (with `sign_error`) sign check fails, in that order,
@@ -259,20 +260,26 @@ def _parse(path, numbered, split, convert, dtype, parse_error, width=None,
     fails, some value is beyond `dtype`: the values come back as an object
     array of Python numbers."""
     lines = [line for _, line in numbered]
-    row, widths = None, []
-    if count is None:
-        row = width if width is not None else \
-            len(split(lines[0])) if lines else 0
-        count = row * len(lines)
+    noting, row = count is None, None
+    if widths is None:
+        widths = []
+        if noting:
+            row = width if width is not None else \
+                len(split(lines[0])) if lines else 0
+            count = row * len(lines)
 
     def noted(line):
         tokens = split(line)
         widths.append(len(tokens))
         return tokens
 
-    try:  # -1, not 0: a first line of no token must not stop the noting
-        values = np.fromiter(map(convert, chain.from_iterable(map(
-            split if row is None else noted, lines))), dtype, count or -1)
+    def values_as(kind):
+        # -1, not 0: a first line of no token must not stop the noting
+        return np.fromiter(map(convert, chain.from_iterable(map(
+            noted if noting else split, lines))), kind, count or -1)
+
+    try:
+        values = values_as(dtype)
     except (ValueError, OverflowError):
         values = None
     # a line too wide fills the array before every width is noted
@@ -295,8 +302,8 @@ def _parse(path, numbered, split, convert, dtype, parse_error, width=None,
         raise DataError(f"{path}:{lineno}: " + problem.format(line=line))
     if row is not None and any(len(split(line)) != row for line in lines):
         raise DataError(f"{path}: {width_error}")
-    return np.fromiter(map(convert, chain.from_iterable(map(split, lines))),
-                       object, count)
+    widths.clear()  # the failed pass stopped partway
+    return values_as(object)
 
 
 # every per-node array is dense, so a node id is a memory size: the cap
@@ -369,10 +376,9 @@ def load_labels(path):
 def load_attribute_bags(path):
     """Per-node token ids as CSR rows `(indptr, tokens)`: each line lists
     one node's ids, and a blank line is a node with none."""
-    numbered = _data_lines(path, blank=True)
-    sizes = [len(line.split()) for _, line in numbered]
-    tokens = _parse(path, numbered, str.split, int, np.int64,
-                    "non-integer token id", count=sum(sizes))
+    sizes = []
+    tokens = _parse(path, _data_lines(path, blank=True), str.split, int,
+                    np.int64, "non-integer token id", widths=sizes)
     return np.cumsum([0, *sizes]), tokens
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import multiprocessing as mp
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -274,6 +276,9 @@ def run_ablation_grid(cfg: ExperimentConfig):
     the init and `G_M` read. Only successes are kept, so a cell whose
     load, init or `G_M` fails records the error and the next cell that
     needs it tries again.
+
+    Those inputs are prepared here, in cell order; the cells then train
+    in parallel (`_train_cells`). Reports come back in cell order.
     """
     cells = [("baseline", cfg)]
     for flag in ABLATION_FLAGS:
@@ -290,8 +295,8 @@ def run_ablation_grid(cfg: ExperimentConfig):
     if cfg.uses_sbm:
         sbm_config(cfg)  # a bad synthetic config fails the run, not each cell
     datasets, init, key_channel = {}, None, None
-    reports = []
-    for name, cell_cfg in cells:
+    reports, slots, jobs = [None] * len(cells), [], []
+    for slot, (name, cell_cfg) in enumerate(cells):
         try:
             data_key = (cell_cfg.drop_gv, cell_cfg.drop_gx)
             if data_key not in datasets:
@@ -306,15 +311,54 @@ def run_ablation_grid(cfg: ExperimentConfig):
                 bundle = dataset.bundle
                 dataset = replace(dataset, bags=None, bundle=GraphBundle(
                     bundle.primary, {**bundle.auxiliary, **key_channel}))
-            reports.append(run_training(cell_cfg, dataset, variant=name,
-                                        init=init))
         except MecoleError as exc:
-            logger.warning("ablation cell '%s' failed: %s", name, exc)
-            failed = MetricsReport(seed=cell_cfg.seed,
-                                   config=cell_cfg.to_dict(), variant=name,
-                                   error=str(exc))
-            reports.append(failed)
+            reports[slot] = _failed_cell(name, cell_cfg, exc)
+        else:
+            slots.append(slot)
+            jobs.append((name, cell_cfg, dataset, init))
+    for slot, report in zip(slots, _train_cells(jobs)):
+        reports[slot] = report
     return reports
+
+
+def _failed_cell(name, cell_cfg, exc):
+    logger.warning("ablation cell '%s' failed: %s", name, exc)
+    return MetricsReport(seed=cell_cfg.seed, config=cell_cfg.to_dict(),
+                         variant=name, error=str(exc))
+
+
+# the prepared cells of the grid being trained, one grid at a time; forked
+# workers inherit them, so only an index goes to a worker and only its
+# report comes back
+_grid_jobs = []
+
+
+def _train_cell(index):
+    """`run_training` on prepared cell `index`; a `MecoleError` becomes the
+    cell's failed report, and any other exception reaches the caller."""
+    name, cell_cfg, dataset, init = _grid_jobs[index]
+    try:
+        return run_training(cell_cfg, dataset, variant=name, init=init)
+    except MecoleError as exc:
+        return _failed_cell(name, cell_cfg, exc)
+
+
+def _train_cells(jobs):
+    """The reports of `_train_cell` over `jobs`, in order, from one forked
+    worker process per usable CPU, up to one per job. With one worker, or
+    without CPU affinity (macOS; Windows, which has no `fork` either), the
+    cells train here, one after another. A worker that dies raises
+    `BrokenProcessPool`."""
+    workers = min(len(jobs), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else 1)
+    _grid_jobs[:] = jobs
+    try:
+        if workers <= 1:
+            return list(map(_train_cell, range(len(jobs))))
+        with ProcessPoolExecutor(workers, mp.get_context("fork")) as pool:
+            return list(pool.map(_train_cell, range(len(jobs))))
+    finally:
+        _grid_jobs.clear()
 
 
 def write_grid_csv(path, reports):

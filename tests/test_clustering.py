@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ def test_assignment_arrays_are_read_only_copies():
     # the caller's array stays writable and is not aliased
     R[0] = [0.5, 0.5]
     assert a.R[0].tolist() == [0.9, 0.1]
+    # so is an unpickled copy, as an ablation cell's worker returns it, and
+    # the cached classes are not sent
+    assert len(a.classes) == 2
+    b = pickle.loads(pickle.dumps(a))
+    assert b.R.tobytes() == a.R.tobytes() and "classes" not in vars(b)
+    with pytest.raises(ValueError, match="read-only"):
+        b.R[0] = b.R[1]
 
 
 # init ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +18,7 @@ from mecole.cli import main as cli_main
 from mecole.clustering import Assignment
 from mecole.config import ExperimentConfig, apply_overrides, \
     parse_config_file
-from mecole.errors import ConfigError, DataError
+from mecole.errors import ConfigError, DataError, NumericError
 from mecole.metrics import MetricsReport, clustering_accuracy, nmi
 from mecole.training import ABLATION_FLAGS, export_assignments, \
     load_dataset, run_ablation_grid, run_training, sparse_eval
@@ -425,7 +428,8 @@ INIT_FIELDS = ("K", "init_epochs", "init_lr", "collapse_weight", "hidden",
 
 def test_ablation_cells_keep_the_init_settings(monkeypatch):
     """The grid trains one init from `cfg` for all its cells, which holds
-    only if no cell changes a config field `init_assignments` reads."""
+    only if no cell changes a config field `init_assignments` reads. Cells
+    may train in worker processes, so the spy reports what it saw."""
     cfg = fast_cfg(aux_edge_path="aux.txt", knn_k=3)
     graph = graphs.Graph.from_pairs(2, [(0, 1)])
     dataset = training.Dataset(bundle=graphs.GraphBundle(primary=graph),
@@ -434,17 +438,18 @@ def test_ablation_cells_keep_the_init_settings(monkeypatch):
     shared = object()
     monkeypatch.setattr(training, "init_assignments",
                         lambda g, X, c: shared if c is cfg else None)
-    cells = []
     monkeypatch.setattr(
         training, "run_training",
-        lambda c, data, variant, init: cells.append((variant, c, init)) or
-        MetricsReport(seed=c.seed, config={}, variant=variant))
-    run_ablation_grid(cfg)
-    assert [name for name, _, _ in cells] == GRID_CELLS
-    for name, cell, init in cells:
-        assert init is shared, name
+        lambda c, data, variant, init: MetricsReport(
+            seed=c.seed, variant=variant,
+            config={"init is shared": init is shared,
+                    **{field: getattr(c, field) for field in INIT_FIELDS}}))
+    reports = run_ablation_grid(cfg)
+    assert [r.variant for r in reports] == GRID_CELLS
+    for r in reports:
+        assert r.config["init is shared"] is True, r.variant
         for field in INIT_FIELDS:
-            assert getattr(cell, field) == getattr(cfg, field), (name, field)
+            assert r.config[field] == getattr(cfg, field), (r.variant, field)
 
 
 def test_ablation_grid_unreadable_aux_fails_all_but_drop_gv(grid_files,
@@ -465,6 +470,79 @@ def test_ablation_grid_unreadable_aux_fails_all_but_drop_gv(grid_files,
         if name != "drop_gv":
             assert r.error is not None and "cannot read" in r.error, name
             assert r.accuracy is None
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make the grid see `cpus` usable CPUs, so it trains its cells in
+    that many worker processes, or here with one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def report_bytes(r):
+    return (json.dumps({**r.to_dict(), "wall_clock_s": None}),
+            r.final_assignment.R.tobytes(),
+            r.final_assignment.R.flags.writeable)
+
+
+def test_ablation_grid_workers_equal_one_process(grid_files, monkeypatch):
+    usable_cpus(monkeypatch, {0})
+    here = run_ablation_grid(grid_files)
+    usable_cpus(monkeypatch, {0, 1})
+    pooled = run_ablation_grid(grid_files)
+    assert [r.variant for r in pooled] == GRID_CELLS
+    assert [report_bytes(r) for r in pooled] == \
+        [report_bytes(r) for r in here]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_ablation_cell_numeric_error_fails_that_cell(grid_files, monkeypatch,
+                                                     cpus):
+    train = training.run_training
+
+    def diverging(cfg, dataset, variant, init):
+        if variant == "neg_uniform":
+            raise NumericError("non-finite loss")
+        return train(cfg, dataset, variant=variant, init=init)
+
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(training, "run_training", diverging)
+    reports = run_ablation_grid(grid_files)
+    assert [r.variant for r in reports] == GRID_CELLS
+    for r in reports:
+        if r.variant == "neg_uniform":
+            assert r.error == "non-finite loss" and r.accuracy is None
+        else:
+            assert r.error is None and r.accuracy is not None, r.variant
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ablation_grid_dead_worker_raises(grid_files, monkeypatch):
+    test_pid = os.getpid()
+    train = training.run_training
+
+    def killed(cfg, dataset, variant, init):
+        if variant == "no_cl":
+            assert os.getpid() != test_pid, "a cell trained in the test"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train(cfg, dataset, variant=variant, init=init)
+
+    usable_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(training, "run_training", killed)
+    with time_limit(60), pytest.raises(BrokenProcessPool):
+        run_ablation_grid(grid_files)
 
 
 # CLI -------------------------------------------------------------------------------
