@@ -441,9 +441,12 @@ def row_norm2(x):
 
 def normalize_adjacency(graph):
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2, the
-    data of A + I scaled by d = diag(D^-1/2) as `(d_i a_ij) d_j`."""
-    a_hat = graph.adjacency + sp.identity(graph.n, format="csr")
-    d = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    data of A + I scaled by d = diag(D^-1/2) as `(d_i a_ij) d_j`. A + I
+    takes its structure from the graph's cached pattern, and each of its
+    rows holds the diagonal, so each row sum is one segment's `reduceat`,
+    as in `a_hat.sum(axis=1)`."""
+    a_hat = graph.plus_identity()
+    d = 1.0 / np.sqrt(np.add.reduceat(a_hat.data, a_hat.indptr[:-1]))
     a_hat.data *= np.repeat(d, np.diff(a_hat.indptr))
     a_hat.data *= d[a_hat.indices]
     return a_hat
@@ -499,12 +502,12 @@ def _propagate_back(a_hats, g, s, parts, need_h, need_s):
 def gcn_arrays(a_hats, xs, w1, w2, mix, error):
     """Two-layer GCN (Kipf & Welling, ICLR 2017) A tanh(A X W1) W2 on plain
     arrays, in the dtype of the CSR matrices `a_hats`, to which W1's and
-    W2's values are cast; W2 acts before A, so the output layer's sparse
-    products are output-wide. With several channels A is their sum weighted
-    by softmax(mix), else `mix` is None. `xs` holds each channel's A_c X,
-    or is None for identity features, which make `w1` a free per-node
-    embedding. A non-finite first-layer pre-activation, which tanh would
-    hide, raises `NumericError(error)`.
+    W2's values and the mix weights are cast; W2 acts before A, so the
+    output layer's sparse products are output-wide. With several channels
+    A is their sum weighted by softmax(mix), else `mix` is None. `xs`
+    holds each channel's A_c X, or is None for identity features, which
+    make `w1` a free per-node embedding. A non-finite first-layer
+    pre-activation, which tanh would hide, raises `NumericError(error)`.
 
     Returns the output and its backward, which maps the output's gradient
     to `(parameter, gradient)` pairs for those of `w1`, `w2` and `mix` that
@@ -516,7 +519,8 @@ def gcn_arrays(a_hats, xs, w1, w2, mix, error):
     """
     dt = a_hats[0].dtype
     w1_v, w2_v = (w.values.astype(dt, copy=False) for w in (w1, w2))
-    s = None if mix is None else softmax_array(mix.values)
+    s = None if mix is None else softmax_array(mix.values).astype(
+        dt, copy=False)
     if xs is None:
         z1, parts1 = _propagate(a_hats, w1_v, s)
     else:
@@ -552,14 +556,14 @@ def gcn_arrays(a_hats, xs, w1, w2, mix, error):
 
 
 def gcn(a_hats, X, w1, w2, mix=None):
-    """`gcn_arrays` as one tape node, in float64: X, an array or a constant
-    tensor, is propagated here, and the node's backward is the one
-    `gcn_arrays` returns."""
+    """`gcn_arrays` as one tape node, in the adjacencies' dtype: X, an
+    array or a constant tensor, is cast to it and propagated here, and the
+    node's backward is the one `gcn_arrays` returns."""
     a_hats = [_csr(a) for a in a_hats]
     w1, w2 = _as_tensor(w1), _as_tensor(w2)
     mix = _as_tensor(mix) if len(a_hats) > 1 else None
     x = X.values if isinstance(X, Tensor) else X
-    xs = None if X is None else [a @ np.asarray(x, dtype=np.float64)
+    xs = None if X is None else [a @ np.asarray(x, dtype=a.dtype)
                                  for a in a_hats]
     out, bwd = gcn_arrays(a_hats, xs, w1, w2, mix,
                           "non-finite values produced by 'gcn'")

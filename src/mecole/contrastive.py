@@ -152,13 +152,14 @@ def _weighted_draw_without_replacement(w, u):
     adds the same elements in the same order as the row on its own.
     """
     rows = np.arange(w.shape[0])
-    left = np.broadcast_to(np.arange(w.shape[1]), w.shape)
+    left = np.empty(w.shape, dtype=np.intp)
+    left[:] = np.arange(w.shape[1])
     picks = np.empty(u.shape, dtype=np.intp)
     for j in range(u.shape[1]):
         cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         # searchsorted(cdf, u, side="right") of each row
-        i = np.count_nonzero(cdf <= u[:, j:j + 1], axis=1)
+        i = (cdf <= u[:, j:j + 1]).sum(axis=1)
         picks[:, j] = left[rows, i]
         if j == u.shape[1] - 1:  # nothing reads w or left after this
             break
@@ -190,12 +191,17 @@ def _hard_pools(z, anchors, graph, c, scratch):
     with ties to the lowest id, and their scores. `z` becomes the sort
     keys, its negation; `scratch` is `_top_stable`'s."""
     keys = np.negative(z, out=z)
-    nbrs = [graph.neighbors(v) for v in anchors]
-    keys[np.repeat(np.arange(len(nbrs)), [x.size for x in nbrs]),
-         np.concatenate(nbrs)] = np.inf
-    keys[np.arange(len(nbrs)), anchors] = np.inf
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    rows = np.arange(anchors.size)
+    start = indptr[anchors]
+    degree = indptr[anchors + 1] - start
+    # where each anchor's CSR row lies in `indices`, rows end to end
+    at = np.repeat(start - (degree.cumsum() - degree), degree)
+    at += np.arange(at.size)
+    keys[np.repeat(rows, degree), indices[at]] = np.inf
+    keys[rows, anchors] = np.inf
     pool = _top_stable(keys, c, scratch)
-    return pool, -np.take_along_axis(keys, pool, axis=1)
+    return pool, -keys[rows[:, None], pool]
 
 
 SCORE_BUDGET = 2 ** 17  # scores per block in `hard_negatives`: 1 MiB
@@ -233,7 +239,8 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
     slot = (sizes > m).cumsum() - 1  # row -> its row of uniforms
     _, first, which = np.unique(anchors, return_index=True,
                                 return_inverse=True)
-    if not np.array_equal(h_o, h_o[first[which]], equal_nan=True):
+    if first.size < anchors.size and \
+            not np.array_equal(h_o, h_o[first[which]], equal_nan=True):
         raise DataError("rows of one anchor differ in h_o")
     step = max(32, SCORE_BUDGET // graph.n)
     z_buf, scratch = np.empty((2, min(step, anchors.size), graph.n))
@@ -253,13 +260,13 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
             # mode "clip" writes straight to `out`; "raise" would buffer it
             z *= np.take(zo, which[block], axis=0, out=tmp, mode="clip")
             pool, pool_z = _hard_pools(z, anchors[block], graph, c, tmp)
-            ok = np.count_nonzero(pool_z, axis=1) >= (m if c > m else 1)
+            ok = (pool_z != 0).sum(axis=1) >= (m if c > m else 1)
             block, pool, pool_z = block[ok], pool[ok], pool_z[ok]
             if c > m and block.size:
                 pick = _weighted_draw_without_replacement(
                     pool_z, uniforms[slot[block]])
-                pool = np.take_along_axis(pool, pick, axis=1)
-                pool_z = np.take_along_axis(pool_z, pick, axis=1)
+                row = np.arange(block.size)[:, None]
+                pool, pool_z = pool[row, pick], pool_z[row, pick]
             p = pool_z / pool_z.sum(axis=1, keepdims=True)
             for r, nodes, pr in zip(block, pool, p):
                 rows[r] = (nodes, pr)

@@ -161,10 +161,11 @@ class MlpPredictor:
 def sample_non_edges(graph, count, rng):
     """Uniform sample of unordered non-adjacent pairs (with replacement).
 
-    Draws node pairs `(u, v)` from `rng` and rejects self-pairs and edges.
-    Each round draws exactly two integers per pair still needed, so the
-    pairs, their order and the generator's end state are those of a loop
-    that draws one pair at a time.
+    Draws node pairs `(u, v)` from `rng` and rejects self-pairs and edges,
+    which `Graph.adjacent` finds in the CSR's structure, so a stored
+    zero-weight edge is an edge. Each round draws exactly two integers per
+    pair still needed, so the pairs, their order and the generator's end
+    state are those of a loop that draws one pair at a time.
     """
     n = graph.n
     non_edges = n * (n - 1) - 2 * graph.num_edges  # ordered pairs
@@ -175,25 +176,23 @@ def sample_non_edges(graph, count, rng):
             f"graph too dense to sample non-edges: {non_edges} of {n * n} "
             f"ordered node pairs are non-edges")
     budget = (2 * count + NON_EDGE_DRAW_SLACK) / NON_EDGE_MIN_RATE
-    # pair ids u*n + v of the edges, sorted as the edges are, closed by a
-    # sentinel above every id so a lookup never runs off the end
-    edge_ids = np.append(graph.u * n + graph.v, n * n)
-    found = [np.empty((0, 2), dtype=np.int64)]
-    need, drawn = count, 0
-    while need > 0:
+    found = np.empty((count, 2), dtype=np.int64)
+    done, drawn = 0, 0
+    while done < count:
+        need = count - done
         if drawn + need > budget:
-            raise DataError(f"found {count - need} of {count} non-edges "
+            raise DataError(f"found {done} of {count} non-edges "
                             f"in {drawn} drawn pairs")
         draws = rng.integers(n, size=2 * need)
         drawn += need
         a, b = draws[0::2], draws[1::2]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        ids = lo * n + hi
-        is_edge = edge_ids[np.searchsorted(edge_ids, ids)] == ids
-        ok = (lo != hi) & ~is_edge
-        found.append(np.column_stack([lo[ok], hi[ok]]))
-        need -= int(ok.sum())
-    return np.concatenate(found)
+        ok = (lo != hi) & ~graph.adjacent(lo, hi)
+        kept = int(ok.sum())
+        found[done:done + kept, 0] = lo[ok]
+        found[done:done + kept, 1] = hi[ok]
+        done += kept
+    return found
 
 
 def reconstruction_loss(graph, E, neg_ratio, rng, mlp=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -46,13 +47,20 @@ class Graph:
     in O(E); `from_arrays` and `from_pairs` orient and sort any edge list
     first, and derived graphs (`with_weights`, `keep_edges`, `subgraph`),
     `generate_sbm` and `load_edge_list` pass their arrays straight to it.
+
+    The CSR structure, `indptr` and `indices`, is read-only and depends
+    on the edge arrays alone, not on the weights: a stored zero-weight
+    edge is an edge. Graphs made by `with_weights` share it, with the
+    rest of their topology's `_Pattern`.
     """
 
-    __slots__ = ("n", "u", "v", "w", "adjacency")
+    __slots__ = ("n", "u", "v", "w", "adjacency", "_pattern")
 
-    def __init__(self, n, u, v, w):
+    def __init__(self, n, u, v, w, pattern=None):
         """Graph on canonical edge arrays, which become read-only; any
-        other arrays are a `DataError`."""
+        other arrays are a `DataError`. `pattern`, the `_Pattern` of a
+        graph on these same `u` and `v` arrays, fills the CSR by
+        permuting `w` into its slots, with no COO-to-CSR sort."""
         n = int(n)
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -82,9 +90,20 @@ class Graph:
             arr.flags.writeable = False
         self.n = n
         self.u, self.v, self.w = u, v, w
-        self.adjacency = sp.csr_matrix(
-            (np.concatenate([w, w]),
-             (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
+        if pattern is None:
+            self.adjacency = sp.csr_matrix(
+                (np.concatenate([w, w]),
+                 (np.concatenate([u, v]), np.concatenate([v, u]))),
+                shape=(n, n))
+            self.adjacency.indptr.flags.writeable = False
+            self.adjacency.indices.flags.writeable = False
+        elif pattern.u is u and pattern.v is v:
+            self.adjacency = sp.csr_matrix(
+                (w[pattern.slots], pattern.indices, pattern.indptr),
+                shape=(n, n))
+        else:
+            raise ValueError("pattern of other edge arrays")
+        self._pattern = pattern
 
     @classmethod
     def from_arrays(cls, n, u, v, w=None):
@@ -118,7 +137,8 @@ class Graph:
     @property
     def degrees(self):
         """Number of stored neighbors per node, from the CSR row pointers."""
-        return np.diff(self.adjacency.indptr)
+        indptr = self.adjacency.indptr
+        return indptr[1:] - indptr[:-1]
 
     @property
     def weighted_degrees(self):
@@ -135,10 +155,47 @@ class Graph:
         keep[u] = False
         return np.flatnonzero(keep)
 
+    @property
+    def pattern(self):
+        """The `_Pattern` of this graph's topology, made on first use and
+        shared with every graph `with_weights` derives from it."""
+        if self._pattern is None:
+            self._pattern = _Pattern(self)
+        return self._pattern
+
     def with_weights(self, weights):
-        """Same topology with new per-edge weights (in edge order)."""
+        """Same topology with new per-edge weights (in edge order), whose
+        CSR reuses this graph's structure."""
         return Graph(self.n, self.u, self.v,
-                     np.array(weights, dtype=np.float64))
+                     np.array(weights, dtype=np.float64), self.pattern)
+
+    def plus_identity(self):
+        """A + I as the CSR matrix that `adjacency + identity` makes: the
+        structure comes from the topology's pattern, and a zero-weight
+        edge, which a sparse sum drops, is dropped."""
+        indptr, indices, off = self.pattern.plus_identity
+        data = np.ones(indices.size)
+        data[off] = self.adjacency.data
+        if not data.all():
+            kept = np.flatnonzero(data)
+            data, indices = data[kept], indices[kept]
+            indptr = np.searchsorted(kept, indptr).astype(indptr.dtype)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
+    def adjacent(self, a, b):
+        """Whether each pair `(a[i], b[i])` is an edge: a branch-free
+        binary search of row `a[i]`'s sorted CSR columns, all pairs at
+        once, in as many halvings as the largest degree has bits."""
+        indptr = self.adjacency.indptr
+        cols = np.append(self.adjacency.indices, self.n)  # one probe past
+        lo, end = indptr[a], indptr[a + 1]
+        width = end - lo
+        for _ in range(int(np.max(width, initial=0)).bit_length()):
+            half = width >> 1
+            # row a[i]'s first column not below b[i] is at lo[i] + 0..width
+            lo += (cols[lo + half] < b) * (width - half)
+            width = half
+        return (lo < end) & (cols[lo] == b)
 
     def keep_edges(self, mask):
         """Same nodes with only the edges where boolean `mask` holds."""
@@ -153,6 +210,40 @@ class Graph:
         inside = (u >= 0) & (v >= 0)
         # the remap is increasing, so the kept edges stay canonical
         return Graph(len(keep), u[inside], v[inside], self.w[inside])
+
+
+class _Pattern:
+    """The CSR structure of one topology, which every graph on the same
+    edge arrays shares: its adjacency's read-only `indptr` and `indices`,
+    `slots`, the edge whose weight fills each CSR slot, and the structure
+    of A + I; the last two are made on first use."""
+
+    def __init__(self, graph):
+        self.u, self.v = graph.u, graph.v
+        self.indptr = graph.adjacency.indptr
+        self.indices = graph.adjacency.indices
+        self.shape = graph.adjacency.shape
+
+    @cached_property
+    def slots(self):
+        """Per CSR slot, the edge whose weight it holds: the CSR stores
+        `(u, v)` and `(v, u)` by row, then column, an order with no ties."""
+        order = np.lexsort((np.concatenate([self.v, self.u]),
+                            np.concatenate([self.u, self.v])))
+        return np.where(order < self.u.size, order, order - self.u.size)
+
+    @cached_property
+    def plus_identity(self):
+        """`indptr` and `indices` of A + I, made once by the sparse sum,
+        then the positions in its data of A's slots, which are all but the
+        diagonal's."""
+        ones = sp.csr_matrix((np.ones(self.indices.size), self.indices,
+                              self.indptr), shape=self.shape)
+        hat = ones + sp.identity(self.shape[0], format="csr")
+        for arr in (hat.indptr, hat.indices):
+            arr.flags.writeable = False
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(hat.indptr))
+        return hat.indptr, hat.indices, np.flatnonzero(hat.indices != rows)
 
 
 @dataclass(frozen=True)

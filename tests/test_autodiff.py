@@ -887,36 +887,47 @@ def test_init_float32_close_to_float64(with_x, weighted, monkeypatch):
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("with_x", [True, False])
-def test_gcn_arrays_float32_close_to_float64(with_x, weighted):
-    """On float32 arrays and one channel, as the init runs it, the output
-    and the W1 and W2 gradients stay float32. Each lies within 1e-6 of the
-    float64 call's largest magnitude: over seeds 0-3 of `sbm_graph`,
-    weighted or not, with and without X, the largest gap measured was
-    3.3e-7 of it, a factor of 3 under the bound."""
+@pytest.mark.parametrize("with_x,weighted,channels", [
+    # one channel keeps the ids the test had before it took more
+    pytest.param(with_x, weighted, channels, id=f"{with_x}-{weighted}" + (
+        f"-{channels}" if channels > 1 else ""))
+    for channels in (1, 2, 3) for with_x in (True, False)
+    for weighted in (False, True)])
+def test_gcn_arrays_float32_close_to_float64(with_x, weighted, channels):
+    """On float32 arrays the output and the W1, W2 and, with several
+    channels, mix gradients stay float32; the init runs one channel. Each
+    lies within `bound` of the float64 call's largest magnitude: over
+    seeds 0-3 of `sbm_graph`, weighted or not, with and without X, on one
+    to three channels, the largest gap measured was 3.6e-7 of it for the
+    output, W1 and W2, against 1e-6, and 1.6e-4 for the mix, against
+    1e-3. The mix's is a softmax gradient, `s_c (g_c - sum_k s_k g_k)`,
+    whose terms cancel."""
     graph, X, _ = sbm_graph(1)
     if weighted:
         graph = graph.with_weights(
             np.random.default_rng(3).random(graph.num_edges) + 0.1)
     X = X if with_x else None
-    a_hat = ad.normalize_adjacency(graph)
+    a_hats = channel_hats(graph, channels, np.random.default_rng(4))
     rng = np.random.default_rng(2)
     w1 = ad.glorot(rng, X.shape[1] if with_x else graph.n, 16)
     w2 = ad.glorot(rng, 16, 3)
     g = rng.normal(size=(graph.n, 3))
+    mix = ad.parameter(rng.normal(size=(1, channels))) if channels > 1 \
+        else None
+    params = [w1, w2] + ([mix] if mix is not None else [])
 
     def run(dtype):
-        xs = None if X is None else [(a_hat @ X).astype(dtype)]
-        out, backward = ad.gcn_arrays([a_hat.astype(dtype)], xs, w1, w2,
-                                      None, "non-finite layer")
-        (t1, g_w1), (t2, g_w2) = backward(g.astype(dtype))
-        assert t1 is w1 and t2 is w2
-        return out, g_w1, g_w2
+        xs = None if X is None else [(a @ X).astype(dtype) for a in a_hats]
+        out, backward = ad.gcn_arrays([a.astype(dtype) for a in a_hats], xs,
+                                      w1, w2, mix, "non-finite layer")
+        grads = backward(g.astype(dtype))
+        assert all(t is p for (t, _), p in zip(grads, params, strict=True))
+        return [out] + [pg for _, pg in grads]
 
-    for got, want in zip(run(np.float32), run(np.float64)):
+    bounds = [1e-6, 1e-6, 1e-6, 1e-3]
+    for got, want, bound in zip(run(np.float32), run(np.float64), bounds):
         assert got.dtype == np.float32 and want.dtype == np.float64
-        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
 def test_init_float32_overflow_of_a_float64_weight_raises(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from mecole.autodiff import normalize_adjacency
 from mecole.decoupling import DecoupledEmbeddings, rewire, sample_non_edges
 from mecole.errors import DataError
 from mecole.graphs import Graph, SBMConfig, _top_k_graph, \
@@ -170,10 +171,57 @@ def test_derived_graphs_match_rebuilds(rng):
     assert_same_csr(g.subgraph(nodes).adjacency, sub.adjacency)
 
 
+def reference_normalized(graph):
+    """D^-1/2 (A + I) D^-1/2 with A + I as the sparse sum makes it, which
+    drops a zero-weight edge."""
+    a_hat = graph.adjacency + sp.identity(graph.n, format="csr")
+    d = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    a_hat.data *= np.repeat(d, np.diff(a_hat.indptr))
+    a_hat.data *= d[a_hat.indices]
+    return a_hat
+
+
+def test_with_weights_fills_the_parents_slots():
+    """A `with_weights` graph of a subgraph and of a k-NN-weighted graph
+    shares its parent's CSR structure, and equals a fresh build on the
+    same arrays in its adjacency and its normalization, also where a new
+    weight is zero."""
+    graph, X, _ = generate_sbm(SBMConfig(blocks=3, block_sizes=(30,) * 3,
+                                         p_in=0.3, p_out=0.05, seed=4))
+    rng = np.random.default_rng(5)
+    keep = np.sort(rng.choice(graph.n, size=60, replace=False))
+    for base in (graph.subgraph(keep), build_knn_similarity_graph(X, 4, 0.0)):
+        positive = rng.uniform(0.1, 4.0, base.num_edges)
+        some_zero = np.where(rng.random(base.num_edges) < 0.2, 0.0, positive)
+        for w in (positive, some_zero):
+            derived = base.with_weights(w)
+            fresh = Graph(base.n, base.u.copy(), base.v.copy(), w)
+            assert np.shares_memory(derived.adjacency.indices,
+                                    base.adjacency.indices)
+            assert_same_csr(derived.adjacency, fresh.adjacency)
+            for g in (derived, fresh):
+                assert_same_csr(normalize_adjacency(g),
+                                reference_normalized(fresh))
+    with pytest.raises(ValueError, match="pattern"):
+        Graph(base.n, base.u.copy(), base.v, base.w, base.pattern)
+
+
+def test_adjacent_reads_the_structure_not_the_weights():
+    g = Graph(6, [0, 0, 1, 2], [1, 4, 2, 4], [0.0, 1.0, -2.0, 0.0])
+    a, b = np.divmod(np.arange(36), 6)
+    edges = {(u, v) for u, v, _ in g.edges}
+    want = [(min(x, y), max(x, y)) in edges for x, y in zip(a, b)]
+    assert g.adjacent(a, b).tolist() == want
+
+
 def test_graph_arrays_are_read_only():
     g = Graph.from_pairs(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.w[0] = 2.0
+    # the CSR structure is shared with every `with_weights` graph
+    for arr in (g.adjacency.indices, g.with_weights([2.0]).adjacency.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 2
 
 
 # generate_sbm ----------------------------------------------------------------
@@ -214,6 +262,8 @@ def near_complete_graph(n, missing, seed):
     (random_graph(40, 300, 1), 300, 1), (random_graph(200, 2000, 2), 5000, 2),
     # 20 non-edges among 435 pairs: about 22 draws per non-edge
     (near_complete_graph(30, 20, 3), 100, 3),
+    # stored zero-weight edges are edges
+    (Graph(5, [0, 1, 2], [1, 2, 4], [0.0, 1.0, 0.0]), 50, 4),
 ])
 def test_sample_non_edges_matches_scalar_loop(g, count, seed):
     n = g.n

@@ -2,8 +2,9 @@
 any training, and on one seed of `ablate_files`, `tools/linetrace.py`'s
 listing, without any tracing, `tools/fingerprint.py` on one seed of an
 acceptance fixture, of the bag workload and of the featureless workload,
-the tools' copies of the tests' fixtures, and the benchmark's tracer
-(`perfbench/tracing.py`) around one small training."""
+and the runs that `--workload all` lists, the tools' copies of the
+tests' fixtures, and the benchmark's tracer (`perfbench/tracing.py`)
+around one small training."""
 
 import ast
 import hashlib
@@ -208,6 +209,27 @@ def test_fingerprint_digests_an_acceptance_fixture(monkeypatch, capsys):
     digest = hashlib.sha256(report.final_assignment.R.tobytes())
     digest.update(repr(report.epoch_losses).encode())
     assert capsys.readouterr().out == f"0 {digest.hexdigest()}\n"
+
+
+def test_fingerprint_all_checks_every_byte_pin(monkeypatch, capsys):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    fingerprint = load_tool("fingerprint")
+    monkeypatch.setattr(fingerprint, "fingerprint",
+                        lambda name, seed, out_dir: f"<{name} {seed}>")
+    assert fingerprint.main(["--workload", "all", "--seeds", "0-9"]) == 0
+    # the workloads over every seed, then the rest over the first three
+    want = [(name, seed) for name in ("sbm1600", "cora_shape")
+            for seed in range(10)]
+    want += [(name, seed) for name in ("ablate_files", "featureless",
+                                       "criterion5", "criterion6",
+                                       "cora_third", "bags")
+             for seed in range(3)]
+    assert capsys.readouterr().out.splitlines() == \
+        [f"{name} {seed} <{name} {seed}>" for name, seed in want]
+    assert fingerprint.main(["--workload", "bags", "--seeds", "2-3"]) == 0
+    assert capsys.readouterr().out == "2 <bags 2>\n3 <bags 3>\n"
 
 
 def test_fingerprint_digests_the_bag_workload(monkeypatch, capsys,

@@ -10,13 +10,14 @@ change leaves every output byte as it was.
 Builds each seed's inputs through perfbench/workloads.py, runs the
 workload's operation once with one BLAS thread on this checkout's src/,
 and prints one line per seed: the seed and a SHA-256. `--workload all`
-prints `workload seed sha256` lines for sbm1600 and cora_shape over the
-given seeds, and for ablate_files and featureless over the first three
-of them. `featureless` trains on one seed's sbm1600 graph with X=None and
-the default config, so both GCNs take their identity-feature branch. The
-acceptance fixtures `criterion5`, `criterion6` and `cora_third` are built
-as tools/effects.py builds them and trained once with their default
-config. `bags` writes a seeded 3 x 40 planted partition to edge, feature
+checks every byte pin in one command: it prints `workload seed sha256`
+lines for sbm1600 and cora_shape over the given seeds, then for
+ablate_files, featureless, criterion5, criterion6, cora_third and bags
+over the first three of them. `featureless` trains on one seed's sbm1600
+graph with X=None and the default config, so both GCNs take their
+identity-feature branch. The acceptance fixtures `criterion5`,
+`criterion6` and `cora_third` are built as tools/effects.py builds them
+and trained once with their default config. `bags` writes a seeded 3 x 40 planted partition to edge, feature
 and label files, with a bag file and a 30 x 8 vocabulary, then trains on
 them with `knn_k=3` and runs `sparse_eval` with fraction 0.3. For these
 and for sbm1600, cora_shape and featureless it digests the final soft
@@ -153,7 +154,8 @@ def main(argv=None):
     if args.workload == "all":
         runs = [(name, seed) for name in ("sbm1600", "cora_shape")
                 for seed in args.seeds]
-        runs += [(name, seed) for name in ("ablate_files", "featureless")
+        runs += [(name, seed) for name in ("ablate_files", "featureless",
+                                           *FIXTURES, "bags")
                  for seed in args.seeds[:3]]
     else:
         runs = [(args.workload, seed) for seed in args.seeds]
