@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 __all__ = [
     "Tensor",
@@ -442,11 +442,17 @@ def row_norm2(x):
 def normalize_adjacency(graph):
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2, the
     data of A + I scaled by d = diag(D^-1/2) as `(d_i a_ij) d_j`. A + I
-    takes its structure from the graph's cached pattern, and each of its
-    rows holds the diagonal, so each row sum is one segment's `reduceat`,
-    as in `a_hat.sum(axis=1)`."""
+    takes its structure from the graph's pattern, and each of its rows
+    holds the diagonal, so each row sum is one segment's `reduceat`, as in
+    `a_hat.sum(axis=1)`. A degree that is not positive, as negative edge
+    weights can make, is a `DataError` that names its node."""
     a_hat = graph.plus_identity()
-    d = 1.0 / np.sqrt(np.add.reduceat(a_hat.data, a_hat.indptr[:-1]))
+    degree = np.add.reduceat(a_hat.data, a_hat.indptr[:-1])
+    bad = np.flatnonzero(degree <= 0)
+    if bad.size:
+        raise DataError(f"node {bad[0]} has degree {degree[bad[0]]:g} in "
+                        "A + I, which must be positive to normalize")
+    d = 1.0 / np.sqrt(degree)
     a_hat.data *= np.repeat(d, np.diff(a_hat.indptr))
     a_hat.data *= d[a_hat.indices]
     return a_hat

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -41,69 +40,43 @@ class Graph:
     """Immutable sparse undirected graph with optional edge weights.
 
     Each edge is stored once: int64 endpoint arrays `u < v`, sorted by
-    `(u, v)` without repeats, with float64 weights `w`. `adjacency` is the
-    symmetric CSR matrix built from them. `Graph(n, u, v, w)` is the one
-    constructor and takes the arrays in that canonical form only, checked
-    in O(E); `from_arrays` and `from_pairs` orient and sort any edge list
+    `(u, v)` without repeats, with float64 weights `w`. `Graph(n, u, v, w)`
+    is the one constructor and takes the arrays in that canonical form
+    only; `from_arrays` and `from_pairs` orient and sort any edge list
     first, and derived graphs (`with_weights`, `keep_edges`, `subgraph`),
     `generate_sbm` and `load_edge_list` pass their arrays straight to it.
 
-    The CSR structure, `indptr` and `indices`, is read-only and depends
-    on the edge arrays alone, not on the weights: a stored zero-weight
-    edge is an edge. Graphs made by `with_weights` share it, with the
-    rest of their topology's `_Pattern`.
+    The topology, `u` and `v`, is checked and converted to CSR once, by
+    its `_Pattern`, which every graph `with_weights` derives shares.
+    `adjacency` is the symmetric CSR matrix of A, whose data are the
+    weights permuted into the pattern's slots. Its structure, `indptr` and
+    `indices`, is read-only and depends on the edge arrays alone, not on
+    the weights: a stored zero-weight edge is an edge.
     """
 
-    __slots__ = ("n", "u", "v", "w", "adjacency", "_pattern")
+    __slots__ = ("n", "u", "v", "w", "adjacency", "pattern")
 
     def __init__(self, n, u, v, w, pattern=None):
         """Graph on canonical edge arrays, which become read-only; any
-        other arrays are a `DataError`. `pattern`, the `_Pattern` of a
-        graph on these same `u` and `v` arrays, fills the CSR by
-        permuting `w` into its slots, with no COO-to-CSR sort."""
+        other arrays are a `DataError`. Given `pattern`, the `_Pattern` of
+        a graph on these same `u` and `v` arrays, only `w` is checked."""
         n = int(n)
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        if pattern is None:
+            u = np.asarray(u, dtype=np.int64)
+            v = np.asarray(v, dtype=np.int64)
+        elif pattern.u is not u or pattern.v is not v:
+            raise ValueError("pattern of other edge arrays")
         w = np.asarray(w, dtype=np.float64)
         if not u.shape == v.shape == w.shape == (len(u),):
             raise DataError("edge arrays differ in length")
-        loop = np.flatnonzero(u == v)
-        if loop.size:
-            i = u[loop[0]]
-            raise DataError(f"self-loop ({i},{i}) in edge list")
-        bad = np.flatnonzero((u < 0) | (v >= n))
-        if bad.size:
-            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) out of range "
-                            f"for n={n}")
-        bad = np.flatnonzero(u > v)
-        if bad.size:
-            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) not stored "
-                            "as u < v")
-        du, dv = np.diff(u), np.diff(v)
-        bad = np.flatnonzero((du < 0) | ((du == 0) & (dv <= 0)))
-        if bad.size:
-            i = bad[0]
-            what = "duplicate edge" if du[i] == dv[i] == 0 else \
-                "edge out of (u, v) order:"
-            raise DataError(f"{what} ({u[i + 1]},{v[i + 1]})")
-        for arr in (u, v, w):
-            arr.flags.writeable = False
-        self.n = n
-        self.u, self.v, self.w = u, v, w
         if pattern is None:
-            self.adjacency = sp.csr_matrix(
-                (np.concatenate([w, w]),
-                 (np.concatenate([u, v]), np.concatenate([v, u]))),
-                shape=(n, n))
-            self.adjacency.indptr.flags.writeable = False
-            self.adjacency.indices.flags.writeable = False
-        elif pattern.u is u and pattern.v is v:
-            self.adjacency = sp.csr_matrix(
-                (w[pattern.slots], pattern.indices, pattern.indptr),
-                shape=(n, n))
-        else:
-            raise ValueError("pattern of other edge arrays")
-        self._pattern = pattern
+            pattern = _Pattern(n, u, v)
+        w.flags.writeable = False
+        self.n, self.u, self.v, self.w = n, u, v, w
+        self.pattern = pattern
+        self.adjacency = sp.csr_matrix(
+            (w[pattern.slots], pattern.indices, pattern.indptr),
+            shape=(n, n))
 
     @classmethod
     def from_arrays(cls, n, u, v, w=None):
@@ -155,14 +128,6 @@ class Graph:
         keep[u] = False
         return np.flatnonzero(keep)
 
-    @property
-    def pattern(self):
-        """The `_Pattern` of this graph's topology, made on first use and
-        shared with every graph `with_weights` derives from it."""
-        if self._pattern is None:
-            self._pattern = _Pattern(self)
-        return self._pattern
-
     def with_weights(self, weights):
         """Same topology with new per-edge weights (in edge order), whose
         CSR reuses this graph's structure."""
@@ -213,37 +178,54 @@ class Graph:
 
 
 class _Pattern:
-    """The CSR structure of one topology, which every graph on the same
-    edge arrays shares: its adjacency's read-only `indptr` and `indices`,
-    `slots`, the edge whose weight fills each CSR slot, and the structure
-    of A + I; the last two are made on first use."""
+    """One checked topology, which every graph on the same canonical
+    edge arrays `u` and `v` shares. One COO-to-CSR conversion of A + I,
+    whose data are edge ids and on the diagonal one past the last id,
+    gives A's `indptr` and `indices`, `slots`, the edge whose weight fills
+    each of A's CSR slots, and `plus_identity`: A + I's `indptr` and
+    `indices`, then the positions in its data of A's slots. All are
+    read-only."""
 
-    def __init__(self, graph):
-        self.u, self.v = graph.u, graph.v
-        self.indptr = graph.adjacency.indptr
-        self.indices = graph.adjacency.indices
-        self.shape = graph.adjacency.shape
-
-    @cached_property
-    def slots(self):
-        """Per CSR slot, the edge whose weight it holds: the CSR stores
-        `(u, v)` and `(v, u)` by row, then column, an order with no ties."""
-        order = np.lexsort((np.concatenate([self.v, self.u]),
-                            np.concatenate([self.u, self.v])))
-        return np.where(order < self.u.size, order, order - self.u.size)
-
-    @cached_property
-    def plus_identity(self):
-        """`indptr` and `indices` of A + I, made once by the sparse sum,
-        then the positions in its data of A's slots, which are all but the
-        diagonal's."""
-        ones = sp.csr_matrix((np.ones(self.indices.size), self.indices,
-                              self.indptr), shape=self.shape)
-        hat = ones + sp.identity(self.shape[0], format="csr")
-        for arr in (hat.indptr, hat.indices):
+    def __init__(self, n, u, v):
+        """The topology of `n` nodes and the equal-length int64 endpoint
+        arrays `u` and `v`, which must be canonical, or a `DataError`
+        names the first edge that is not."""
+        loop = np.flatnonzero(u == v)
+        if loop.size:
+            i = u[loop[0]]
+            raise DataError(f"self-loop ({i},{i}) in edge list")
+        bad = np.flatnonzero((u < 0) | (v >= n))
+        if bad.size:
+            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) out of range "
+                            f"for n={n}")
+        bad = np.flatnonzero(u > v)
+        if bad.size:
+            raise DataError(f"edge ({u[bad[0]]},{v[bad[0]]}) not stored "
+                            "as u < v")
+        du, dv = np.diff(u), np.diff(v)
+        bad = np.flatnonzero((du < 0) | ((du == 0) & (dv <= 0)))
+        if bad.size:
+            i = bad[0]
+            what = "duplicate edge" if du[i] == dv[i] == 0 else \
+                "edge out of (u, v) order:"
+            raise DataError(f"{what} ({u[i + 1]},{v[i + 1]})")
+        m, nodes, ids = u.size, np.arange(n), np.arange(u.size)
+        # row r lists its columns below r (edges (c, r)), r, then those
+        # above (edges (r, c)), each run ascending: the result is sorted
+        hat = sp.csr_matrix(
+            (np.concatenate([ids, np.full(n, m), ids]),
+             (np.concatenate([v, nodes, u]), np.concatenate([u, nodes, v]))),
+            shape=(n, n))
+        off = np.flatnonzero(hat.data < m)
+        self.u, self.v = u, v
+        self.slots = hat.data[off]
+        self.indices = hat.indices[off]
+        # each row of A + I holds one diagonal entry
+        self.indptr = hat.indptr - np.arange(n + 1, dtype=hat.indptr.dtype)
+        self.plus_identity = hat.indptr, hat.indices, off
+        for arr in (u, v, self.slots, self.indices, self.indptr,
+                    hat.indptr, hat.indices):
             arr.flags.writeable = False
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(hat.indptr))
-        return hat.indptr, hat.indices, np.flatnonzero(hat.indices != rows)
 
 
 @dataclass(frozen=True)

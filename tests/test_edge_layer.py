@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mecole.autodiff import normalize_adjacency
 from mecole.decoupling import DecoupledEmbeddings, rewire, sample_non_edges
@@ -206,6 +206,51 @@ def test_with_weights_fills_the_parents_slots():
         Graph(base.n, base.u.copy(), base.v, base.w, base.pattern)
 
 
+def reference_slots(u, v):
+    """Per CSR slot of A, the edge whose weight it holds: the CSR stores
+    `(u, v)` and `(v, u)` by row, then column, an order with no ties."""
+    order = np.lexsort((np.concatenate([v, u]), np.concatenate([u, v])))
+    return np.where(order < u.size, order, order - u.size)
+
+
+def reference_plus_identity(graph):
+    """The structure of A + I as a sparse sum makes it from A's structure,
+    so a zero-weight edge keeps its slot."""
+    A = graph.adjacency
+    ones = sp.csr_matrix((np.ones(A.indices.size), A.indices, A.indptr),
+                         shape=A.shape)
+    return ones + sp.identity(graph.n, format="csr")
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists, st.booleans())
+@example((1, []), False)
+@example((3, []), True)
+@example((6, [(4, 1, 2.0), (0, 1, 3.0), (1, 2, 0.5)]), True)  # 3, 5 isolated
+def test_one_conversion_matches_the_references(case, zero_first):
+    """A fresh graph and a `with_weights` one hold the CSR of A and the
+    structure of A + I that the sort and the sparse sum made, also with
+    edge 0, whose id is the conversion's data value 0, weighing 0."""
+    n, raw = case
+    g = graph_of(n, _clean(raw))
+    w = g.w.copy()
+    if zero_first:
+        w[:1] = 0.0
+    for x in (Graph(n, g.u.copy(), g.v.copy(), w), g.with_weights(w)):
+        want = reference_adjacency(n, x.edges)
+        assert_same_csr(x.adjacency, want)
+        assert x.adjacency.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(x.pattern.slots, reference_slots(x.u, x.v))
+        hat = reference_plus_identity(x)
+        indptr, indices, off = x.pattern.plus_identity
+        for got, ref in ((indptr, hat.indptr), (indices, hat.indices)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        rows = np.repeat(np.arange(n), np.diff(hat.indptr))
+        assert np.array_equal(off, np.flatnonzero(hat.indices != rows))
+        assert_same_csr(x.plus_identity(),
+                        x.adjacency + sp.identity(n, format="csr"))
+
+
 def test_adjacent_reads_the_structure_not_the_weights():
     g = Graph(6, [0, 0, 1, 2], [1, 4, 2, 4], [0.0, 1.0, -2.0, 0.0])
     a, b = np.divmod(np.arange(36), 6)
@@ -218,8 +263,10 @@ def test_graph_arrays_are_read_only():
     g = Graph.from_pairs(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.w[0] = 2.0
-    # the CSR structure is shared with every `with_weights` graph
-    for arr in (g.adjacency.indices, g.with_weights([2.0]).adjacency.indptr):
+    # the CSR structures are shared with every `with_weights` graph
+    hat = g.plus_identity()
+    for arr in (g.adjacency.indices, g.with_weights([2.0]).adjacency.indptr,
+                g.pattern.slots, hat.indptr, hat.indices):
         with pytest.raises(ValueError):
             arr[0] = 2
 

@@ -776,6 +776,21 @@ def test_cli_exit_code_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_non_positive_degree_is_data_error(tmp_path, capsys):
+    # the k-NN edge between features 1 and -1 weighs -1, so node 0's
+    # degree in A + I is 0
+    (tmp_path / "edges.txt").write_text("0 1\n")
+    (tmp_path / "x.txt").write_text("1\n-1\n")
+    rc = cli_main(["train", "--set", f"edge_path={tmp_path / 'edges.txt'}",
+                   "--set", f"feature_path={tmp_path / 'x.txt'}",
+                   "--set", "knn_k=1", "--set", "eta_sim=-1",
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == ["data error: node 0 has degree 0 in A + I, which must be "
+                   "positive to normalize"]
+
+
 @pytest.mark.parametrize("key", ["edge_path", "feature_path", "label_path",
                                  "bags_path", "vocab_path"])
 def test_cli_missing_input_file_is_data_error(tmp_path, capsys, key):

@@ -150,6 +150,13 @@ CASES = {
         DataError, "anchor neighborhood is full"),
     "predict_link_same_node": (lambda: predict_link(1, 1, E), DataError,
                                "requires u != v"),
+    # the one edge weighs -1, so node 0's degree in A + I is 0
+    "normalize_non_positive_degree": (
+        lambda: ad.normalize_adjacency(Graph(2, [0], [1], [-1.0])),
+        DataError, r"node 0 has degree 0 in A \+ I"),
+    "with_weights_differ_in_length": (
+        lambda: PATH.with_weights([1.0, 2.0]),
+        DataError, "edge arrays differ in length"),
     "graph_arrays_differ_in_length": (
         lambda: Graph.from_arrays(3, [0, 1], [1]),
         DataError, "edge arrays differ in length"),
