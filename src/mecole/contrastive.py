@@ -5,8 +5,9 @@ sampling, and the contrastive loss over class-dependent embeddings.
 then per kept anchor, per virtual node, its donor and mask and, when its
 pool is larger than the draw, the uniforms of its weighted draw, then the
 anchor's positives. `hard_negatives` then scores all the rows at once and
-draws nothing; `synthesize_virtual_node` and `sample_negatives` are the
-one-row cases of the same rules.
+draws nothing, sorting each pool per row in its scoring buffers; the
+samplers return nodes, not probabilities. `synthesize_virtual_node` and
+`sample_negatives` are the one-row cases of the same rules.
 """
 
 from __future__ import annotations
@@ -60,16 +61,11 @@ class VirtualNode:
 class ContrastiveBatch:
     anchor: int
     positives: np.ndarray
-    pos_p: np.ndarray
     negatives: np.ndarray
-    neg_p: np.ndarray
 
     def __post_init__(self):
         if len(self.positives) < 1 or len(self.negatives) < 1:
             raise DataError("batch needs at least one positive and negative")
-        for p in (self.pos_p, self.neg_p):
-            if abs(float(np.sum(p)) - 1.0) > 1e-9:
-                raise DataError("sampling probabilities must sum to 1")
 
 
 def sample_anchors(assignment, per_class, rng):
@@ -171,25 +167,30 @@ def _weighted_draw_without_replacement(w, u):
 
 def _top_stable(keys, c, scratch=None):
     """Per row, `np.argsort(keys, kind="stable")[:c]` without sorting every
-    key: ties at the boundary still go to the lowest index. The partition
-    runs in `scratch`, an array of keys' shape, when one is given."""
+    key. A row's candidates, its keys up to its c-th smallest, go
+    left-aligned in column order into a `rows x w` slice of `scratch` (or
+    a new array) padded with +inf, `w` being the most a row has (`c` unless
+    keys tie at the boundary); one stable sort per row orders them."""
     part = np.empty_like(keys) if scratch is None else scratch
     np.copyto(part, keys)
     part.partition(c - 1, axis=1)
-    kth = part[:, c - 1:c]
-    # the keys up to each row's c-th, in row-major order; a stable sort by
-    # row, then key, keeps ties in index order
-    rows, cols = np.divmod(np.flatnonzero(keys <= kth), keys.shape[1])
-    order = np.lexsort((keys[rows, cols], rows))
-    first = np.searchsorted(rows, np.arange(keys.shape[0]))
-    return cols[order][first[:, None] + np.arange(c)]
+    rows, n = keys.shape
+    at = np.flatnonzero(keys <= part[:, c - 1:c])  # row-major positions
+    start = np.searchsorted(at, np.arange(rows + 1) * n)
+    count = np.diff(start)[:, None]
+    pad = part.reshape(-1)[:rows * count.max()].reshape(rows, -1)
+    pad.fill(np.inf)  # the sort is stable: pads follow every candidate
+    pad[np.arange(pad.shape[1]) < count] = keys.take(at)
+    order = pad.argsort(axis=1, kind="stable")[:, :c]
+    return at[start[:-1, None] + order] % n
 
 
 def _hard_pools(z, anchors, graph, c, scratch):
     """Per row of link scores `z`, the `c` nodes with the highest score
     outside the closed neighborhood of the row's anchor, highest first
     with ties to the lowest id, and their scores. `z` becomes the sort
-    keys, its negation; `scratch` is `_top_stable`'s."""
+    keys, its negation; `_top_stable` partitions and sorts them per row in
+    `scratch`, a buffer of `z`'s shape."""
     keys = np.negative(z, out=z)
     indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
     rows = np.arange(anchors.size)
@@ -223,14 +224,15 @@ def pool_size(graph, v, m, pool_factor):
 
 def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
     """Per virtual node r (anchor `anchors[r]`, rows `h_d[r]`, `h_o[r]`),
-    its pool of `sizes[r]` nodes drawn from with the next row of `uniforms`,
-    or whole if no larger than `m`, and the probabilities in proportion to Z.
+    the nodes of its pool of `sizes[r]`: `m` drawn in proportion to Z with
+    the next row of `uniforms`, or the whole pool if no larger than `m`.
 
     A row is `None` when fewer of its pool's scores are above 0 than its
     draw needs (`m`, or one for a whole pool): the scores are products of
     two clipped sigmoids and can underflow. Rows of one pool size are
     scored in blocks of `max(32, SCORE_BUDGET // n)` rows, in two buffers
-    made once. The dot products are a stacked `np.matmul` of one
+    made once: the scores, and the scratch that `_top_stable` sorts their
+    pools in. The dot products are a stacked `np.matmul` of one
     matrix-vector product per row for `H_d` and per distinct anchor (its
     first row) for `H_o`, so no row's sums depend on its block. The rows
     of one anchor must share their `h_o`; rows that differ are a
@@ -265,17 +267,16 @@ def hard_negatives(anchors, h_d, h_o, uniforms, E, graph, m, sizes):
             if c > m and block.size:
                 pick = _weighted_draw_without_replacement(
                     pool_z, uniforms[slot[block]])
-                row = np.arange(block.size)[:, None]
-                pool, pool_z = pool[row, pick], pool_z[row, pick]
-            p = pool_z / pool_z.sum(axis=1, keepdims=True)
-            for r, nodes, pr in zip(block, pool, p):
-                rows[r] = (nodes, pr)
+                pool = pool[np.arange(block.size)[:, None], pick]
+            for r, nodes in zip(block, pool):
+                rows[r] = nodes
     return rows
 
 
 def sample_negatives(virt, E, graph, m, rng, pool_factor=10):
     """Hard negatives: the virtual node's likeliest interaction partners
-    outside the anchor's neighborhood, drawn proportionally to Z.
+    outside the anchor's neighborhood, drawn proportionally to Z; the
+    nodes only.
 
     The one-row case of `hard_negatives`; its uniforms are drawn before
     the pool is scored, so a pool that underflows has moved `rng`.
@@ -293,7 +294,7 @@ def sample_negatives(virt, E, graph, m, rng, pool_factor=10):
 
 def uniform_negatives(graph, v, count, rng):
     """Up to `count` distinct nodes outside the closed neighborhood of `v`,
-    drawn uniformly and sorted, with their equal probabilities."""
+    drawn uniformly and sorted."""
     candidates = graph.non_neighbors(v)
     if candidates.size == 0:
         raise DataError("no candidate negatives: anchor neighborhood is full")
@@ -310,9 +311,8 @@ def sample_positives(v, graph, count, rng):
 
 def _uniform_subset(nodes, count, rng):
     """Up to `count` of `nodes`, uniform without replacement, sorted."""
-    take = min(count, nodes.size)
-    chosen = rng.choice(nodes, size=take, replace=False)
-    return np.sort(chosen).astype(np.int64), np.full(take, 1.0 / take)
+    chosen = rng.choice(nodes, size=min(count, nodes.size), replace=False)
+    return np.sort(chosen).astype(np.int64)
 
 
 def epoch_batches(cfg, assignment, E, graph, p_ce, rng):
@@ -343,7 +343,7 @@ def epoch_batches(cfg, assignment, E, graph, p_ce, rng):
                 rows.append(uniform_negatives(graph, v, m, rng))
             elif draw:
                 uniforms.append(rng.random(m))
-        kept.append((v, *sample_positives(v, graph, cfg.positives, rng)))
+        kept.append((v, sample_positives(v, graph, cfg.positives, rng)))
     if not cfg.neg_uniform:
         donors, masks = map(np.array, zip(*drawn))
         owners = np.repeat(anchors, per_anchor)
@@ -351,16 +351,12 @@ def epoch_batches(cfg, assignment, E, graph, p_ce, rng):
                               E.ho[owners], np.reshape(uniforms, (-1, m)),
                               E, graph, m, np.repeat(sizes, per_anchor))
     batches = []
-    for i, (v, pos, pos_p) in enumerate(kept):
+    for i, (v, pos) in enumerate(kept):
         own = [r for r in rows[i * per_anchor:(i + 1) * per_anchor]
                if r is not None]
-        if not own:
-            continue
-        nodes, p = zip(*own)
-        neg_p = np.concatenate(p)
-        batches.append(ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=np.concatenate(nodes), neg_p=neg_p / neg_p.sum()))
+        if own:
+            batches.append(ContrastiveBatch(anchor=int(v), positives=pos,
+                                            negatives=np.concatenate(own)))
     return batches
 
 
@@ -382,12 +378,11 @@ def augment_batches(cfg, assignment, graph, rng):
         if view.neighbors(v).size == 0 or \
                 graph.neighbors(v).size == graph.n - 1:
             continue
-        pos, pos_p = sample_positives(v, view, cfg.positives, rng)
-        negs, neg_p = uniform_negatives(
+        pos = sample_positives(v, view, cfg.positives, rng)
+        negs = uniform_negatives(
             graph, v, cfg.negatives_m * cfg.virtual_per_anchor, rng)
-        batches.append(ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=negs, neg_p=neg_p))
+        batches.append(ContrastiveBatch(anchor=int(v), positives=pos,
+                                        negatives=negs))
     return batches
 
 

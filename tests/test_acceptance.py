@@ -114,8 +114,7 @@ def test_criterion_1_gradient_correctness(verdict):
             nodes = rng.permutation(n)
             b = ContrastiveBatch(
                 anchor=int(nodes[0]), positives=nodes[1:2],
-                pos_p=np.ones(1), negatives=nodes[2:5],
-                neg_p=np.full(3, 1.0 / 3.0))
+                negatives=nodes[2:5])
 
             def contr():
                 E = DecoupledEmbeddings(hd, ho)
@@ -144,9 +143,7 @@ def test_criterion_2_closed_forms(verdict):
             E = DecoupledEmbeddings.from_arrays(np.ones((K + 2, 3)),
                                                 np.ones((K + 2, 1)))
             b = ContrastiveBatch(anchor=0, positives=np.array([1]),
-                                 pos_p=np.ones(1),
-                                 negatives=np.arange(2, 2 + K),
-                                 neg_p=np.full(K, 1.0 / K))
+                                 negatives=np.arange(2, 2 + K))
             assert contrastive_loss([b], E, 0.5).item() == \
                 pytest.approx(np.log(K), abs=1e-9)
 
@@ -157,12 +154,9 @@ def test_criterion_2_closed_forms(verdict):
         neg = [2, 3, 4]
         for c in (2, 3, 5):
             b1 = ContrastiveBatch(anchor=0, positives=np.array([1]),
-                                  pos_p=np.ones(1), negatives=np.array(neg),
-                                  neg_p=np.full(3, 1.0 / 3.0))
+                                  negatives=np.array(neg))
             bc = ContrastiveBatch(anchor=0, positives=np.array([1]),
-                                  pos_p=np.ones(1),
-                                  negatives=np.array(neg * c),
-                                  neg_p=np.full(3 * c, 1.0 / (3 * c)))
+                                  negatives=np.array(neg * c))
             shift = contrastive_loss([bc], E, 0.7).item() - \
                 contrastive_loss([b1], E, 0.7).item()
             assert shift == pytest.approx(np.log(c), abs=1e-9)
@@ -252,7 +246,7 @@ def test_criterion_4_sampler_distributions(verdict):
         master = np.random.default_rng(42)
         counts = dict.fromkeys(cand.tolist(), 0)
         for _ in range(draws):
-            chosen, _ = sample_negatives(virt, E, g, 1, master)
+            chosen = sample_negatives(virt, E, g, 1, master)
             counts[int(chosen[0])] += 1
         obs = np.array([counts[int(u)] for u in cand], dtype=float)
         exp = probs * draws

@@ -180,24 +180,14 @@ def star_fixture(rng):
 def test_negatives_exclude_anchor_and_neighbors(rng):
     g, E, virt = star_fixture(rng)
     for seed in range(30):
-        chosen, p = sample_negatives(virt, E, g, 3,
-                                     np.random.default_rng(seed))
+        chosen = sample_negatives(virt, E, g, 3, np.random.default_rng(seed))
         assert not set(chosen.tolist()) & {0, 1, 2}
-        assert p.sum() == pytest.approx(1.0)
         assert len(chosen) == len(set(chosen.tolist())) == 3
-
-
-def test_negatives_probabilities_proportional_to_z(rng):
-    g, E, virt = star_fixture(rng)
-    chosen, p = sample_negatives(virt, E, g, 3, np.random.default_rng(4))
-    z = predict_links_against(virt.h_d, virt.h_o, E)
-    expected = z[chosen] / z[chosen].sum()
-    assert np.allclose(p, expected, atol=1e-12)
 
 
 def test_negatives_pool_smaller_than_m_takes_all(rng):
     g, E, virt = star_fixture(rng)
-    chosen, p = sample_negatives(virt, E, g, 5, np.random.default_rng(0))
+    chosen = sample_negatives(virt, E, g, 5, np.random.default_rng(0))
     assert sorted(chosen.tolist()) == [3, 4, 5, 6, 7]
 
 
@@ -205,9 +195,8 @@ def test_negatives_uniform_ablation(rng):
     g, E, virt = star_fixture(rng)
     counts = np.zeros(8)
     for seed in range(3000):
-        chosen, p = uniform_negatives(g, virt.anchor, 1,
-                                      np.random.default_rng(seed))
-        assert np.allclose(p, 1.0)
+        chosen = uniform_negatives(g, virt.anchor, 1,
+                                   np.random.default_rng(seed))
         counts[chosen[0]] += 1
     assert counts[:3].sum() == 0
     # uniform over the 5 candidates: each near 600
@@ -224,7 +213,7 @@ def test_negatives_first_draw_proportional_to_z(rng):
     trials = 20000
     master = np.random.default_rng(11)
     for _ in range(trials):
-        chosen, _ = sample_negatives(virt, E, g, 1, master)
+        chosen = sample_negatives(virt, E, g, 1, master)
         counts[int(chosen[0])] += 1
     obs = np.array([counts[int(u)] for u in cand], dtype=float)
     exp = probs * trials
@@ -235,9 +224,8 @@ def test_negatives_first_draw_proportional_to_z(rng):
 
 def test_positives_uniform_from_neighborhood():
     g = Graph.from_pairs(5, [(0, 1), (0, 2), (0, 3)])
-    chosen, p = sample_positives(0, g, 2, np.random.default_rng(1))
+    chosen = sample_positives(0, g, 2, np.random.default_rng(1))
     assert set(chosen.tolist()) <= {1, 2, 3}
-    assert np.allclose(p, 0.5)
     with pytest.raises(DataError):
         sample_positives(4, g, 1, np.random.default_rng(0))
 
@@ -245,7 +233,7 @@ def test_positives_uniform_from_neighborhood():
 def test_positives_sorted_like_the_python_sort():
     g = Graph.from_pairs(30, [(0, v) for v in range(1, 30)])
     for seed in range(20):
-        chosen, _ = sample_positives(0, g, 8, np.random.default_rng(seed))
+        chosen = sample_positives(0, g, 8, np.random.default_rng(seed))
         draws = np.random.default_rng(seed).choice(g.neighbors(0), size=8,
                                                    replace=False)
         want = np.asarray(sorted(int(u) for u in draws))
@@ -257,9 +245,7 @@ def test_positives_sorted_like_the_python_sort():
 def batch(anchor, pos, neg):
     return ContrastiveBatch(anchor=anchor,
                             positives=np.asarray(pos),
-                            pos_p=np.full(len(pos), 1.0 / len(pos)),
-                            negatives=np.asarray(neg),
-                            neg_p=np.full(len(neg), 1.0 / len(neg)))
+                            negatives=np.asarray(neg))
 
 
 def test_loss_equal_similarities_is_ln_k():
@@ -346,9 +332,4 @@ def test_loss_gradient_finite_diff(rng):
 def test_batch_validation():
     with pytest.raises(DataError):
         ContrastiveBatch(anchor=0, positives=np.array([], dtype=int),
-                         pos_p=np.array([]), negatives=np.array([1]),
-                         neg_p=np.array([1.0]))
-    with pytest.raises(DataError):
-        ContrastiveBatch(anchor=0, positives=np.array([1]),
-                         pos_p=np.array([0.7]), negatives=np.array([2]),
-                         neg_p=np.array([1.0]))
+                         negatives=np.array([1]))

@@ -39,10 +39,7 @@ def make_batch(anchor, positives, negatives):
     positives = np.asarray(positives, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
     return ContrastiveBatch(
-        anchor=int(anchor), positives=positives,
-        pos_p=np.full(positives.size, 1.0 / positives.size),
-        negatives=negatives,
-        neg_p=np.full(negatives.size, 1.0 / negatives.size))
+        anchor=int(anchor), positives=positives, negatives=negatives)
 
 
 def random_case(rng):

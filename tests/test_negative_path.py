@@ -2,8 +2,8 @@
 per-node code it replaced.
 
 Each reference below is a copy of the earlier implementation; the array
-versions must reproduce it exactly (same nodes, same probabilities to the
-bit, same generator state afterwards), so seeded runs stay byte-identical.
+versions must reproduce it exactly (same nodes, same generator state
+afterwards), so seeded runs stay byte-identical.
 The references make their draws in the order of the batch builder: a row
 draws its uniforms before its pool is scored, and an anchor draws its
 positives whether or not its rows underflow.
@@ -71,10 +71,9 @@ def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
         raise DataError("no candidate negatives: anchor neighborhood is full")
     if uniform:
         take = min(m, candidates.size)
-        chosen = np.asarray(sorted(int(u) for u in
-                                   rng.choice(candidates, size=take,
-                                              replace=False)))
-        return chosen, np.full(take, 1.0 / take)
+        return np.asarray(sorted(int(u) for u in
+                                 rng.choice(candidates, size=take,
+                                            replace=False)))
     z = predict_links_against(virt.h_d, virt.h_o, E)[candidates]
     c = min(pool_factor * m, candidates.size)
     pool_idx = np.argsort(-z, kind="stable")[:c]
@@ -92,10 +91,7 @@ def ref_sample_negatives(virt, E, graph, m, rng, pool_factor=10,
         chosen = [int(u) for u in pool]
     else:
         chosen = ref_weighted_draw_without_replacement(pool, pool_z, m, rng)
-    chosen = np.asarray(chosen)
-    zmap = dict(zip(pool.tolist(), pool_z.tolist()))
-    zc = np.array([zmap[int(u)] for u in chosen])
-    return chosen, zc / zc.sum()
+    return np.asarray(chosen)
 
 
 def ref_build_batches(cfg, assignment, E, graph, p_ce, rng):
@@ -106,24 +102,21 @@ def ref_build_batches(cfg, assignment, E, graph, p_ce, rng):
         if graph.neighbors(v).size in (0, graph.n - 1) or \
                 (hard == hard[v]).all():
             continue
-        neg_nodes, neg_scores = [], []
+        neg_nodes = []
         for _ in range(cfg.virtual_per_anchor):
             virt = ref_synthesize_virtual_node(v, assignment, E, p_ce, rng)
             try:
-                nodes, p = ref_sample_negatives(
+                nodes = ref_sample_negatives(
                     virt, E, graph, cfg.negatives_m, rng,
                     pool_factor=cfg.pool_factor, uniform=cfg.neg_uniform)
             except NumericError:
                 continue
             neg_nodes.extend(int(u) for u in nodes)
-            neg_scores.extend(p.tolist())
-        pos, pos_p = ct.sample_positives(v, graph, cfg.positives, rng)
+        pos = ct.sample_positives(v, graph, cfg.positives, rng)
         if not neg_nodes:
             continue
-        neg_p = np.asarray(neg_scores)
         batches.append(ct.ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=np.asarray(neg_nodes), neg_p=neg_p / neg_p.sum()))
+            anchor=int(v), positives=pos, negatives=np.asarray(neg_nodes)))
     return batches
 
 
@@ -138,14 +131,13 @@ def ref_build_augment_batches(cfg, assignment, graph, rng):
                                if u not in excluded])
         if nbrs.size == 0 or candidates.size == 0:
             continue
-        pos, pos_p = ct.sample_positives(v, view, cfg.positives, rng)
+        pos = ct.sample_positives(v, view, cfg.positives, rng)
         take = min(cfg.negatives_m * cfg.virtual_per_anchor, candidates.size)
         negs = np.asarray(sorted(int(u) for u in
                                  rng.choice(candidates, size=take,
                                             replace=False)))
-        batches.append(ct.ContrastiveBatch(
-            anchor=int(v), positives=pos, pos_p=pos_p,
-            negatives=negs, neg_p=np.full(take, 1.0 / take)))
+        batches.append(ct.ContrastiveBatch(anchor=int(v), positives=pos,
+                                           negatives=negs))
     return batches
 
 
@@ -157,15 +149,11 @@ def same_array(a, b):
         a.tobytes() == b.tobytes()
 
 
-def same_result(a, b):
-    return all(same_array(x, y) for x, y in zip(a, b))
-
-
 def same_batches(a, b):
     return len(a) == len(b) and all(
         x.anchor == y.anchor and all(
             same_array(getattr(x, f), getattr(y, f))
-            for f in ("positives", "pos_p", "negatives", "neg_p"))
+            for f in ("positives", "negatives"))
         for x, y in zip(a, b))
 
 
@@ -206,7 +194,7 @@ def test_hard_path_matches_reference(seed, m, pool_factor):
                                pool_factor=pool_factor)
         want = ref_sample_negatives(virt, E, graph, m, ref_rng,
                                     pool_factor=pool_factor)
-        assert same_result(got, want)
+        assert same_array(got, want)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -218,7 +206,7 @@ def test_uniform_path_matches_reference(seed, m):
         new_rng, ref_rng = pair_rngs(seed + 200)
         got = uniform_negatives(graph, virt.anchor, m, new_rng)
         want = ref_sample_negatives(virt, E, graph, m, ref_rng, uniform=True)
-        assert same_result(got, want)
+        assert same_array(got, want)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -237,7 +225,7 @@ def test_pool_no_larger_than_m_matches_reference(seed):
                                pool_factor=pool_factor)
         want = ref_sample_negatives(virt, E, graph, m, ref_rng,
                                     pool_factor=pool_factor)
-        assert same_result(got, want)
+        assert same_array(got, want)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -265,23 +253,33 @@ def test_ties_across_the_pool_boundary_match_reference(seed):
                                pool_factor=pool_factor)
         want = ref_sample_negatives(virt, E, graph, m, ref_rng,
                                     pool_factor=pool_factor)
-        assert same_result(got, want)
+        assert same_array(got, want)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_top_stable_matches_full_stable_sort():
     rng = np.random.default_rng(0)
-    for _ in range(300):
+    for case in range(400):
         size = int(rng.integers(1, 60))
-        keys = rng.integers(0, 6, size=(3, size)).astype(np.float64)
-        keys[rng.random(keys.shape) < 0.2] = -0.0
-        c = int(rng.integers(1, size + 1))
+        if case % 2:
+            # negated scores, rounded so that some tie, with the closed
+            # neighborhood masked to +inf as `_hard_pools` masks it
+            keys = -rng.random((4, size)).round(int(rng.integers(1, 4)))
+            keys[rng.random(keys.shape) < 0.3] = np.inf
+        else:
+            keys = rng.integers(0, 6, size=(4, size)).astype(np.float64)
+            keys[rng.random(keys.shape) < 0.2] = -0.0
+        keys[1] = keys[1, 0]  # all ties: every key is a candidate
+        keys[2] = rng.permutation(size)  # no tie: exactly c candidates
+        # c up to the row size, or the first row's count of finite keys
+        finite = int(np.isfinite(keys[0]).sum())
+        c = int(rng.integers(1, size + 1)) if case % 3 else max(finite, 1)
+        before = keys.tobytes()
         want = ct._top_stable(keys, c)
         for got, row in zip(want, keys):
             assert np.array_equal(got, np.argsort(row, kind="stable")[:c])
-        before = keys.copy()
-        got = ct._top_stable(keys, c, np.empty_like(keys))
-        assert np.array_equal(got, want) and np.array_equal(keys, before)
+        got = ct._top_stable(keys, c, np.full_like(keys, np.nan))
+        assert np.array_equal(got, want) and keys.tobytes() == before
 
 
 def test_weighted_draw_matches_choice_loop():
@@ -472,8 +470,8 @@ def test_one_scoring_pass_matches_rows_sampled_alone():
                              np.array([virt.h_o for virt in virts]),
                              uniforms, E, graph, m, sizes)
     for virt, row in zip(virts, rows):
-        assert same_result(row, sample_negatives(virt, E, graph, m, ref_rng,
-                                                 pool_factor=pool_factor))
+        assert same_array(row, sample_negatives(virt, E, graph, m, ref_rng,
+                                                pool_factor=pool_factor))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -652,8 +650,8 @@ def test_pool_with_fewer_nonzero_scores_than_m_raises_numeric_error():
         sample_negatives(virt, E, graph, 2, rng)
     ref_rng.random(2)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    chosen, p = sample_negatives(virt, E, graph, 1, rng)
-    assert chosen.tolist() == [3] and p.tolist() == [1.0]
+    chosen = sample_negatives(virt, E, graph, 1, rng)
+    assert chosen.tolist() == [3]
 
 
 def test_pool_factor_below_one_is_a_config_error():

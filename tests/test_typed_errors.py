@@ -11,9 +11,9 @@ from mecole import clustering
 from mecole import contrastive as ct
 from mecole.clustering import Assignment, init_assignments, modularity
 from mecole.config import ExperimentConfig, apply_overrides
-from mecole.contrastive import _drop_edges, contrastive_loss, \
-    draw_virtual_node, epoch_batches as _build_batches, pool_size, \
-    sample_anchors, uniform_negatives
+from mecole.contrastive import ContrastiveBatch, _drop_edges, \
+    contrastive_loss, draw_virtual_node, epoch_batches as _build_batches, \
+    pool_size, sample_anchors, uniform_negatives
 from mecole.decoupling import DecoupledEmbeddings, DecoupledEncoder, \
     discrepancy_loss, predict_link, reconstruction_loss, rewire
 from mecole.errors import ConfigError, DataError, NumericError
@@ -94,6 +94,10 @@ CASES = {
                              ConfigError, "tau must be > 0"),
     "contrastive_no_batch": (lambda: contrastive_loss([], E, 0.5),
                              DataError, "at least one batch"),
+    "contrastive_batch_no_negative": (
+        lambda: ContrastiveBatch(anchor=0, positives=np.array([1]),
+                                 negatives=np.array([], dtype=np.int64)),
+        DataError, "batch needs at least one positive and negative"),
     "discrepancy_no_pairs": (
         lambda: discrepancy_loss(E, TWO_CLASSES, "l1", 0, rng()),
         ConfigError, "pairs must be >= 1"),
